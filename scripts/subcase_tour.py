@@ -36,7 +36,7 @@ def main(argv=None) -> int:
             hits = common_fixed_points(case.phi, case.psi, BallSpec(args.crosscheck))
             if verdict.trivial:
                 ok = ok and not hits
-            elif verdict.witness is not None:
+            else:
                 ok = ok and case.phi.fixes(verdict.witness) and case.psi.fixes(verdict.witness)
         shown = "trivial" if verdict.trivial else "nontrivial"
         witness = str(verdict.witness) if verdict.witness is not None else "-"

@@ -8,7 +8,6 @@ identity (first endomorphism of shape VI or VII).
 
 from .decision import UnsupportedShape, Verdict, decide
 from .fixpoints import (
-    BasisPermutationEndo,
     DeclaredEndo,
     ExponentGraph,
     FactorProduct,
@@ -16,13 +15,10 @@ from .fixpoints import (
     FixDescriptor,
     FixOracle,
     HomGraph,
-    IdentityEndo,
-    InnerEndo,
     MissingOracle,
     PairedPowers,
     PowerCylinder,
     TrivialFix,
-    fix_free,
     fix_product,
 )
 from .homs import (
@@ -63,6 +59,7 @@ from .product import (
     render_endo_text,
 )
 from .stallings import (
+    CertificateError,
     SubgroupGraph,
     congruence_subgroup,
     express_in_generators,

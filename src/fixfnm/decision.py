@@ -10,8 +10,8 @@ Membership of a single word in a fixed subgroup is a word equality and
 needs no oracle; a branch asks the oracle only when it has to intersect or
 map whole fixed subgroups (1.3-1.5, 1.7, 1.8, 2.5, 2.7, 2.8).
 
-Every nontrivial verdict carries either a verified witness or, in one
-bounded-search corner of branch 1.5, a rank-comparison certificate.
+Branches 1.5, 1.8/2.7, 2.5 and 2.8 share one step, ``_meet_through``.
+Every nontrivial verdict carries a witness, checked when it is built.
 """
 
 from __future__ import annotations
@@ -35,19 +35,15 @@ from .product import (
     classify,
 )
 from .stallings import (
+    CertificateError,
     SubgroupGraph,
     congruence_subgroup,
+    evaluate_expression,
     express_in_generators,
-    from_generators,
+    image,
     restricted_kernel_trivial,
 )
-from .words import (
-    Alphabet,
-    Word,
-    enumerate_ball,
-    solve_power_equation,
-    weighted_sum,
-)
+from .words import Word, solve_power_equation, weighted_sum
 
 
 class UnsupportedShape(ValueError):
@@ -58,19 +54,17 @@ class UnsupportedShape(ValueError):
 class Verdict:
     """Outcome of a decision run.
 
-    ``certificate`` is None for trivial verdicts, "witness" when a concrete
-    nontrivial common fixed point is attached, and "rank-comparison" when
-    nontriviality was proven by a rank drop without producing an element.
+    ``witness`` is None for trivial verdicts; a nontrivial verdict always
+    carries a common fixed point, built only through ``with_witness``.
     """
 
     trivial: bool
     witness: Optional[ProductElement]
-    certificate: Optional[str]
     trace: tuple[str, ...]
 
     @classmethod
     def intersection_trivial(cls, trace: tuple[str, ...]) -> "Verdict":
-        return cls(True, None, None, tuple(trace))
+        return cls(True, None, tuple(trace))
 
     @classmethod
     def with_witness(
@@ -80,22 +74,19 @@ class Verdict:
         witness: ProductElement,
         trace: tuple[str, ...],
     ) -> "Verdict":
-        assert not witness.is_identity(), "witness must be nontrivial"
-        assert phi.fixes(witness), "witness must be fixed by the first endomorphism"
-        assert psi.fixes(witness), "witness must be fixed by the second endomorphism"
-        return cls(False, witness, "witness", tuple(trace))
-
-    @classmethod
-    def nontrivial_by_rank(cls, trace: tuple[str, ...]) -> "Verdict":
-        return cls(False, None, "rank-comparison", tuple(trace))
+        if witness.is_identity():
+            raise CertificateError("witness must be nontrivial")
+        if not phi.fixes(witness):
+            raise CertificateError(f"witness {witness} is not fixed by the first endomorphism")
+        if not psi.fixes(witness):
+            raise CertificateError(f"witness {witness} is not fixed by the second endomorphism")
+        return cls(False, witness, tuple(trace))
 
     def describe(self) -> str:
         tag = "/".join(self.trace)
         if self.trivial:
             return f"TRIVIAL [{tag}]"
-        if self.witness is not None:
-            return f"NONTRIVIAL {self.witness} [{tag}]"
-        return f"NONTRIVIAL by rank comparison, no witness found [{tag}]"
+        return f"NONTRIVIAL {self.witness} [{tag}]"
 
 
 def _is_fixed(h: FreeHom, w: Word) -> bool:
@@ -111,44 +102,46 @@ def _pull_back(domain: SubgroupGraph, h: FreeHom, target: Word) -> Word:
     """
     gens = domain.basis()
     expression = express_in_generators([h.apply(g) for g in gens], target)
-    assert expression is not None, "target must lie in the image"
-    out = Word(domain.alphabet)
-    for step in expression:
-        g = gens[abs(step) - 1]
-        out = out * (g if step > 0 else g.inverse())
-    assert h.apply(out) == target
+    if expression is None:
+        raise CertificateError(f"{target} is not in the image of the restriction")
+    out = evaluate_expression(gens, expression, domain.alphabet)
+    if h.apply(out) != target:
+        raise CertificateError(f"pulled-back {out} does not map onto {target}")
     return out
 
 
-def _kernel_search(domain: SubgroupGraph, h: FreeHom, radius: int) -> Optional[Word]:
-    """A nontrivial member of ``domain`` killed by ``h``, by bounded search.
+def _meet_through(
+    k: SubgroupGraph, h: FreeHom, fixed: SubgroupGraph
+) -> Optional[tuple[Word, Word]]:
+    """Some x != 1 in ``k`` with h(x) in ``fixed``, as (x, h(x)), or None.
 
-    Expressions over the domain basis of length up to ``radius`` are tried
-    in length-lexicographic order.
+    A nontrivial meet of h(k) with ``fixed`` is pulled back.  Otherwise
+    only the kernel of h on k is left.  If h keeps the rank of k it is
+    injective there (free groups are Hopfian).  If the rank drops, the
+    lifts of a basis of h(k) span less than k, so some basis word g of k
+    differs from the lift of h(g), and g times that lift's inverse is
+    killed by h (Stallings 1983; Kapovich-Myasnikov 2002).
     """
-    gens = domain.basis()
-    if not gens:
+    img = image(k, h)
+    j = img.intersect(fixed)
+    if not j.is_trivial():
+        target = j.basis()[0]
+        return _pull_back(k, h, target), target
+    if img.rank == k.rank:
         return None
-    helper = Alphabet(len(gens), "x")
-    for expression in enumerate_ball(helper, radius):
-        if expression.is_identity():
-            continue
-        candidate = Word(domain.alphabet)
-        for step in expression.letters:
-            g = gens[abs(step) - 1]
-            candidate = candidate * (g if step > 0 else g.inverse())
-        # a reduced expression over a free basis is never the identity
-        assert not candidate.is_identity()
-        if h.apply(candidate).is_identity():
-            return candidate
-    return None
+    lifts = [_pull_back(k, h, w) for w in img.basis()]
+    for g in k.basis():
+        expression = express_in_generators(img.basis(), h.apply(g))
+        y = g * evaluate_expression(lifts, expression, k.alphabet).inverse()
+        if not y.is_identity():
+            return y, h.apply(y)
+    raise CertificateError("fewer lifts than rank(k) cannot generate k")
 
 
 def decide(
     phi: ProductEndo,
     psi: ProductEndo,
     oracle: Optional[FixOracle] = None,
-    kernel_search_radius: int = 8,
 ) -> Verdict:
     """Is Fix(phi) meet Fix(psi) bigger than the identity?
 
@@ -166,9 +159,9 @@ def decide(
         raise ValueError("the two endomorphisms act on different products")
     first_shape = classify(phi)
     if isinstance(first_shape, TypeVI):
-        return _decide_with_diagonal(phi, psi, first_shape, oracle, kernel_search_radius)
+        return _decide_with_diagonal(phi, psi, first_shape, oracle)
     if isinstance(first_shape, TypeVII):
-        return _decide_with_swap(phi, psi, first_shape, oracle, kernel_search_radius)
+        return _decide_with_swap(phi, psi, first_shape, oracle)
     raise UnsupportedShape(
         f"first endomorphism has shape {first_shape.label}; only the diagonal "
         "shape VI and the swapping shape VII are supported in first position"
@@ -180,7 +173,6 @@ def _decide_with_diagonal(
     psi: ProductEndo,
     vi: TypeVI,
     oracle: FixOracle,
-    kernel_search_radius: int,
 ) -> Verdict:
     a = phi.first_alphabet
     b = phi.second_alphabet
@@ -254,20 +246,11 @@ def _decide_with_diagonal(
         trace = ("1.5",)
         theta = shape.first_from_second
         k = oracle.fix(shape.second_from_second).intersect(oracle.fix(vi.second))
-        img = from_generators([theta.apply(g) for g in k.basis()], a)
-        j = img.intersect(oracle.fix(vi.first))
-        if not j.is_trivial():
-            target = j.basis()[0]
-            y = _pull_back(k, theta, target)
-            return Verdict.with_witness(phi, psi, ProductElement(target, y), trace)
-        if img.rank == k.rank:
-            # the restriction of theta to k is injective (free groups are
-            # Hopfian), so nothing nontrivial maps into Fix of vi.first
+        found = _meet_through(k, theta, oracle.fix(vi.first))
+        if found is None:
             return Verdict.intersection_trivial(trace)
-        y = _kernel_search(k, theta, kernel_search_radius)
-        if y is None:
-            return Verdict.nontrivial_by_rank(trace)
-        return Verdict.with_witness(phi, psi, ProductElement(Word(a), y), trace)
+        y, target = found
+        return Verdict.with_witness(phi, psi, ProductElement(target, y), trace)
 
     if isinstance(shape, TypeV):
         trace = ("1.6",)
@@ -314,14 +297,12 @@ def _diagonal_meets_swap(
     to_second = vii.second_from_first
     round_trip = to_second.then(to_first)
     k = oracle.fix(round_trip).intersect(oracle.fix(vi.first))
-    img = from_generators([to_second.apply(g) for g in k.basis()], to_second.target)
-    j = img.intersect(oracle.fix(vi.second))
-    if j.is_trivial():
-        # any member has second coordinate in j; killing it kills the first
-        # coordinate too since x = to_first(to_second(x))
+    found = _meet_through(k, to_second, oracle.fix(vi.second))
+    if found is None:
+        # any member has second coordinate in the meet; killing it kills the
+        # first coordinate too since x = to_first(to_second(x))
         return Verdict.intersection_trivial(trace)
-    target = j.basis()[0]
-    x = _pull_back(k, to_second, target)
+    x, target = found
     return Verdict.with_witness(phi, psi, ProductElement(x, target), trace)
 
 
@@ -330,10 +311,7 @@ def _decide_with_swap(
     psi: ProductEndo,
     vii: TypeVII,
     oracle: FixOracle,
-    kernel_search_radius: int,
 ) -> Verdict:
-    a = phi.first_alphabet
-    b = phi.second_alphabet
     to_first = vii.first_from_second
     to_second = vii.second_from_first
     round_trip = to_second.then(to_first)
@@ -402,14 +380,12 @@ def _decide_with_swap(
         k = oracle.fix(theta.then(to_second)).intersect(
             oracle.fix(shape.second_from_second)
         )
-        img = from_generators([theta.apply(g) for g in k.basis()], a)
-        j = img.intersect(oracle.fix(round_trip))
-        if j.is_trivial():
-            # a member's first coordinate lies in j and its second is the
-            # to_second-image of the first, so both die with j
+        found = _meet_through(k, theta, oracle.fix(round_trip))
+        if found is None:
+            # a member's first coordinate lies in the meet and its second is
+            # the to_second-image of the first, so both die with the meet
             return Verdict.intersection_trivial(trace)
-        target = j.basis()[0]
-        y = _pull_back(k, theta, target)
+        y, target = found
         return Verdict.with_witness(phi, psi, ProductElement(target, y), trace)
 
     if isinstance(shape, TypeV):
@@ -425,10 +401,8 @@ def _decide_with_swap(
     theta = shape.first_from_second
     sigma = shape.second_from_first
     k = oracle.fix(sigma.then(theta)).intersect(oracle.fix(sigma.then(to_first)))
-    img = from_generators([sigma.apply(g) for g in k.basis()], b)
-    j = img.intersect(oracle.fix(to_first.then(to_second)))
-    if j.is_trivial():
+    found = _meet_through(k, sigma, oracle.fix(to_first.then(to_second)))
+    if found is None:
         return Verdict.intersection_trivial(trace)
-    target = j.basis()[0]
-    x = _pull_back(k, sigma, target)
+    x, target = found
     return Verdict.with_witness(phi, psi, ProductElement(x, target), trace)

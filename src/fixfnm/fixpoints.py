@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .homs import FreeHom, inner_hom
+from .homs import FreeHom
 from .lattices import IntLattice2, kernel_basis
 from .product import (
     EndoType,
@@ -50,56 +50,7 @@ from .words import (
     weighted_sum,
 )
 
-# --- supported free-group endomorphisms -------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentityEndo:
-    alphabet: Alphabet
-
-    def hom(self) -> FreeHom:
-        from .homs import identity_hom
-
-        return identity_hom(self.alphabet)
-
-    def fix_graph(self) -> SubgroupGraph:
-        return whole_group(self.alphabet)
-
-
-@dataclass(frozen=True)
-class InnerEndo:
-    """Conjugation x -> z x z^-1; its fixed subgroup is the centralizer of z."""
-
-    conjugator: Word
-
-    def hom(self) -> FreeHom:
-        return inner_hom(self.conjugator)
-
-    def fix_graph(self) -> SubgroupGraph:
-        if self.conjugator.is_identity():
-            return whole_group(self.conjugator.alphabet)
-        return from_generators([root(self.conjugator).base])
-
-
-@dataclass(frozen=True)
-class BasisPermutationEndo:
-    """A permutation of the basis (no inversions); fixes the unmoved letters."""
-
-    mapping: FreeHom
-
-    def __post_init__(self) -> None:
-        if self.mapping.as_permutation() is None:
-            raise ValueError(f"{self.mapping} does not permute the basis")
-
-    def hom(self) -> FreeHom:
-        return self.mapping
-
-    def fix_graph(self) -> SubgroupGraph:
-        perm = self.mapping.as_permutation()
-        assert perm is not None
-        alph = self.mapping.source
-        fixed = [g for i, g in enumerate(alph.generators(), start=1) if perm[i - 1] == i]
-        return from_generators(fixed, alph)
+# --- fixed subgroups of free-group endomorphisms ---------------------------
 
 
 @dataclass(frozen=True)
@@ -123,7 +74,7 @@ class DeclaredEndo:
             if self.endo.apply(w) != w:
                 raise ValueError(f"declared basis word {render_word(w)} is not fixed")
         if self.audit_radius is not None:
-            graph = from_generators(self.fix_basis, self.endo.source)
+            graph = self.fix_graph()
             for w in enumerate_ball(self.endo.source, self.audit_radius):
                 if self.endo.apply(w) == w and not graph.contains(w):
                     raise ValueError(
@@ -131,18 +82,8 @@ class DeclaredEndo:
                         f"declared subgroup"
                     )
 
-    def hom(self) -> FreeHom:
-        return self.endo
-
     def fix_graph(self) -> SubgroupGraph:
         return from_generators(self.fix_basis, self.endo.source)
-
-
-SupportedEndo = Union[IdentityEndo, InnerEndo, BasisPermutationEndo, DeclaredEndo]
-
-
-def fix_free(supported: SupportedEndo) -> SubgroupGraph:
-    return supported.fix_graph()
 
 
 class MissingOracle(LookupError):
@@ -191,13 +132,13 @@ class FixOracle:
     endomorphisms are recognized without declaration.
     """
 
-    def __init__(self, supported: tuple[SupportedEndo, ...] | list[SupportedEndo] = ()):
+    def __init__(self, declared: tuple[DeclaredEndo, ...] | list[DeclaredEndo] = ()):
         self._known: dict[FreeHom, SubgroupGraph] = {}
-        for s in supported:
-            self.declare(s)
+        for d in declared:
+            self.declare(d)
 
-    def declare(self, supported: SupportedEndo) -> None:
-        self._known[supported.hom()] = supported.fix_graph()
+    def declare(self, declared: DeclaredEndo) -> None:
+        self._known[declared.endo] = declared.fix_graph()
 
     def fix(self, h: FreeHom) -> SubgroupGraph:
         if h.source != h.target:

@@ -24,6 +24,14 @@ from .words import Alphabet, Word, render_word, weighted_sum, word
 _FWD, _BACK = 1, -1
 
 
+class CertificateError(RuntimeError):
+    """An answer failed its own exact check: a fault in this library.
+
+    Raised by plain checks rather than asserts, so it also fires under
+    ``python -O``.
+    """
+
+
 @dataclass
 class _FoldStep:
     """Snapshot taken just before one elementary fold."""
@@ -439,12 +447,19 @@ def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | Non
             assert path[pos : pos + n] == [(e, -d) for e, d in reversed(steps)]
         expr.append(sign * (t + 1))
         pos += n
-    check = Word(alphabet)
-    for s in expr:
-        g = gens[abs(s) - 1]
-        check = check * (g if s > 0 else g.inverse())
-    assert check == target
+    if evaluate_expression(gens, expr, alphabet) != target:
+        raise CertificateError(f"expression {expr} does not replay to {render_word(target)}")
     return expr
+
+
+def evaluate_expression(
+    gens: Sequence[Word], expression: Sequence[int], alphabet: Alphabet
+) -> Word:
+    """Replay an expression from express_in_generators over ``gens``."""
+    if not expression:
+        return Word(alphabet)  # the empty product, also over no generators
+    helper = Alphabet(len(gens), "x")
+    return FreeHom(helper, alphabet, tuple(gens)).apply(word(helper, expression))
 
 
 def _lift(step: _FoldStep, path: list[tuple[int, int]], base: int) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fixpoints import DeclaredEndo, FixDescriptor, FixOracle, SupportedEndo, fix_product
+from .fixpoints import DeclaredEndo, FixDescriptor, FixOracle, fix_product
 from .homs import FreeHom, identity_hom, inner_hom, permutation_hom
 from .product import (
     ProductElement,
@@ -203,11 +203,7 @@ class EqualizerReduction:
 
     def substitute(self, expression: Word) -> Word:
         """Evaluate an abstract word over the domain basis."""
-        out = Word(self.domain.alphabet)
-        for step in expression.letters:
-            g = self.basis[abs(step) - 1]
-            out = out * (g if step > 0 else g.inverse())
-        return out
+        return FreeHom(self.first.source, self.domain.alphabet, self.basis).apply(expression)
 
 
 def reduce_pair_to_equalizer(
@@ -275,7 +271,7 @@ class CuratedCase:
     phi: ProductEndo
     psi: ProductEndo
     expected_trivial: bool
-    declarations: tuple[SupportedEndo, ...] = ()
+    declarations: tuple[DeclaredEndo, ...] = ()
 
     def oracle(self) -> FixOracle:
         return FixOracle(self.declarations)
@@ -381,7 +377,7 @@ def curated_cases() -> tuple[CuratedCase, ...]:
         ),
         CuratedCase(
             "1.5",
-            "rank drop, kernel element found by search",
+            "rank drop, exact kernel element",
             TypeVI(swap_a, id_b).as_endo(),
             TypeIV(FreeHom(b, a, (a1, Word(a))), id_b).as_endo(),
             expected_trivial=False,

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from conftest import RELAB_AB, RELAB_BA
 
 A = Alphabet(2, "a")
 B = Alphabet(2, "b")
+DATA = Path(__file__).resolve().parent.parent / "scripts" / "data"
 
 
 def wa(text):
@@ -94,6 +96,15 @@ def test_fix_needs_oracle_for_unknown_components(tmp_path, capsys):
     assert "shape: IV" in capsys.readouterr().out
 
 
+def test_declarations_are_audited(tmp_path, capsys):
+    # a1 -> a1 a2 also fixes a1 a2 a1^-1, which <a2> misses
+    endo = str(DATA / "transvect.endo")
+    hom = str(DATA / "retract.hom")
+    short = _write(tmp_path, "short.basis", "a2\n")
+    assert main(["fix", endo, "--declare", hom, short]) == 2
+    assert "a1 a2 a1^-1" in capsys.readouterr().err
+
+
 def test_intersect_nontrivial(diag, swap, capsys):
     assert main(["intersect", diag, swap]) == 1
     out = capsys.readouterr().out
@@ -112,27 +123,23 @@ def test_intersect_json(diag, swap, capsys):
     assert main(["intersect", "--json", diag, swap]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "nontrivial"
+    assert set(payload) == {"verdict", "witness", "trace", "timings"}
     assert payload["witness"].startswith("(")
-    assert payload["witness_certificate"] == "witness"
     assert payload["trace"] == ["1.8"]
     assert payload["timings"]["decide_seconds"] >= 0
 
 
-def test_intersect_rank_comparison_json(tmp_path, capsys):
+def test_intersect_rank_drop_json(tmp_path, capsys):
     phi = TypeVI(permutation_hom(A, (2, 1)), identity_hom(B)).as_endo()
     psi = TypeIV(FreeHom(B, A, (wa("a1"), Word(A))), identity_hom(B)).as_endo()
     phi_file = _write(tmp_path, "phi.endo", render_endo_text(phi))
     psi_file = _write(tmp_path, "psi.endo", render_endo_text(psi))
 
-    assert main(["intersect", "--json", "--kernel-radius", "0", phi_file, psi_file]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["verdict"] == "nontrivial"
-    assert payload["witness"] is None
-    assert payload["witness_certificate"] == "rank-comparison"
-
     assert main(["intersect", "--json", phi_file, psi_file]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["witness"] is not None
+    assert payload["verdict"] == "nontrivial"
+    assert payload["witness"] == "(1, b2)"
+    assert payload["trace"] == ["1.5"]
 
 
 def test_intersect_unsupported_first_shape(powerpair, diag, capsys):

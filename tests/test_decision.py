@@ -1,9 +1,16 @@
 """The decision procedure: curated behavior, guards, verdict plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fixfnm
 from fixfnm import (
     Alphabet,
+    CertificateError,
     DeclaredEndo,
     FixOracle,
     FreeHom,
@@ -61,13 +68,10 @@ def test_curated_case(case):
     assert verdict.trace[0] == case.label
     if verdict.trivial:
         assert verdict.witness is None
-        assert verdict.certificate is None
     else:
-        assert verdict.certificate in ("witness", "rank-comparison")
-        if verdict.witness is not None:
-            assert not verdict.witness.is_identity()
-            assert case.phi.fixes(verdict.witness)
-            assert case.psi.fixes(verdict.witness)
+        assert not verdict.witness.is_identity()
+        assert case.phi.fixes(verdict.witness)
+        assert case.psi.fixes(verdict.witness)
 
 
 def test_delegated_trace_for_swap_meets_diagonal():
@@ -97,20 +101,34 @@ def test_identity_pair_is_nontrivial():
     assert verdict.witness is not None
 
 
-def test_rank_drop_with_and_without_search_budget():
-    phi = TypeVI(permutation_hom(A, (2, 1)), identity_hom(B)).as_endo()
-    psi = TypeIV(FreeHom(B, A, (wa("a1"), Word(A))), identity_hom(B)).as_endo()
+B3 = Alphabet(3, "b")
+RANK_DROPS = {
+    # theta kills b2 of K = F_b; the curated case
+    "curated": (B, (wa("a1"), Word(A)), identity_hom(B)),
+    # K = Fix(conjugation by b2) = <b2>, and theta kills all of it
+    "whole-kernel": (B, (wa("a1"), Word(A)), inner_hom(wb("b2"))),
+    # the shortest element of K = F_b that theta kills has length 10
+    "long-kernel": (
+        B3,
+        (wa("a1"), wa("a2"), wa("a1^3 a2^3 a1^2 a2")),
+        identity_hom(B3),
+    ),
+}
 
-    found = decide(phi, psi)
-    assert not found.trivial
-    assert found.certificate == "witness"
-    assert phi.fixes(found.witness) and psi.fixes(found.witness)
 
-    starved = decide(phi, psi, kernel_search_radius=0)
-    assert not starved.trivial
-    assert starved.certificate == "rank-comparison"
-    assert starved.witness is None
-    assert not starved.describe().startswith("TRIVIAL")
+@pytest.mark.parametrize("name", RANK_DROPS)
+def test_rank_drop_yields_kernel_witness(name):
+    b, images, keep = RANK_DROPS[name]
+    theta = FreeHom(b, A, images)
+    phi = TypeVI(permutation_hom(A, (2, 1)), identity_hom(b)).as_endo()
+    psi = TypeIV(theta, keep).as_endo()
+
+    verdict = decide(phi, psi)
+    assert verdict.trace == ("1.5",)
+    x, y = verdict.witness.first, verdict.witness.second
+    assert x.is_identity() and not y.is_identity()
+    assert theta.apply(y).is_identity()
+    assert phi.fixes(verdict.witness) and psi.fixes(verdict.witness)
 
 
 def test_missing_oracle_propagates_and_declarations_cure_it():
@@ -129,15 +147,41 @@ def test_missing_oracle_propagates_and_declarations_cure_it():
 
 def test_witness_constructor_rejects_bad_witnesses():
     phi = plain_diag()
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         Verdict.with_witness(phi, phi, ProductElement(Word(A), Word(B)), ("1.7",))
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         # (a2, 1) is moved by conjugation with a1
         Verdict.with_witness(phi, phi, ProductElement(wa("a2"), Word(B)), ("1.7",))
 
 
+def test_witness_check_survives_optimized_mode():
+    script = """
+import sys
+from fixfnm import Alphabet, CertificateError, ProductElement, Verdict, Word
+from fixfnm import TypeVI, inner_hom, parse_word
+assert False, "asserts must be off"
+A, B = Alphabet(2, "a"), Alphabet(2, "b")
+phi = TypeVI(inner_hom(parse_word("a1", A)), inner_hom(parse_word("b1", B))).as_endo()
+try:
+    Verdict.with_witness(phi, phi, ProductElement(parse_word("a2", A), Word(B)), ("1.7",))
+except CertificateError:
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = str(Path(fixfnm.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_verdict_describe():
     assert Verdict.intersection_trivial(("1.1",)).describe() == "TRIVIAL [1.1]"
-    assert "rank comparison" in Verdict.nontrivial_by_rank(("1.5",)).describe()
+    rank_drop = TypeIV(FreeHom(B, A, (wa("a1"), Word(A))), identity_hom(B)).as_endo()
+    swap_diag = TypeVI(permutation_hom(A, (2, 1)), identity_hom(B)).as_endo()
+    assert decide(swap_diag, rank_drop).describe() == "NONTRIVIAL (1, b2) [1.5]"
     lively = decide(identity_endo(2, 2), identity_endo(2, 2))
     assert lively.describe().startswith("NONTRIVIAL (")

@@ -4,7 +4,6 @@ import pytest
 
 from fixfnm import (
     Alphabet,
-    BasisPermutationEndo,
     DeclaredEndo,
     ExponentGraph,
     FactorProduct,
@@ -12,8 +11,6 @@ from fixfnm import (
     FixOracle,
     FreeHom,
     HomGraph,
-    IdentityEndo,
-    InnerEndo,
     IntLattice2,
     MissingOracle,
     PairedPowers,
@@ -30,7 +27,6 @@ from fixfnm import (
     Word,
     congruence_subgroup,
     enumerate_product_ball,
-    fix_free,
     fix_product,
     from_generators,
     identity_hom,
@@ -60,29 +56,31 @@ def pe(first, second):
     return ProductElement(wa(first), wb(second))
 
 
-# --- supported free-group endomorphisms --------------------------------------
+# --- recognized and declared free-group endomorphisms ------------------------
 
 
 def test_identity_endo_support():
-    s = IdentityEndo(A)
-    assert s.fix_graph() == whole_group(A)
-    assert fix_free(s) == whole_group(A)
+    oracle = FixOracle()
+    assert oracle.fix(identity_hom(A)) == whole_group(A)
+    assert oracle.fix(identity_hom(A3)) == whole_group(A3)
 
 
 def test_inner_endo_support():
-    assert InnerEndo(wa("a1 a2")).fix_graph() == from_generators([wa("a1 a2")])
+    oracle = FixOracle()
+    assert oracle.fix(inner_hom(wa("a1 a2"))) == from_generators([wa("a1 a2")])
     # the centralizer of a proper power is generated by the primitive root
-    assert InnerEndo(wa("a1 a2") ** 3).fix_graph() == from_generators([wa("a1 a2")])
-    assert InnerEndo(Word(A)).fix_graph() == whole_group(A)
+    assert oracle.fix(inner_hom(wa("a1 a2") ** 3)) == from_generators([wa("a1 a2")])
+    assert oracle.fix(inner_hom(Word(A))) == whole_group(A)
 
 
 def test_basis_permutation_support():
-    swap = BasisPermutationEndo(permutation_hom(A, (2, 1)))
-    assert swap.fix_graph().is_trivial()
-    cycle = BasisPermutationEndo(permutation_hom(A3, (2, 1, 3)))
-    assert cycle.fix_graph() == from_generators([parse_word("a3", A3)], A3)
-    with pytest.raises(ValueError):
-        BasisPermutationEndo(inner_hom(wa("a1")))
+    oracle = FixOracle()
+    assert oracle.fix(permutation_hom(A, (2, 1))).is_trivial()
+    cycle = permutation_hom(A3, (2, 1, 3))
+    assert oracle.fix(cycle) == from_generators([parse_word("a3", A3)], A3)
+    # conjugation by a1 fixes a1 but moves a2: an inner map, not a permutation
+    assert inner_hom(wa("a1")).as_permutation() is None
+    assert oracle.fix(inner_hom(wa("a1"))) == from_generators([wa("a1")])
 
 
 def test_declared_endo_support():
