@@ -3,7 +3,8 @@
 Exit codes: 0 for a trivial intersection (or a plain report), 1 when a
 nontrivial intersection or a brute-force hit was found, 2 for usage and
 parse errors, 3 when the instance is out of scope (unsupported first shape,
-unclassifiable endomorphism, or an oracle gap).
+unclassifiable endomorphism, or an oracle gap), 4 when an answer failed its
+own exact check (a fault in fixfnm, reported as "internal error").
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .fixpoints import DeclaredEndo, FixOracle, MissingOracle, fix_product
 from .homs import parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
 from .product import UnclassifiableEndo, classify, parse_endo_text
+from .stallings import CertificateError
 from .suite import mihailova_instance, parse_presentation_text
 from .words import ParseError, parse_word, render_word
 
@@ -94,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=6,
-        help="bounded-search budget in subgroup generators (default 6)",
+        help="bounded-search budget in subgroup generators, 0..8 (default 6)",
     )
     m.set_defaults(handler=_cmd_mihailova)
     return p
@@ -172,6 +174,7 @@ def _cmd_eq(args: argparse.Namespace) -> int:
 
 
 def _cmd_mihailova(args: argparse.Namespace) -> int:
+    budget = BallSpec(args.budget).radius
     pres = parse_presentation_text(args.presentation.read_text())
     query = parse_word(args.word, pres.alphabet)
     instance = mihailova_instance(pres, query)
@@ -184,9 +187,9 @@ def _cmd_mihailova(args: argparse.Namespace) -> int:
     print("subgroup generators:")
     for g in instance.subgroup_generators:
         print(f"  {g}")
-    witness = instance.search_witness(args.budget)
+    witness = instance.search_witness(budget)
     if witness is None:
-        print(f"no witness within budget {args.budget} (proves nothing)")
+        print(f"no witness within budget {budget} (proves nothing)")
     else:
         print(f"witness: {witness} (a power of the query dies in the presented group)")
     return 0
@@ -203,6 +206,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .fixpoints import FixOracle, PairedPowers
 from .homs import FreeHom
-from .lattices import IntLattice2, kernel_basis
+from .lattices import IntLattice2
 from .product import (
     ProductElement,
     ProductEndo,
@@ -181,7 +181,7 @@ def _decide_with_diagonal(
     if isinstance(shape, TypeI):
         trace = ("1.1",)
         u, v = shape.first_base, shape.second_base
-        lattice = IntLattice2.from_rows(kernel_basis(shape.exponent_matrix(), 2))
+        lattice = shape.fixed_exponents()
         # a nontrivial power is fixed iff its base is (roots are unique), so
         # an unfixed base pins the matching exponent to zero
         if not (u.is_identity() or _is_fixed(vi.first, u)):
@@ -196,16 +196,13 @@ def _decide_with_diagonal(
     if isinstance(shape, TypeII):
         trace = ("1.2",)
         v = shape.second_base
-        mapped = shape.first_from_second.apply(v)
-        gain = weighted_sum(mapped, shape.second_a_weights) + weighted_sum(
-            v, shape.second_b_weights
-        )
-        if gain != 1:
+        if shape.gain() != 1:
             # the second coordinate of psi's fixed points is then trivial
             return Verdict.intersection_trivial(trace)
         # gain == 1 rules out v == 1, whose gain would be 0
         if not _is_fixed(vi.second, v):
             return Verdict.intersection_trivial(trace)
+        mapped = shape.first_from_second.apply(v)
         if mapped.is_identity() or _is_fixed(vi.first, mapped):
             return Verdict.with_witness(phi, psi, ProductElement(mapped, v), trace)
         return Verdict.intersection_trivial(trace)
@@ -227,19 +224,17 @@ def _decide_with_diagonal(
                 return Verdict.with_witness(
                     phi, psi, ProductElement(u**exponent, y), trace
                 )
-            ok, y = restricted_kernel_trivial(k, weights)
-            if ok:
+            y = restricted_kernel_trivial(k, weights)
+            if y is None:
                 return Verdict.intersection_trivial(trace)
-            assert y is not None
             return Verdict.with_witness(phi, psi, ProductElement(Word(a), y), trace)
         trace = ("1.4",)
         if not u.is_identity() and _is_fixed(vi.first, u):
             return Verdict.with_witness(phi, psi, ProductElement(u, Word(b)), trace)
         k = oracle.fix(shape.second_from_second).intersect(oracle.fix(vi.second))
-        ok, y = restricted_kernel_trivial(k, weights)
-        if ok:
+        y = restricted_kernel_trivial(k, weights)
+        if y is None:
             return Verdict.intersection_trivial(trace)
-        assert y is not None
         return Verdict.with_witness(phi, psi, ProductElement(Word(a), y), trace)
 
     if isinstance(shape, TypeIV):
@@ -320,7 +315,7 @@ def _decide_with_swap(
     if isinstance(shape, TypeI):
         trace = ("2.1",)
         u, v = shape.first_base, shape.second_base
-        lattice = IntLattice2.from_rows(kernel_basis(shape.exponent_matrix(), 2))
+        lattice = shape.fixed_exponents()
         # a member (u^p, v^q) of Fix(phi) forces v^q = to_second(u)^p; the
         # remaining equation u^p = to_first(v^q) then holds automatically
         # whenever the round trip fixes u, and otherwise pins p to zero
@@ -337,14 +332,11 @@ def _decide_with_swap(
     if isinstance(shape, TypeII):
         trace = ("2.2",)
         v = shape.second_base
-        mapped = shape.first_from_second.apply(v)
-        gain = weighted_sum(mapped, shape.second_a_weights) + weighted_sum(
-            v, shape.second_b_weights
-        )
-        if gain != 1:
+        if shape.gain() != 1:
             return Verdict.intersection_trivial(trace)
         # unique roots collapse the power family onto its seed: the pair
         # (mapped, v) is in the intersection iff any nontrivial power is
+        mapped = shape.first_from_second.apply(v)
         if mapped != to_first.apply(v):
             return Verdict.intersection_trivial(trace)
         if to_second.apply(mapped) != v:

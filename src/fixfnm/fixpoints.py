@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .homs import FreeHom
-from .lattices import IntLattice2, kernel_basis
+from .lattices import IntLattice2
 from .product import (
     EndoType,
     ProductElement,
@@ -364,16 +364,14 @@ class PowerCylinder:
     def is_trivial(self) -> bool:
         if not self.first_base.is_identity():
             return False
-        ok, _ = restricted_kernel_trivial(self.second_fix, self.second_weights)
-        return ok
+        return restricted_kernel_trivial(self.second_fix, self.second_weights) is None
 
     def nontrivial_witness(self) -> ProductElement | None:
         if not self.first_base.is_identity():
             return ProductElement(self.first_base, Word(self.second_fix.alphabet))
-        ok, w = restricted_kernel_trivial(self.second_fix, self.second_weights)
-        if ok:
+        w = restricted_kernel_trivial(self.second_fix, self.second_weights)
+        if w is None:
             return None
-        assert w is not None
         return ProductElement(Word(self.first_base.alphabet), w)
 
     def describe(self) -> str:
@@ -454,14 +452,9 @@ def fix_product(
         shape = classify(e)
     a, b = e.first_alphabet, e.second_alphabet
     if isinstance(shape, TypeI):
-        lattice = IntLattice2.from_rows(kernel_basis(shape.exponent_matrix(), 2))
-        return PairedPowers(shape.first_base, shape.second_base, lattice)
+        return PairedPowers(shape.first_base, shape.second_base, shape.fixed_exponents())
     if isinstance(shape, TypeII):
-        mapped = shape.first_from_second.apply(shape.second_base)
-        gain = weighted_sum(mapped, shape.second_a_weights) + weighted_sum(
-            shape.second_base, shape.second_b_weights
-        )
-        if gain != 1:
+        if shape.gain() != 1:
             return TrivialFix(a, b)
         return HomGraph(
             from_generators([shape.second_base], b),

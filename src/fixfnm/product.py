@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .homs import FreeHom, identity_hom, trivial_hom
+from .lattices import IntLattice2, kernel_basis
 from .words import (
     Alphabet,
     ParseError,
@@ -205,6 +206,10 @@ class TypeI:
         self_second = weighted_sum(self.second_base, self.second_b_weights)
         return ((self_first - 1, cross_first), (cross_second, self_second - 1))
 
+    def fixed_exponents(self) -> IntLattice2:
+        """The pairs (p, q) with (first_base**p, second_base**q) fixed."""
+        return IntLattice2.from_rows(kernel_basis(self.exponent_matrix(), 2))
+
     def as_endo(self) -> ProductEndo:
         a = self.first_base.alphabet
         b = self.second_base.alphabet
@@ -226,6 +231,18 @@ class TypeII:
     second_b_weights: tuple[int, ...]
 
     label = "II"
+
+    def gain(self) -> int:
+        """Factor on the exponent k of (first_from_second(v)**k, v**k).
+
+        With v the second base, the endomorphism sends that pair to
+        (first_from_second(v)**k, v**(k * gain)); only gain 1 fixes any
+        pair beyond the identity.
+        """
+        mapped = self.first_from_second.apply(self.second_base)
+        return weighted_sum(mapped, self.second_a_weights) + weighted_sum(
+            self.second_base, self.second_b_weights
+        )
 
     def as_endo(self) -> ProductEndo:
         a = self.first_from_second.target

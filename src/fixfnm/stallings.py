@@ -7,9 +7,11 @@ renumbered breadth-first, so two subgroups are equal iff their graphs
 compare equal.
 
 Construction goes through a mutable multigraph that wedges one loop per
-generator and folds. Folding can record its history, which lets us lift a
-path in the folded graph back to the original wedge and thereby express a
-member word as an explicit product of the generators.
+generator and folds. Every edge carries a name, a freely reduced word over
+the generators x1, x2, ...: on any base loop the product of the names,
+read over the generators, spells the loop's label. Folding keeps this
+true (Kapovich-Myasnikov, J. Algebra 248, 2002), so reading a member word
+through the folded graph writes it as a product of the generators.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .homs import FreeHom
-from .words import Alphabet, Word, render_word, weighted_sum, word
-
-_FWD, _BACK = 1, -1
+from .words import Alphabet, Word, free_reduce, render_word, weighted_sum, word
 
 
 class CertificateError(RuntimeError):
@@ -32,26 +32,21 @@ class CertificateError(RuntimeError):
     """
 
 
-@dataclass
-class _FoldStep:
-    """Snapshot taken just before one elementary fold."""
-
-    edges: dict[int, tuple[int, int, int]]
-    kept: int
-    gone: int
-    survivor: int
-    loser: int
-
-
 class _Builder:
-    """Mutable edge-labeled multigraph over a fixed alphabet; base vertex 0."""
+    """Mutable edge-labeled multigraph over a fixed alphabet; base vertex 0.
+
+    ``names`` holds the nonempty edge names; an edge missing from it has
+    the empty name.
+    """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.base = 0
         self._next_vertex = 1
         self._next_edge = 0
+        self._loops = 0
         self.edges: dict[int, tuple[int, int, int]] = {}
+        self.names: dict[int, tuple[int, ...]] = {}
 
     def new_vertex(self) -> int:
         v = self._next_vertex
@@ -64,19 +59,24 @@ class _Builder:
         self.edges[eid] = (tail, label, head)
         return eid
 
-    def add_loop(self, w: Word) -> list[tuple[int, int]]:
-        """Attach a base loop spelling w; returns its steps as (edge, dir)."""
-        steps: list[tuple[int, int]] = []
+    def add_loop(self, w: Word) -> None:
+        """Attach a base loop spelling w, the next generator x_i.
+
+        Its closing edge is named x_i, or x_i^-1 when it is read backwards;
+        an empty w adds nothing but still takes its index.
+        """
+        self._loops += 1
         cur = self.base
         last = len(w.letters) - 1
         for i, x in enumerate(w.letters):
             nxt = self.base if i == last else self.new_vertex()
             if x > 0:
-                steps.append((self.add_edge(cur, x, nxt), _FWD))
+                eid = self.add_edge(cur, x, nxt)
             else:
-                steps.append((self.add_edge(nxt, -x, cur), _BACK))
+                eid = self.add_edge(nxt, -x, cur)
             cur = nxt
-        return steps
+        if w.letters:
+            self.names[eid] = (self._loops if w.letters[-1] > 0 else -self._loops,)
 
     def _find_clash(self) -> tuple[int, int, int, int] | None:
         """Two equal-label edges sharing a tail or a head, if any.
@@ -98,24 +98,52 @@ class _Builder:
             by_head[(h, l)] = eid
         return None
 
-    def fold(self, keep_history: bool = False) -> list[_FoldStep]:
-        history: list[_FoldStep] = []
+    def fold(self) -> None:
+        """Fold until no two equal-label edges share a tail or a head.
+
+        Merging ``loser`` into ``survivor`` keeps the names' invariant:
+        with ``shift`` the name of the walk from survivor to loser through
+        the clashing pair (its label is trivial), edges leaving the loser
+        get ``shift`` prefixed and edges entering it get ``shift^-1``
+        appended. The base never loses, so base loops keep their names.
+        """
+        names = self.names
         while True:
             clash = self._find_clash()
             if clash is None:
-                return history
+                return
             kept, gone, survivor, loser = clash
+            shared_tail = self.edges[kept][0] == self.edges[gone][0]
+            del self.edges[gone]
+            nk, ng = names.get(kept, ()), names.pop(gone, ())
+            if survivor == loser:
+                # parallel twins: a path through the dropped one now reads
+                # the other's name, which spells the same label
+                continue
+            # the walk from kept's free end to gone's through the shared end
+            shift = free_reduce(_inverse(nk) + ng if shared_tail else nk + _inverse(ng))
             if loser == self.base:
                 survivor, loser = loser, survivor
-            if keep_history:
-                history.append(_FoldStep(dict(self.edges), kept, gone, survivor, loser))
-            del self.edges[gone]
-            if survivor != loser:
-                for eid, (t, l, h) in list(self.edges.items()):
-                    nt = survivor if t == loser else t
-                    nh = survivor if h == loser else h
-                    if (nt, nh) != (t, h):
-                        self.edges[eid] = (nt, l, nh)
+                shift = _inverse(shift)
+            back = _inverse(shift)
+            for eid, (t, l, h) in list(self.edges.items()):
+                if t != loser and h != loser:
+                    continue
+                self.edges[eid] = (
+                    survivor if t == loser else t,
+                    l,
+                    survivor if h == loser else h,
+                )
+                if shift:
+                    renamed = free_reduce(
+                        (shift if t == loser else ())
+                        + names.get(eid, ())
+                        + (back if h == loser else ())
+                    )
+                    if renamed:
+                        names[eid] = renamed
+                    else:
+                        names.pop(eid, None)
 
     def trim(self) -> None:
         """Drop non-base vertices of total degree <= 1, repeatedly."""
@@ -363,29 +391,22 @@ def congruence_subgroup(alphabet: Alphabet, weights: Sequence[int], modulus: int
     return b.canonical()
 
 
-def restricted_kernel_trivial(
-    graph: SubgroupGraph, weights: Sequence[int]
-) -> tuple[bool, Word | None]:
-    """Is {g in H : weighted_sum(g, weights) == 0} trivial, for H = graph?
+def restricted_kernel_trivial(graph: SubgroupGraph, weights: Sequence[int]) -> Word | None:
+    """Some g != 1 in H = graph with weighted_sum(g, weights) == 0, or None.
 
-    Returns (True, None) or (False, witness). A subgroup of rank >= 2
-    always meets the kernel nontrivially; rank 1 does iff its generator
-    has weight zero.
+    None means that kernel is trivial. A subgroup of rank >= 2 always
+    meets the kernel nontrivially; rank 1 does iff its generator has
+    weight zero.
     """
-    basis = graph.basis()
-    if not basis:
-        return True, None
-    sums = [weighted_sum(g, weights) for g in basis]
-    if len(basis) == 1:
-        return (True, None) if sums[0] != 0 else (False, basis[0])
-    g1, g2 = basis[0], basis[1]
-    c1, c2 = sums[0], sums[1]
-    if c1 == 0:
-        return False, g1
-    if c2 == 0:
-        return False, g2
+    pair = graph.basis()[:2]
+    sums = [weighted_sum(g, weights) for g in pair]
+    for g, c in zip(pair, sums):
+        if c == 0:
+            return g
+    if len(pair) < 2:
+        return None
     # Nontrivial since g1, g2 are distinct free basis elements of H.
-    return False, (g1 ** c2) * (g2 ** (-c1))
+    return (pair[0] ** sums[1]) * (pair[1] ** (-sums[0]))
 
 
 def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | None:
@@ -393,60 +414,36 @@ def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | Non
 
     Returns signed 1-based indices [i1, ...] so that the product of
     gens[|ik|-1]**sign(ik) equals target, or None when target is not in
-    the subgroup the generators span.
+    the subgroup the generators span. The expression is freely reduced.
 
-    Method: trace target through the folded wedge of generator loops, then
-    lift the path back through each fold in reverse. Where a fold glued two
-    vertices the lifted path picks up a freely trivial two-edge detour, so
-    after cancelling backtracks the result is a reduced base loop of the
-    wedge, which decomposes uniquely into whole petal traversals.
+    Method: fold the wedge of generator loops, carrying edge names, then
+    read target through the folded graph; the reduced product of the names
+    met on the way is the expression.
     """
     alphabet = target.alphabet
     b = _Builder(alphabet)
-    petal_steps: dict[int, list[tuple[int, int]]] = {}
-    for t, g in enumerate(gens):
+    for g in gens:
         if g.alphabet != alphabet:
             raise ValueError(f"{g} is not a word over {alphabet}")
-        if not g.is_identity():
-            petal_steps[t] = b.add_loop(g)
-    history = b.fold(keep_history=True)
+        b.add_loop(g)
+    b.fold()
     out: dict[tuple[int, int], tuple[int, int]] = {}
     inc: dict[tuple[int, int], tuple[int, int]] = {}
     for eid, (t, l, h) in b.edges.items():
         out[(t, l)] = (eid, h)
         inc[(h, l)] = (eid, t)
     cur = b.base
-    path: list[tuple[int, int]] = []
+    letters: list[int] = []
     for x in target.letters:
         hop = out.get((cur, x)) if x > 0 else inc.get((cur, -x))
         if hop is None:
             return None
         eid, cur = hop
-        path.append((eid, _FWD if x > 0 else _BACK))
+        name = b.names.get(eid, ())
+        letters.extend(name if x > 0 else _inverse(name))
     if cur != b.base:
         return None
-    for step in reversed(history):
-        path = _lift(step, path, b.base)
-    path = _cancel_backtracks(path)
-    starts: dict[tuple[int, int], tuple[int, int]] = {}
-    for t, steps in petal_steps.items():
-        starts[steps[0]] = (t, 1)
-        last_eid, last_dir = steps[-1]
-        starts[(last_eid, -last_dir)] = (t, -1)
-    expr: list[int] = []
-    pos = 0
-    while pos < len(path):
-        hit = starts.get(path[pos])
-        assert hit is not None, "reduced wedge loop must enter a petal at the base"
-        t, sign = hit
-        steps = petal_steps[t]
-        n = len(steps)
-        if sign == 1:
-            assert path[pos : pos + n] == steps
-        else:
-            assert path[pos : pos + n] == [(e, -d) for e, d in reversed(steps)]
-        expr.append(sign * (t + 1))
-        pos += n
+    expr = list(free_reduce(letters))
     if evaluate_expression(gens, expr, alphabet) != target:
         raise CertificateError(f"expression {expr} does not replay to {render_word(target)}")
     return expr
@@ -462,50 +459,5 @@ def evaluate_expression(
     return FreeHom(helper, alphabet, tuple(gens)).apply(word(helper, expression))
 
 
-def _lift(step: _FoldStep, path: list[tuple[int, int]], base: int) -> list[tuple[int, int]]:
-    """Rewrite a path valid after `step` into one valid before it.
-
-    Both paths run from base to base. Mismatched junctions can only involve
-    the fold's survivor and loser; a two-edge detour through the clashing
-    edge pair repairs them without changing the element spelled.
-    """
-    edges = step.edges
-    cur = base
-    out: list[tuple[int, int]] = []
-    for eid, d in path:
-        t, _, h = edges[eid]
-        need = t if d == _FWD else h
-        if need != cur:
-            out.extend(_detour(step, cur, need))
-        out.append((eid, d))
-        cur = h if d == _FWD else t
-    if cur != base:
-        out.extend(_detour(step, cur, base))
-    return out
-
-
-def _detour(step: _FoldStep, src: int, dst: int) -> list[tuple[int, int]]:
-    t1, _, h1 = step.edges[step.kept]
-    t2, _, h2 = step.edges[step.gone]
-    if t1 == t2:
-        routes = {
-            h1: [(step.kept, _BACK), (step.gone, _FWD)],
-            h2: [(step.gone, _BACK), (step.kept, _FWD)],
-        }
-    else:
-        routes = {
-            t1: [(step.kept, _FWD), (step.gone, _BACK)],
-            t2: [(step.gone, _FWD), (step.kept, _BACK)],
-        }
-    assert src in routes and dst in routes and src != dst
-    return routes[src]
-
-
-def _cancel_backtracks(path: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for eid, d in path:
-        if out and out[-1] == (eid, -d):
-            out.pop()
-        else:
-            out.append((eid, d))
-    return out
+def _inverse(name: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(name))

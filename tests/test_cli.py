@@ -7,6 +7,7 @@ import pytest
 
 from fixfnm import (
     Alphabet,
+    CertificateError,
     FreeHom,
     TypeI,
     TypeIV,
@@ -142,6 +143,18 @@ def test_intersect_rank_drop_json(tmp_path, capsys):
     assert payload["trace"] == ["1.5"]
 
 
+def test_intersect_internal_fault_exits_4(diag, swap, capsys, monkeypatch):
+    def failing_decide(*args):
+        raise CertificateError("witness (a1^-1, b1) is not fixed by the second endomorphism")
+
+    monkeypatch.setattr("fixfnm.cli.decide", failing_decide)
+    assert main(["intersect", diag, swap]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: witness (a1^-1, b1)")
+    assert "Traceback" not in captured.err
+
+
 def test_intersect_unsupported_first_shape(powerpair, diag, capsys):
     assert main(["intersect", powerpair, diag]) == 3
     assert "error:" in capsys.readouterr().err
@@ -185,6 +198,15 @@ def test_mihailova(tmp_path, capsys):
     free = _write(tmp_path, "free.pres", "x1 x2 |\n")
     assert main(["mihailova", free, "x1", "--budget", "3"]) == 0
     assert "no witness within budget 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("budget", ["99", "-1"])
+def test_mihailova_budget_cap(tmp_path, capsys, budget):
+    free = _write(tmp_path, "free.pres", "x1 x2 |\n")
+    assert main(["mihailova", free, "x1", "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"got {budget}" in captured.err
 
 
 def test_usage_errors_exit_2():
