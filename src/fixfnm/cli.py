@@ -22,7 +22,7 @@ from .homs import parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
 from .product import UnclassifiableEndo, classify, parse_endo_text
 from .stallings import CertificateError
-from .suite import mihailova_instance, parse_presentation_text
+from .suite import SEARCH_CAP, mihailova_instance, parse_presentation_text
 from .words import ParseError, parse_word, render_word
 
 # every --declare is audited on the ball of this radius before it is trusted
@@ -188,10 +188,15 @@ def _cmd_mihailova(args: argparse.Namespace) -> int:
     for g in instance.subgroup_generators:
         print(f"  {g}")
     witness = instance.search_witness(budget)
-    if witness is None:
-        print(f"no witness within budget {budget} (proves nothing)")
-    else:
+    if witness is not None:
         print(f"witness: {witness} (a power of the query dies in the presented group)")
+    elif instance.search_is_capped(budget):
+        print(
+            f"no witness among the first {SEARCH_CAP} products; the search cap "
+            f"stopped short of budget {budget} (proves nothing)"
+        )
+    else:
+        print(f"no witness within budget {budget} (proves nothing)")
     return 0
 
 

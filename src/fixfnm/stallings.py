@@ -11,7 +11,19 @@ generator and folds. Every edge carries a name, a freely reduced word over
 the generators x1, x2, ...: on any base loop the product of the names,
 read over the generators, spells the loop's label. Folding keeps this
 true (Kapovich-Myasnikov, J. Algebra 248, 2002), so reading a member word
-through the folded graph writes it as a product of the generators.
+through the folded graph writes it as a product of the generators. Only
+express_in_generators names edges; the other constructions fold unnamed
+edges and never rewrite a name.
+
+Folding follows Touikan (IJAC 16(6), 2006) and never rescans the graph. A
+slot map sends (v, l) to the l-edge leaving v and (v, -l) to the l-edge
+entering v; an edge whose slot is already held goes on a work list of
+clashes with the holder. Each clash deletes one edge and merges two
+vertices, the one with fewer edges into the other (the base never
+merges away), and only the moved edges are seated again, which finds the
+next clashes. A fold therefore costs the edges moved, not a scan per
+clash. Trimming peels vertices of degree <= 1 off a queue, and the
+canonical form reads the slot map directly.
 """
 
 from __future__ import annotations
@@ -35,8 +47,11 @@ class CertificateError(RuntimeError):
 class _Builder:
     """Mutable edge-labeled multigraph over a fixed alphabet; base vertex 0.
 
-    ``names`` holds the nonempty edge names; an edge missing from it has
-    the empty name.
+    ``slots`` maps (v, l) to the l-edge leaving v and (v, -l) to the l-edge
+    entering v. An edge that finds one of its slots taken waits in
+    ``clashes`` beside the edge holding it. ``incident`` holds the edges
+    at each live vertex. ``names`` holds the nonempty edge names; an edge
+    missing from it has the empty name.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -44,30 +59,36 @@ class _Builder:
         self.base = 0
         self._next_vertex = 1
         self._next_edge = 0
-        self._loops = 0
         self.edges: dict[int, tuple[int, int, int]] = {}
         self.names: dict[int, tuple[int, ...]] = {}
+        self.slots: dict[tuple[int, int], int] = {}
+        self.incident: dict[int, set[int]] = {self.base: set()}
+        self.clashes: list[tuple[int, int]] = []
 
     def new_vertex(self) -> int:
         v = self._next_vertex
         self._next_vertex += 1
+        self.incident[v] = set()
         return v
 
     def add_edge(self, tail: int, label: int, head: int) -> int:
         eid = self._next_edge
         self._next_edge += 1
         self.edges[eid] = (tail, label, head)
+        self.incident[tail].add(eid)
+        self.incident[head].add(eid)
+        self._seat(eid, tail, label, head)
         return eid
 
-    def add_loop(self, w: Word) -> None:
-        """Attach a base loop spelling w, the next generator x_i.
+    def add_loop(self, w: Word) -> int | None:
+        """Attach a base loop spelling w and return its closing edge.
 
-        Its closing edge is named x_i, or x_i^-1 when it is read backwards;
-        an empty w adds nothing but still takes its index.
+        The closing edge runs against the loop when w ends in an inverse
+        letter. An empty w adds nothing and returns None.
         """
-        self._loops += 1
         cur = self.base
         last = len(w.letters) - 1
+        eid = None
         for i, x in enumerate(w.letters):
             nxt = self.base if i == last else self.new_vertex()
             if x > 0:
@@ -75,120 +96,149 @@ class _Builder:
             else:
                 eid = self.add_edge(nxt, -x, cur)
             cur = nxt
-        if w.letters:
-            self.names[eid] = (self._loops if w.letters[-1] > 0 else -self._loops,)
+        return eid
 
-    def _find_clash(self) -> tuple[int, int, int, int] | None:
-        """Two equal-label edges sharing a tail or a head, if any.
+    def _seat(self, eid: int, tail: int, label: int, head: int) -> None:
+        """Put an edge in both its slots; a slot held by another edge queues a clash."""
+        slots = self.slots
+        holder = slots.setdefault((tail, label), eid)
+        if holder != eid:
+            self.clashes.append((holder, eid))
+        holder = slots.setdefault((head, -label), eid)
+        if holder != eid:
+            self.clashes.append((holder, eid))
 
-        Returns (kept, gone, survivor, loser): deleting `gone` and merging
-        `loser` into `survivor` performs one elementary fold.
-        """
-        by_tail: dict[tuple[int, int], int] = {}
-        by_head: dict[tuple[int, int], int] = {}
-        for eid in sorted(self.edges):
-            t, l, h = self.edges[eid]
-            prior = by_tail.get((t, l))
-            if prior is not None:
-                return prior, eid, self.edges[prior][2], h
-            by_tail[(t, l)] = eid
-            prior = by_head.get((h, l))
-            if prior is not None:
-                return prior, eid, self.edges[prior][0], t
-            by_head[(h, l)] = eid
-        return None
+    def _unseat(self, eid: int, tail: int, label: int, head: int) -> None:
+        """Free the slots that the edge holds."""
+        slots = self.slots
+        if slots.get((tail, label)) == eid:
+            del slots[(tail, label)]
+        if slots.get((head, -label)) == eid:
+            del slots[(head, -label)]
+
+    def _drop(self, eid: int) -> None:
+        t, l, h = self.edges.pop(eid)
+        self.names.pop(eid, None)
+        self._unseat(eid, t, l, h)
+        self.incident[t].discard(eid)
+        self.incident[h].discard(eid)
 
     def fold(self) -> None:
         """Fold until no two equal-label edges share a tail or a head.
 
-        Merging ``loser`` into ``survivor`` keeps the names' invariant:
-        with ``shift`` the name of the walk from survivor to loser through
-        the clashing pair (its label is trivial), edges leaving the loser
-        get ``shift`` prefixed and edges entering it get ``shift^-1``
-        appended. The base never loses, so base loops keep their names.
+        Each clash pops off the work list: the younger edge is dropped and
+        its far end (``loser``) merges into the older edge's far end
+        (``survivor``). Merging keeps the names' invariant: with ``shift``
+        the name of the walk from survivor to loser through the clashing
+        pair (its label is trivial), edges leaving the loser get ``shift``
+        prefixed and edges entering it get ``shift^-1`` appended. The
+        vertex with fewer edges loses, except that the base never loses,
+        so base loops keep their names; when the roles swap, so does
+        ``shift`` for its inverse. Only the loser's edges are relabeled,
+        renamed and seated again, and seating them finds the new clashes.
+
+        Cost: every clash deletes an edge, so there are fewer clashes than
+        edges, and a merge touches only the edges at its smaller end;
+        nothing rescans the graph. Name rewriting comes on top and grows
+        with the names, which stay empty unless the caller names edges.
         """
-        names = self.names
-        while True:
-            clash = self._find_clash()
-            if clash is None:
-                return
-            kept, gone, survivor, loser = clash
-            shared_tail = self.edges[kept][0] == self.edges[gone][0]
-            del self.edges[gone]
-            nk, ng = names.get(kept, ()), names.pop(gone, ())
-            if survivor == loser:
-                # parallel twins: a path through the dropped one now reads
-                # the other's name, which spells the same label
+        edges, names, incident, clashes = self.edges, self.names, self.incident, self.clashes
+        while clashes:
+            a, b = clashes.pop()
+            if b not in edges:
                 continue
-            # the walk from kept's free end to gone's through the shared end
-            shift = free_reduce(_inverse(nk) + ng if shared_tail else nk + _inverse(ng))
-            if loser == self.base:
-                survivor, loser = loser, survivor
-                shift = _inverse(shift)
-            back = _inverse(shift)
-            for eid, (t, l, h) in list(self.edges.items()):
-                if t != loser and h != loser:
-                    continue
-                self.edges[eid] = (
-                    survivor if t == loser else t,
-                    l,
-                    survivor if h == loser else h,
+            if a not in edges:
+                # the holder folded away since; b takes its slot or clashes anew
+                self._seat(b, *edges[b])
+                continue
+            kept, gone = min(a, b), max(a, b)
+            kt, _, kh = edges[kept]
+            gt, _, gh = edges[gone]
+            shared_tail = kt == gt
+            survivor, loser = (kh, gh) if shared_tail else (kt, gt)
+            nk, ng = names.get(kept, ()), names.get(gone, ())
+            self._drop(gone)
+            # parallel twins (survivor == loser) need nothing more: a path through
+            # the dropped one now reads the other's name, which spells the same label
+            if survivor != loser:
+                # the walk from kept's free end to gone's through the shared end
+                shift = free_reduce(_inverse(nk) + ng if shared_tail else nk + _inverse(ng))
+                if loser == self.base or (
+                    survivor != self.base and len(incident[loser]) > len(incident[survivor])
+                ):
+                    survivor, loser = loser, survivor
+                    shift = _inverse(shift)
+                self._merge(loser, survivor, shift)
+            self._seat(kept, *edges[kept])
+
+    def _merge(self, loser: int, survivor: int, shift: tuple[int, ...]) -> None:
+        """Move the loser's edges onto the survivor, renaming them by ``shift``."""
+        edges, names = self.edges, self.names
+        back = _inverse(shift)
+        into = self.incident[survivor]
+        for eid in self.incident.pop(loser):
+            t, l, h = edges[eid]
+            self._unseat(eid, t, l, h)
+            leaves, enters = t == loser, h == loser
+            t, h = survivor if leaves else t, survivor if enters else h
+            edges[eid] = (t, l, h)
+            into.add(eid)
+            if shift:
+                renamed = free_reduce(
+                    (shift if leaves else ()) + names.get(eid, ()) + (back if enters else ())
                 )
-                if shift:
-                    renamed = free_reduce(
-                        (shift if t == loser else ())
-                        + names.get(eid, ())
-                        + (back if h == loser else ())
-                    )
-                    if renamed:
-                        names[eid] = renamed
-                    else:
-                        names.pop(eid, None)
+                if renamed:
+                    names[eid] = renamed
+                else:
+                    names.pop(eid, None)
+            self._seat(eid, t, l, h)
 
     def trim(self) -> None:
-        """Drop non-base vertices of total degree <= 1, repeatedly."""
-        while True:
-            deg: dict[int, int] = {}
-            for t, _, h in self.edges.values():
-                deg[t] = deg.get(t, 0) + 1
-                deg[h] = deg.get(h, 0) + 1
-            victims = {v for v, d in deg.items() if d <= 1 and v != self.base}
-            if not victims:
-                return
-            self.edges = {
-                e: tlh
-                for e, tlh in self.edges.items()
-                if tlh[0] not in victims and tlh[2] not in victims
-            }
+        """Drop non-base vertices of total degree <= 1, repeatedly.
+
+        A queue holds the vertices that may have fallen to degree <= 1;
+        dropping one's edge queues its neighbour.
+        """
+        edges, incident = self.edges, self.incident
+        queue = [v for v, at in incident.items() if v != self.base and len(at) <= 1]
+        while queue:
+            v = queue.pop()
+            at = incident.get(v)
+            if at is None:
+                continue
+            if at:
+                (eid,) = at
+                t, _, h = edges[eid]
+                if t == h:
+                    continue  # a loop counts twice
+                self._drop(eid)
+                other = h if t == v else t
+                if other != self.base and len(incident[other]) <= 1:
+                    queue.append(other)
+            del incident[v]
 
     def canonical(self) -> "SubgroupGraph":
         self.fold()
         self.trim()
-        out: dict[tuple[int, int], int] = {}
-        inc: dict[tuple[int, int], int] = {}
-        for t, l, h in self.edges.values():
-            out[(t, l)] = h
-            inc[(h, l)] = t
+        slots, edges = self.slots, self.edges
         rank = self.alphabet.rank
+        letters = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
         seq = [self.base]
         number = {self.base: 0}
         i = 0
         while i < len(seq):
             v = seq[i]
             i += 1
-            for l in range(1, rank + 1):
-                h = out.get((v, l))
-                if h is not None and h not in number:
-                    number[h] = len(seq)
-                    seq.append(h)
-            for l in range(1, rank + 1):
-                t = inc.get((v, l))
-                if t is not None and t not in number:
-                    number[t] = len(seq)
-                    seq.append(t)
+            for x in letters:  # out-edges by label, then in-edges by label
+                eid = slots.get((v, x))
+                if eid is not None:
+                    u = edges[eid][2 if x > 0 else 0]
+                    if u not in number:
+                        number[u] = len(seq)
+                        seq.append(u)
         table = tuple(
             tuple(
-                number[out[(v, l)]] if (v, l) in out else -1
+                number[edges[slots[(v, l)]][2]] if (v, l) in slots else -1
                 for l in range(1, rank + 1)
             )
             for v in seq
@@ -422,23 +472,22 @@ def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | Non
     """
     alphabet = target.alphabet
     b = _Builder(alphabet)
-    for g in gens:
+    for i, g in enumerate(gens, start=1):
         if g.alphabet != alphabet:
             raise ValueError(f"{g} is not a word over {alphabet}")
-        b.add_loop(g)
+        closing = b.add_loop(g)
+        if closing is not None:
+            # the loop reads x_i, so an edge it runs against reads x_i^-1
+            b.names[closing] = (i if g.letters[-1] > 0 else -i,)
     b.fold()
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    inc: dict[tuple[int, int], tuple[int, int]] = {}
-    for eid, (t, l, h) in b.edges.items():
-        out[(t, l)] = (eid, h)
-        inc[(h, l)] = (eid, t)
     cur = b.base
     letters: list[int] = []
     for x in target.letters:
-        hop = out.get((cur, x)) if x > 0 else inc.get((cur, -x))
-        if hop is None:
+        eid = b.slots.get((cur, x))
+        if eid is None:
             return None
-        eid, cur = hop
+        t, _, h = b.edges[eid]
+        cur = h if x > 0 else t
         name = b.names.get(eid, ())
         letters.extend(name if x > 0 else _inverse(name))
     if cur != b.base:

@@ -17,6 +17,9 @@ curated_cases() returns hand-built instances hitting every branch label
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
+from operator import mul
 from typing import Optional
 
 from .fixpoints import DeclaredEndo, FixDescriptor, FixOracle, fix_product
@@ -37,6 +40,7 @@ from .words import (
     Alphabet,
     ParseError,
     Word,
+    ball_size,
     enumerate_ball,
     exponent_of_power,
     generator,
@@ -47,6 +51,8 @@ from .words import (
 
 
 # --- presentations and the word-problem embedding --------------------------
+
+SEARCH_CAP = 50_000  # the most products MihailovaInstance.search_witness tries
 
 
 @dataclass(frozen=True)
@@ -119,26 +125,27 @@ class MihailovaInstance:
     def search_witness(self, budget: int) -> Optional[ProductElement]:
         """Bounded hunt for a nontrivial common element.
 
-        Tries products of up to ``budget`` subgroup generators; a hit
-        certifies nontriviality, a miss proves nothing.
+        Tries products of up to ``budget`` subgroup generators, shortest
+        first, and at most SEARCH_CAP of them (``search_is_capped`` says
+        whether the cap falls short of the budget); a hit certifies
+        nontriviality, a miss proves nothing.
         """
         gens = self.subgroup_generators
         helper = Alphabet(len(gens), "x")
-        for expression in enumerate_ball(helper, budget):
-            if expression.is_identity():
-                continue
-            candidate = None
-            for step in expression.letters:
-                factor = gens[abs(step) - 1]
-                if step < 0:
-                    factor = factor.inverse()
-                candidate = factor if candidate is None else candidate * factor
-            assert candidate is not None
+        # the ball starts with the empty product, which is skipped
+        for expression in islice(enumerate_ball(helper, budget), 1, SEARCH_CAP + 1):
+            candidate = reduce(
+                mul, (gens[s - 1] if s > 0 else gens[-s - 1].inverse() for s in expression.letters)
+            )
             if candidate.is_identity():
                 continue
             if self.fix.contains(candidate):
                 return candidate
         return None
+
+    def search_is_capped(self, budget: int) -> bool:
+        """Whether SEARCH_CAP stops search_witness before it covers ``budget``."""
+        return ball_size(len(self.subgroup_generators), budget) - 1 > SEARCH_CAP
 
 
 def mihailova_generators(pres: Presentation) -> tuple[ProductElement, ...]:

@@ -24,12 +24,10 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", column {column}"
-            where = f" ({where})"
+        parts = [f"line {line}"] if line is not None else []
+        if column is not None:
+            parts.append(f"column {column}")
+        where = f" ({', '.join(parts)})" if parts else ""
         super().__init__(message + where)
 
 
@@ -276,9 +274,23 @@ def ball_size(rank: int, radius: int) -> int:
 
 _TOKEN_RE = re.compile(r"(?P<letter>[abx])(?P<index>[0-9]+)(\^(?P<exp>-?[0-9]+))?$")
 
+MAX_WORD_LETTERS = 100_000  # parse_word refuses words that expand to more
+
+
+def _bounded_int(literal: str, limit: int) -> int:
+    """abs(int(literal)), or limit + 1 when its digit count alone exceeds
+    limit, so a huge literal is never converted."""
+    digits = literal.lstrip("-").lstrip("0")
+    return limit + 1 if len(digits) > len(str(limit)) else int(digits or "0")
+
 
 def parse_word(text: str, alphabet: Alphabet, *, line: int | None = None) -> Word:
-    """Parse whitespace-separated tokens like `a1 b2^-3`; `1` alone is the identity."""
+    """Parse whitespace-separated tokens like `a1 b2^-3`; `1` alone is the identity.
+
+    The letter count is checked before anything is expanded: a word of
+    more than MAX_WORD_LETTERS letters raises ParseError at the token that
+    crosses the cap.
+    """
     tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", text)]
     if not tokens:
         raise ParseError("empty word (use `1` for the identity)", line)
@@ -287,7 +299,8 @@ def parse_word(text: str, alphabet: Alphabet, *, line: int | None = None) -> Wor
             _, col = next((t, c) for t, c in tokens if t == "1")
             raise ParseError("`1` must stand alone", line, col)
         return Word(alphabet)
-    letters: list[int] = []
+    powers: list[tuple[int, int]] = []
+    total = 0
     for tok, col in tokens:
         m = _TOKEN_RE.match(tok)
         if not m:
@@ -296,11 +309,20 @@ def parse_word(text: str, alphabet: Alphabet, *, line: int | None = None) -> Wor
             raise ParseError(
                 f"letter {m.group('letter')!r} does not belong to {alphabet}", line, col
             )
-        index = int(m.group("index"))
+        index = _bounded_int(m.group("index"), alphabet.rank)
         if not 1 <= index <= alphabet.rank:
-            raise ParseError(f"index {index} out of range 1..{alphabet.rank}", line, col)
-        exp = int(m.group("exp")) if m.group("exp") is not None else 1
-        letters.extend([index if exp > 0 else -index] * abs(exp))
+            raise ParseError(
+                f"index {m.group('index')} out of range 1..{alphabet.rank}", line, col
+            )
+        exp = m.group("exp") or "1"
+        count = _bounded_int(exp, MAX_WORD_LETTERS)
+        total += count
+        if total > MAX_WORD_LETTERS:
+            raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters", line, col)
+        powers.append((index if exp[0] != "-" else -index, count))
+    letters: list[int] = []
+    for letter, count in powers:
+        letters.extend([letter] * count)
     return word(alphabet, letters)
 
 

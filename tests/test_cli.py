@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,22 @@ def test_mihailova(tmp_path, capsys):
     free = _write(tmp_path, "free.pres", "x1 x2 |\n")
     assert main(["mihailova", free, "x1", "--budget", "3"]) == 0
     assert "no witness within budget 3" in capsys.readouterr().out
+
+
+def test_mihailova_search_cap(capsys):
+    # budget 8 over three generators spans 585,936 products; the cap stops at 50,000
+    started = time.perf_counter()
+    assert main(["mihailova", str(DATA / "torsion.pres"), "x2", "--budget", "8"]) == 0
+    assert time.perf_counter() - started < 15.0
+    out = capsys.readouterr().out
+    assert "no witness among the first 50000 products" in out
+    assert "search cap stopped short of budget 8" in out
+
+
+def test_huge_exponent_exits_2(capsys):
+    assert main(["mihailova", str(DATA / "free.pres"), "x2 x1^99999999999"]) == 2
+    captured = capsys.readouterr()
+    assert "more than 100000 letters (column 4)" in captured.err
 
 
 @pytest.mark.parametrize("budget", ["99", "-1"])

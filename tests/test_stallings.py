@@ -21,6 +21,7 @@ from fixfnm import (
     weighted_sum,
     whole_group,
 )
+from fixfnm.stallings import evaluate_expression
 from conftest import random_word, rng_for
 
 A = Alphabet(2, "a")
@@ -92,6 +93,79 @@ def test_basis_round_trip():
             assert g.contains(b)
 
 
+def _reference_fold(gens, alphabet):
+    """Transition table by quadratic folding: full rescans, no bookkeeping."""
+    edges, fresh = set(), 1
+    for g in gens:
+        cur = 0
+        for i, x in enumerate(g.letters):
+            nxt, fresh = (0, fresh) if i == len(g) - 1 else (fresh, fresh + 1)
+            edges.add((cur, x, nxt) if x > 0 else (nxt, -x, cur))
+            cur = nxt
+    while True:  # merge two ends of equal-label edges that share the other end
+        pair = next(((h, k) if t == s else (t, s) for t, l, h in edges for s, m, k in edges
+                     if l == m and (t == s) != (h == k)), None)
+        if pair is None:
+            break
+        keep, lose = sorted(pair)  # the base, vertex 0, always stays
+        edges = {(keep if t == lose else t, l, keep if h == lose else h) for t, l, h in edges}
+    while True:  # strip non-base vertices of degree <= 1
+        ends = [v for t, _, h in edges for v in (t, h)]
+        dead = {v for v in ends if v != 0 and ends.count(v) == 1}
+        if not dead:
+            break
+        edges = {e for e in edges if e[0] not in dead and e[2] not in dead}
+    out = {(t, l): h for t, l, h in edges}
+    inc = {(h, l): t for t, l, h in edges}
+    labels = range(1, alphabet.rank + 1)
+    seq = [0]
+    for v in seq:  # breadth first: out-edges by label, then in-edges by label
+        for u in [out.get((v, l)) for l in labels] + [inc.get((v, l)) for l in labels]:
+            if u is not None and u not in seq:
+                seq.append(u)
+    return tuple(tuple(seq.index(out[(v, l)]) if (v, l) in out else -1 for l in labels) for v in seq)
+
+
+def _wedges():
+    """Seeded generator families, 240 in all, for the reference comparison."""
+    rng = rng_for("stallings-reference")
+    C = Alphabet(3, "a")
+    for alphabet in (A, C):
+        for _ in range(50):  # plain random wedges
+            yield [random_word(rng, alphabet, rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+        for _ in range(20):  # shared prefixes fold a long common stretch
+            stem = random_word(rng, alphabet, rng.randint(4, 12))
+            tails = [random_word(rng, alphabet, rng.randint(0, 3)) for _ in range(rng.randint(2, 4))]
+            yield [stem * t for t in tails]
+        for _ in range(20):  # c^k and c^(k+1) collapse onto the loop of c
+            c = random_word(rng, alphabet, rng.randint(1, 4))
+            k = rng.randint(1, 6)
+            tail = random_word(rng, alphabet, rng.randint(0, 2))
+            yield [c**k * tail, c ** (k + 1) * tail]
+        for _ in range(30):  # a hub at the end of p merges into the base
+            p = random_word(rng, alphabet, rng.randint(1, 4))
+            spokes = [random_word(rng, alphabet, rng.randint(1, 3)) for _ in range(rng.randint(2, 5))]
+            yield [p * r * p.inverse() for r in spokes] + [p ** rng.randint(1, 2)]
+
+
+def test_fold_matches_quadratic_reference():
+    count = 0
+    for gens in _wedges():
+        alphabet = gens[0].alphabet
+        assert from_generators(gens).transitions == _reference_fold(gens, alphabet), gens
+        count += 1
+    assert count == 240
+
+
+def test_fold_of_long_collapsing_wedge_is_fast():
+    a1, a2 = A.generators()
+    gens = [(a1 * a2) ** 2500, (a1 * a2) ** 2501]  # 10,002 wedge edges
+    started = time.perf_counter()
+    graph = from_generators(gens)
+    assert time.perf_counter() - started < 5.0
+    assert graph == from_generators([a1 * a2])
+
+
 def test_congruence_subgroup():
     g = congruence_subgroup(A, (1, 1), 3)
     assert g.index() == 3
@@ -132,6 +206,24 @@ def test_intersection_matches_pointwise_and():
         meet = g1.intersect(g2)
         for w in ball:
             assert meet.contains(w) == (g1.contains(w) and g2.contains(w))
+
+
+def test_intersection_trims_long_dangling_trees():
+    # H = <a1^n a2 a1^-n>, K = {weight(w) = 0 mod m} for weights (1, 1):
+    # the product hangs m stems of n vertices off an a2-cycle; all but
+    # the one reaching (0, 0) dangle, so trimming peels them n layers deep
+    n, m = 400, 5
+    a1, a2 = A.generators()
+    h = from_generators([a1**n * a2 * a1 ** (-n)])
+    k = congruence_subgroup(A, (1, 1), m)
+    meet = h.intersect(k)
+    assert meet == from_generators([a1**n * a2**m * a1 ** (-n)])
+    assert meet.vertex_count == n + m
+
+    small_h = from_generators([wa("a1^2 a2 a1^-2")])
+    small_meet = small_h.intersect(congruence_subgroup(A, (1, 1), 3))
+    for w in enumerate_ball(A, 4):
+        assert small_meet.contains(w) == (small_h.contains(w) and weighted_sum(w, (1, 1)) % 3 == 0)
 
 
 def test_intersection_rejects_mixed_alphabets():
@@ -226,6 +318,36 @@ def test_express_in_generators_round_trip():
             g = gens[abs(step) - 1]
             rebuilt = rebuilt * (g if step > 0 else g.inverse())
         assert rebuilt == target
+
+
+def test_express_in_generators_dependent_sets():
+    # generator sets with relations among them: expressions are not unique,
+    # but each must replay to the target and be freely reduced
+    rng = rng_for("stallings-express-dependent")
+    C = Alphabet(3, "a")
+    for _ in range(60):
+        alphabet = rng.choice((A, C))
+        base = [random_word(rng, alphabet, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        extra = []
+        for _ in range(rng.randint(1, 3)):  # products of the others
+            w = Word(alphabet)
+            for _ in range(rng.randint(1, 3)):
+                g = rng.choice(base)
+                w = w * (g if rng.random() < 0.5 else g.inverse())
+            extra.append(w)
+        c = random_word(rng, alphabet, rng.randint(1, 3))
+        k = rng.randint(1, 5)
+        gens = base + extra + [c**k, c ** (k + 1)]
+        rng.shuffle(gens)
+        for _ in range(3):
+            target = Word(alphabet)
+            for _ in range(rng.randint(0, 6)):
+                g = rng.choice(gens)
+                target = target * (g if rng.random() < 0.5 else g.inverse())
+            expr = express_in_generators(gens, target)
+            assert expr is not None
+            _assert_reduced(expr)
+            assert evaluate_expression(gens, expr, alphabet) == target
 
 
 def test_express_in_generators_collapsing_wedge():

@@ -19,6 +19,7 @@ from fixfnm import (
     weighted_sum,
     word,
 )
+from fixfnm.words import MAX_WORD_LETTERS
 
 A = Alphabet(2, "a")
 a1, a2 = generator(A, 1), generator(A, 2)
@@ -194,6 +195,29 @@ def test_parse_errors():
         parse_word("", A)
     with pytest.raises(ParseError):
         parse_word("a1^", A)
+
+
+def test_parse_caps_the_letter_count():
+    # refused before expansion, at the token that crosses the cap
+    with pytest.raises(ParseError) as exc:
+        parse_word("a2 a1^99999999999", A)
+    assert exc.value.column == 4
+    assert "100000 letters" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_word("a1^-" + "9" * 5000, A, line=3)
+    assert (exc.value.line, exc.value.column) == (3, 1)
+
+    # many medium tokens add up; the sum is checked, not each token
+    medium = " ".join(["a1^30000 a2^-3000"] * 4)
+    with pytest.raises(ParseError) as exc:
+        parse_word(medium, A)
+    assert exc.value.column == medium.rindex("a1^30000") + 1
+    assert len(parse_word(" ".join(["a1^30000 a2^-3000"] * 3), A)) == 99_000
+    assert len(parse_word("a1^60000 a2^40000", A)) == MAX_WORD_LETTERS
+    # long literals are measured by their digits, never converted whole
+    assert parse_word("a" + "0" * 5000 + "1^0003", A) == parse_word("a1^3", A)
+    with pytest.raises(ParseError):
+        parse_word("a" + "9" * 5000, A)
 
 
 @given(letters)
