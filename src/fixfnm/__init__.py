@@ -4,6 +4,10 @@ Free-group words, subgroup graphs, the seven-shape classification of
 product endomorphisms, structural fixed-subgroup descriptors, and a
 decision procedure for whether two fixed subgroups intersect beyond the
 identity (first endomorphism of shape VI or VII).
+
+The worked instances of ``fixfnm.suite`` load on first use: their names
+resolve through the module ``__getattr__`` below, so ``import fixfnm`` and
+the ``intersect`` command do not pay for them.
 """
 
 from .decision import UnsupportedShape, Verdict, decide
@@ -69,18 +73,6 @@ from .stallings import (
     trivial_subgroup,
     whole_group,
 )
-from .suite import (
-    CuratedCase,
-    EqualizerReduction,
-    MihailovaInstance,
-    Presentation,
-    curated_cases,
-    embed_equalizer,
-    mihailova_generators,
-    mihailova_instance,
-    parse_presentation_text,
-    reduce_pair_to_equalizer,
-)
 from .words import (
     Alphabet,
     ParseError,
@@ -102,6 +94,34 @@ from .words import (
     word,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_SUITE_NAMES = (
+    "CuratedCase",
+    "EqualizerReduction",
+    "MihailovaInstance",
+    "Presentation",
+    "curated_cases",
+    "embed_equalizer",
+    "mihailova_generators",
+    "mihailova_instance",
+    "parse_presentation_text",
+    "reduce_pair_to_equalizer",
+)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["suite", *_SUITE_NAMES])
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "suite" or name in _SUITE_NAMES:
+        # import_module, not `from . import suite`: that form would look the
+        # name up on this package first and land back here
+        from importlib import import_module
+
+        suite = import_module(".suite", __name__)
+        return suite if name == "suite" else getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -22,7 +22,6 @@ from .homs import parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
 from .product import UnclassifiableEndo, classify, parse_endo_text
 from .stallings import CertificateError
-from .suite import SEARCH_CAP, mihailova_instance, parse_presentation_text
 from .words import ParseError, parse_word, render_word
 
 # every --declare is audited on the ball of this radius before it is trusted
@@ -107,10 +106,10 @@ def _load_declarations(pairs: list[list[str]]) -> tuple[DeclaredEndo, ...]:
     for hom_file, basis_file in pairs:
         h = parse_hom_text(Path(hom_file).read_text())
         basis = []
-        for raw in Path(basis_file).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                basis.append(parse_word(line, h.source))
+        for lineno, raw in enumerate(Path(basis_file).read_text().splitlines(), start=1):
+            line = raw.split("#", 1)[0]
+            if line.strip():
+                basis.append(parse_word(line, h.source, line=lineno))
         out.append(DeclaredEndo(h, tuple(basis), audit_radius=_AUDIT_RADIUS))
     return tuple(out)
 
@@ -174,6 +173,9 @@ def _cmd_eq(args: argparse.Namespace) -> int:
 
 
 def _cmd_mihailova(args: argparse.Namespace) -> int:
+    # imported here: no other command needs suite, and they start faster without it
+    from .suite import SEARCH_CAP, mihailova_instance, parse_presentation_text
+
     budget = BallSpec(args.budget).radius
     pres = parse_presentation_text(args.presentation.read_text())
     query = parse_word(args.word, pres.alphabet)

@@ -16,9 +16,9 @@ Every nontrivial verdict carries a witness, checked when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._value import FrozenValue, set_field
 from .fixpoints import FixOracle, PairedPowers
 from .homs import FreeHom
 from .lattices import IntLattice2
@@ -50,17 +50,19 @@ class UnsupportedShape(ValueError):
     """First endomorphism is neither diagonal (VI) nor swapping (VII)."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(FrozenValue):
     """Outcome of a decision run.
 
     ``witness`` is None for trivial verdicts; a nontrivial verdict always
     carries a common fixed point, built only through ``with_witness``.
     """
 
-    trivial: bool
-    witness: Optional[ProductElement]
-    trace: tuple[str, ...]
+    __slots__ = ("trivial", "witness", "trace")
+
+    def __init__(self, trivial: bool, witness: Optional[ProductElement], trace: tuple[str, ...]):
+        set_field(self, "trivial", trivial)
+        set_field(self, "witness", witness)
+        set_field(self, "trace", trace)
 
     @classmethod
     def intersection_trivial(cls, trace: tuple[str, ...]) -> "Verdict":

@@ -14,9 +14,9 @@ witness when there is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from ._value import FrozenValue, set_field
 from .homs import FreeHom
 from .lattices import IntLattice2
 from .product import (
@@ -53,8 +53,7 @@ from .words import (
 # --- fixed subgroups of free-group endomorphisms ---------------------------
 
 
-@dataclass(frozen=True)
-class DeclaredEndo:
+class DeclaredEndo(FrozenValue):
     """An endomorphism with its fixed subgroup supplied by the caller.
 
     Each basis word must be fixed (checked exactly; that makes the whole
@@ -63,20 +62,21 @@ class DeclaredEndo:
     length <= audit_radius falls outside the declared subgroup.
     """
 
-    endo: FreeHom
-    fix_basis: tuple[Word, ...]
-    audit_radius: int | None = None
+    __slots__ = ("endo", "fix_basis", "audit_radius")
 
-    def __post_init__(self) -> None:
-        if self.endo.source != self.endo.target:
+    def __init__(self, endo: FreeHom, fix_basis: tuple[Word, ...], audit_radius: int | None = None):
+        if endo.source != endo.target:
             raise ValueError("fixed subgroups are only defined for endomorphisms")
-        for w in self.fix_basis:
-            if self.endo.apply(w) != w:
+        for w in fix_basis:
+            if endo.apply(w) != w:
                 raise ValueError(f"declared basis word {render_word(w)} is not fixed")
-        if self.audit_radius is not None:
+        set_field(self, "endo", endo)
+        set_field(self, "fix_basis", fix_basis)
+        set_field(self, "audit_radius", audit_radius)
+        if audit_radius is not None:
             graph = self.fix_graph()
-            for w in enumerate_ball(self.endo.source, self.audit_radius):
-                if self.endo.apply(w) == w and not graph.contains(w):
+            for w in enumerate_ball(endo.source, audit_radius):
+                if endo.apply(w) == w and not graph.contains(w):
                     raise ValueError(
                         f"fixed point {render_word(w)} is missing from the "
                         f"declared subgroup"
@@ -177,10 +177,12 @@ class FixOracle:
 # --- fixed subgroups of product endomorphisms -------------------------------
 
 
-@dataclass(frozen=True)
-class TrivialFix:
-    first_alphabet: Alphabet
-    second_alphabet: Alphabet
+class TrivialFix(FrozenValue):
+    __slots__ = ("first_alphabet", "second_alphabet")
+
+    def __init__(self, first_alphabet: Alphabet, second_alphabet: Alphabet):
+        set_field(self, "first_alphabet", first_alphabet)
+        set_field(self, "second_alphabet", second_alphabet)
 
     def contains(self, g: ProductElement) -> bool:
         return g.is_identity()
@@ -195,13 +197,15 @@ class TrivialFix:
         return "trivial"
 
 
-@dataclass(frozen=True)
-class FactorSubgroup:
+class FactorSubgroup(FrozenValue):
     """A subgroup of one factor, embedded with identity in the other."""
 
-    graph: SubgroupGraph
-    side: str  # "first" | "second"
-    other_alphabet: Alphabet
+    __slots__ = ("graph", "side", "other_alphabet")
+
+    def __init__(self, graph: SubgroupGraph, side: str, other_alphabet: Alphabet):
+        set_field(self, "graph", graph)
+        set_field(self, "side", side)  # "first" | "second"
+        set_field(self, "other_alphabet", other_alphabet)
 
     def contains(self, g: ProductElement) -> bool:
         if self.side == "first":
@@ -225,12 +229,14 @@ class FactorSubgroup:
         return f"1 x {self.graph}"
 
 
-@dataclass(frozen=True)
-class FactorProduct:
+class FactorProduct(FrozenValue):
     """A product of one subgroup per factor."""
 
-    first: SubgroupGraph
-    second: SubgroupGraph
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: SubgroupGraph, second: SubgroupGraph):
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
     def contains(self, g: ProductElement) -> bool:
         return self.first.contains(g.first) and self.second.contains(g.second)
@@ -249,13 +255,15 @@ class FactorProduct:
         return f"{self.first} x {self.second}"
 
 
-@dataclass(frozen=True)
-class PairedPowers:
+class PairedPowers(FrozenValue):
     """{(u^p, v^q) : (p, q) in a sublattice of Z^2} for fixed words u, v."""
 
-    first_base: Word
-    second_base: Word
-    exponents: IntLattice2
+    __slots__ = ("first_base", "second_base", "exponents")
+
+    def __init__(self, first_base: Word, second_base: Word, exponents: IntLattice2):
+        set_field(self, "first_base", first_base)
+        set_field(self, "second_base", second_base)
+        set_field(self, "exponents", exponents)
 
     def contains(self, g: ProductElement) -> bool:
         if self.first_base.is_identity():
@@ -307,17 +315,19 @@ class PairedPowers:
         return f"powers (({u})^p, ({v})^q) with (p, q) in {self.exponents}"
 
 
-@dataclass(frozen=True)
-class HomGraph:
+class HomGraph(FrozenValue):
     """The graph of a hom restricted to a subgroup of one factor.
 
     side == "first_from_second": elements (h(y), y) for y in the domain.
     side == "second_from_first": elements (x, h(x)) for x in the domain.
     """
 
-    domain: SubgroupGraph
-    hom: FreeHom
-    side: str
+    __slots__ = ("domain", "hom", "side")
+
+    def __init__(self, domain: SubgroupGraph, hom: FreeHom, side: str):
+        set_field(self, "domain", domain)
+        set_field(self, "hom", hom)
+        set_field(self, "side", side)
 
     def contains(self, g: ProductElement) -> bool:
         if self.side == "first_from_second":
@@ -341,17 +351,21 @@ class HomGraph:
         return f"pairs (x, h(x)) for x in {self.domain}, h = {self.hom}"
 
 
-@dataclass(frozen=True)
-class PowerCylinder:
+class PowerCylinder(FrozenValue):
     """{(u^k, y) : k in Z, y in H with zero weighted sum}.
 
     Nontrivial whenever u is (then (u, 1) is a member: the identity has
     weight zero).
     """
 
-    first_base: Word
-    second_weights: tuple[int, ...]
-    second_fix: SubgroupGraph
+    __slots__ = ("first_base", "second_weights", "second_fix")
+
+    def __init__(
+        self, first_base: Word, second_weights: tuple[int, ...], second_fix: SubgroupGraph
+    ):
+        set_field(self, "first_base", first_base)
+        set_field(self, "second_weights", second_weights)
+        set_field(self, "second_fix", second_fix)
 
     def contains(self, g: ProductElement) -> bool:
         if exponent_of_power(g.first, self.first_base) is None:
@@ -382,22 +396,24 @@ class PowerCylinder:
         )
 
 
-@dataclass(frozen=True)
-class ExponentGraph:
+class ExponentGraph(FrozenValue):
     """{(u^(w(y)/d), y) : y in H}, where w(y) is a weighted sum and d | w(y).
 
     The divisibility is baked into H (it is cut out by a congruence
     subgroup), but membership rechecks it.
     """
 
-    first_base: Word
-    second_weights: tuple[int, ...]
-    divisor: int
-    domain: SubgroupGraph
+    __slots__ = ("first_base", "second_weights", "divisor", "domain")
 
-    def __post_init__(self) -> None:
-        if self.divisor == 0:
+    def __init__(
+        self, first_base: Word, second_weights: tuple[int, ...], divisor: int, domain: SubgroupGraph
+    ):
+        if divisor == 0:
             raise ValueError("divisor must be nonzero")
+        set_field(self, "first_base", first_base)
+        set_field(self, "second_weights", second_weights)
+        set_field(self, "divisor", divisor)
+        set_field(self, "domain", domain)
 
     def contains(self, g: ProductElement) -> bool:
         if not self.domain.contains(g.second):

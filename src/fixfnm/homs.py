@@ -6,25 +6,22 @@ application order: `f.then(g)` maps w to g(f(w)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import FrozenValue, set_field
+from .words import Alphabet, ParseError, Word, free_reduce, generator, parse_word, render_word
 
-from .words import Alphabet, ParseError, Word, generator, parse_word, render_word, word
 
+class FreeHom(FrozenValue):
+    __slots__ = ("source", "target", "images")
 
-@dataclass(frozen=True)
-class FreeHom:
-    source: Alphabet
-    target: Alphabet
-    images: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != self.source.rank:
-            raise ValueError(
-                f"need {self.source.rank} generator images, got {len(self.images)}"
-            )
-        for img in self.images:
-            if img.alphabet != self.target:
-                raise ValueError(f"image {img} lives in {img.alphabet}, not {self.target}")
+    def __init__(self, source: Alphabet, target: Alphabet, images: tuple[Word, ...]):
+        if len(images) != source.rank:
+            raise ValueError(f"need {source.rank} generator images, got {len(images)}")
+        for img in images:
+            if img.alphabet != target:
+                raise ValueError(f"image {img} lives in {img.alphabet}, not {target}")
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "images", images)
 
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.source:
@@ -36,7 +33,7 @@ class FreeHom:
                 out.extend(img.letters)
             else:
                 out.extend(-y for y in reversed(img.letters))
-        return word(self.target, out)
+        return Word._unchecked(self.target, free_reduce(out))
 
     def then(self, other: "FreeHom") -> "FreeHom":
         """Composite mapping w to other(self(w))."""
@@ -122,13 +119,13 @@ def parse_hom_text(text: str) -> FreeHom:
         if not arrow:
             raise ParseError("expected `<gen> -> <word>`", lineno)
         gen_tok = lhs.strip()
-        gen_word = parse_word(gen_tok, source, line=lineno)
+        gen_word = parse_word(lhs, source, line=lineno)
         if len(gen_word.letters) != 1 or gen_word.letters[0] < 0:
             raise ParseError(f"left side {gen_tok!r} must be a single generator", lineno)
         idx = gen_word.letters[0]
         if idx in images:
             raise ParseError(f"generator {gen_tok} listed twice", lineno)
-        images[idx] = parse_word(rhs, target, line=lineno)
+        images[idx] = parse_word(rhs, target, line=lineno, offset=len(lhs) + 2)
     missing = [i for i in range(1, src_rank + 1) if i not in images]
     if missing:
         names = ", ".join(f"{source.letter}{i}" for i in missing)
@@ -144,9 +141,10 @@ def render_hom_text(h: FreeHom) -> str:
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, raw line) for each line that is not blank or a comment."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            out.append((lineno, line))
+            out.append((lineno, raw))
     return out

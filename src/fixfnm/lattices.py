@@ -7,9 +7,10 @@ equality of lattices is plain tuple equality and every operation is exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
+
+from ._value import FrozenValue, set_field
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -100,11 +101,13 @@ def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int
     return hnf_rows(kernel, ncols)
 
 
-@dataclass(frozen=True)
-class IntLattice2:
+class IntLattice2(FrozenValue):
     """A sublattice of Z^2 with a canonical Hermite basis."""
 
-    basis: tuple[tuple[int, int], ...]
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: tuple[tuple[int, int], ...]):
+        set_field(self, "basis", basis)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntLattice2":

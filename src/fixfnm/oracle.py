@@ -7,28 +7,26 @@ from turning a test run into an overnight job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._value import FrozenValue, set_field
 from .homs import FreeHom
 from .product import ProductElement, ProductEndo
 from .words import Alphabet, Word, enumerate_ball
 
 
-@dataclass(frozen=True)
-class BallSpec:
+class BallSpec(FrozenValue):
     """Search bound: total word length up to ``radius``."""
 
-    radius: int
-    cap: int = 8
+    __slots__ = ("radius", "cap")
 
-    def __post_init__(self) -> None:
-        if self.cap < 0:
+    def __init__(self, radius: int, cap: int = 8):
+        if cap < 0:
             raise ValueError("cap must be nonnegative")
-        if not 0 <= self.radius <= self.cap:
-            raise ValueError(
-                f"radius must lie in [0, {self.cap}], got {self.radius}"
-            )
+        if not 0 <= radius <= cap:
+            raise ValueError(f"radius must lie in [0, {cap}], got {radius}")
+        set_field(self, "radius", radius)
+        set_field(self, "cap", cap)
 
 
 def enumerate_product_ball(

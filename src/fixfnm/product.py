@@ -18,9 +18,9 @@ with exponents read off abelianized inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ._value import FrozenValue, set_field
 from .homs import FreeHom, identity_hom, trivial_hom
 from .lattices import IntLattice2, kernel_basis
 from .words import (
@@ -53,14 +53,23 @@ class UnclassifiableEndo(ValueError):
     """A valid endomorphism that fits none of the seven shapes."""
 
 
-@dataclass(frozen=True)
-class ProductElement:
-    first: Word
-    second: Word
+class ProductElement(FrozenValue):
+    __slots__ = ("first", "second")
 
-    def __post_init__(self) -> None:
-        if self.first.alphabet.letter != "a" or self.second.alphabet.letter != "b":
+    def __init__(self, first: Word, second: Word):
+        if first.alphabet.letter != "a" or second.alphabet.letter != "b":
             raise ValueError("product elements pair an a-word with a b-word")
+        set_field(self, "first", first)
+        set_field(self, "second", second)
+
+    # written out, not inherited: ProductEndo.fixes compares on every call
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.first, self.second) == (other.first, other.second)
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.second))
 
     def __mul__(self, other: "ProductElement") -> "ProductElement":
         return ProductElement(self.first * other.first, self.second * other.second)
@@ -75,39 +84,45 @@ class ProductElement:
         return f"({render_word(self.first)}, {render_word(self.second)})"
 
 
-@dataclass(frozen=True)
-class ProductEndo:
+class ProductEndo(FrozenValue):
     """Endomorphism of F_n x F_m in block form; validated on construction."""
 
-    first_from_first: FreeHom
-    first_from_second: FreeHom
-    second_from_first: FreeHom
-    second_from_second: FreeHom
+    __slots__ = ("first_from_first", "first_from_second", "second_from_first", "second_from_second")
 
-    def __post_init__(self) -> None:
-        a = self.first_from_first.source
-        b = self.second_from_second.source
+    def __init__(
+        self,
+        first_from_first: FreeHom,
+        first_from_second: FreeHom,
+        second_from_first: FreeHom,
+        second_from_second: FreeHom,
+    ):
+        a = first_from_first.source
+        b = second_from_second.source
         if a.letter != "a" or b.letter != "b":
             raise ValueError("expected an 'a' alphabet and a 'b' alphabet")
         if a.rank < 2 or b.rank < 2:
             raise ValueError("both factors must have rank at least 2")
         shapes = (
-            (self.first_from_first, a, a),
-            (self.first_from_second, b, a),
-            (self.second_from_first, a, b),
-            (self.second_from_second, b, b),
+            (first_from_first, a, a),
+            (first_from_second, b, a),
+            (second_from_first, a, b),
+            (second_from_second, b, b),
         )
         for hom, src, tgt in shapes:
             if hom.source != src or hom.target != tgt:
                 raise ValueError(f"block {hom} should map {src} to {tgt}")
-        for i, first_a in enumerate(self.first_from_first.images, start=1):
-            for j, first_b in enumerate(self.first_from_second.images, start=1):
+        for i, first_a in enumerate(first_from_first.images, start=1):
+            for j, first_b in enumerate(first_from_second.images, start=1):
                 if first_a * first_b != first_b * first_a:
                     raise CommutationViolation(i, j, "first")
-        for i, second_a in enumerate(self.second_from_first.images, start=1):
-            for j, second_b in enumerate(self.second_from_second.images, start=1):
+        for i, second_a in enumerate(second_from_first.images, start=1):
+            for j, second_b in enumerate(second_from_second.images, start=1):
                 if second_a * second_b != second_b * second_a:
                     raise CommutationViolation(i, j, "second")
+        set_field(self, "first_from_first", first_from_first)
+        set_field(self, "first_from_second", first_from_second)
+        set_field(self, "second_from_first", second_from_first)
+        set_field(self, "second_from_second", second_from_second)
 
     @property
     def first_alphabet(self) -> Alphabet:
@@ -181,18 +196,34 @@ def product_identity(n: int, m: int) -> ProductElement:
 # base ** weighted_sum(x, weights).
 
 
-@dataclass(frozen=True)
-class TypeI:
+class TypeI(FrozenValue):
     """Both coordinates are powers of fixed words."""
 
-    first_base: Word
-    second_base: Word
-    first_a_weights: tuple[int, ...]
-    first_b_weights: tuple[int, ...]
-    second_a_weights: tuple[int, ...]
-    second_b_weights: tuple[int, ...]
-
+    __slots__ = (
+        "first_base",
+        "second_base",
+        "first_a_weights",
+        "first_b_weights",
+        "second_a_weights",
+        "second_b_weights",
+    )
     label = "I"
+
+    def __init__(
+        self,
+        first_base: Word,
+        second_base: Word,
+        first_a_weights: tuple[int, ...],
+        first_b_weights: tuple[int, ...],
+        second_a_weights: tuple[int, ...],
+        second_b_weights: tuple[int, ...],
+    ):
+        set_field(self, "first_base", first_base)
+        set_field(self, "second_base", second_base)
+        set_field(self, "first_a_weights", first_a_weights)
+        set_field(self, "first_b_weights", first_b_weights)
+        set_field(self, "second_a_weights", second_a_weights)
+        set_field(self, "second_b_weights", second_b_weights)
 
     def exponent_matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """Integer matrix whose kernel gives the fixed exponent pairs.
@@ -221,16 +252,23 @@ class TypeI:
         )
 
 
-@dataclass(frozen=True)
-class TypeII:
+class TypeII(FrozenValue):
     """First coordinate from the second factor, second coordinate a power."""
 
-    first_from_second: FreeHom
-    second_base: Word
-    second_a_weights: tuple[int, ...]
-    second_b_weights: tuple[int, ...]
-
+    __slots__ = ("first_from_second", "second_base", "second_a_weights", "second_b_weights")
     label = "II"
+
+    def __init__(
+        self,
+        first_from_second: FreeHom,
+        second_base: Word,
+        second_a_weights: tuple[int, ...],
+        second_b_weights: tuple[int, ...],
+    ):
+        set_field(self, "first_from_second", first_from_second)
+        set_field(self, "second_base", second_base)
+        set_field(self, "second_a_weights", second_a_weights)
+        set_field(self, "second_b_weights", second_b_weights)
 
     def gain(self) -> int:
         """Factor on the exponent k of (first_from_second(v)**k, v**k).
@@ -255,14 +293,22 @@ class TypeII:
         )
 
 
-@dataclass(frozen=True)
-class TypeIII:
+class TypeIII(FrozenValue):
     """First coordinate a power fed by both factors, second an endo of F_m."""
 
-    first_base: Word
-    first_a_weights: tuple[int, ...]
-    first_b_weights: tuple[int, ...]
-    second_from_second: FreeHom
+    __slots__ = ("first_base", "first_a_weights", "first_b_weights", "second_from_second")
+
+    def __init__(
+        self,
+        first_base: Word,
+        first_a_weights: tuple[int, ...],
+        first_b_weights: tuple[int, ...],
+        second_from_second: FreeHom,
+    ):
+        set_field(self, "first_base", first_base)
+        set_field(self, "first_a_weights", first_a_weights)
+        set_field(self, "first_b_weights", first_b_weights)
+        set_field(self, "second_from_second", second_from_second)
 
     def self_weight(self) -> int:
         """Multiplier the first exponent picks up from its own coordinate."""
@@ -283,14 +329,15 @@ class TypeIII:
         )
 
 
-@dataclass(frozen=True)
-class TypeIV:
+class TypeIV(FrozenValue):
     """Both coordinates read off the second factor."""
 
-    first_from_second: FreeHom
-    second_from_second: FreeHom
-
+    __slots__ = ("first_from_second", "second_from_second")
     label = "IV"
+
+    def __init__(self, first_from_second: FreeHom, second_from_second: FreeHom):
+        set_field(self, "first_from_second", first_from_second)
+        set_field(self, "second_from_second", second_from_second)
 
     def as_endo(self) -> ProductEndo:
         a = self.first_from_second.target
@@ -303,16 +350,23 @@ class TypeIV:
         )
 
 
-@dataclass(frozen=True)
-class TypeV:
+class TypeV(FrozenValue):
     """First coordinate collapses, second is a power fed by both factors."""
 
-    second_base: Word
-    second_a_weights: tuple[int, ...]
-    second_b_weights: tuple[int, ...]
-    first_rank: int
-
+    __slots__ = ("second_base", "second_a_weights", "second_b_weights", "first_rank")
     label = "V"
+
+    def __init__(
+        self,
+        second_base: Word,
+        second_a_weights: tuple[int, ...],
+        second_b_weights: tuple[int, ...],
+        first_rank: int,
+    ):
+        set_field(self, "second_base", second_base)
+        set_field(self, "second_a_weights", second_a_weights)
+        set_field(self, "second_b_weights", second_b_weights)
+        set_field(self, "first_rank", first_rank)
 
     def as_endo(self) -> ProductEndo:
         a = Alphabet(self.first_rank, "a")
@@ -325,28 +379,30 @@ class TypeV:
         )
 
 
-@dataclass(frozen=True)
-class TypeVI:
+class TypeVI(FrozenValue):
     """Coordinatewise pair of endomorphisms."""
 
-    first: FreeHom
-    second: FreeHom
-
+    __slots__ = ("first", "second")
     label = "VI"
+
+    def __init__(self, first: FreeHom, second: FreeHom):
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
     def as_endo(self) -> ProductEndo:
         a, b = self.first.source, self.second.source
         return ProductEndo(self.first, trivial_hom(b, a), trivial_hom(a, b), self.second)
 
 
-@dataclass(frozen=True)
-class TypeVII:
+class TypeVII(FrozenValue):
     """Coordinate-swapping pair of homs."""
 
-    first_from_second: FreeHom
-    second_from_first: FreeHom
-
+    __slots__ = ("first_from_second", "second_from_first")
     label = "VII"
+
+    def __init__(self, first_from_second: FreeHom, second_from_first: FreeHom):
+        set_field(self, "first_from_second", first_from_second)
+        set_field(self, "second_from_first", second_from_first)
 
     def as_endo(self) -> ProductEndo:
         a = self.first_from_second.target
@@ -452,7 +508,7 @@ def parse_endo_text(text: str) -> ProductEndo:
     Blank lines and `#` comments are skipped.
     """
     lines = [
-        (no, ln.strip())
+        (no, ln)
         for no, ln in enumerate(text.splitlines(), start=1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
@@ -479,7 +535,7 @@ def parse_endo_text(text: str) -> ProductEndo:
         side = gen_tok[:1]
         if side not in ("a", "b"):
             raise ParseError(f"left side {gen_tok!r} must be a generator", lineno)
-        gen_word = parse_word(gen_tok, a if side == "a" else b, line=lineno)
+        gen_word = parse_word(lhs, a if side == "a" else b, line=lineno)
         if len(gen_word.letters) != 1 or gen_word.letters[0] < 0:
             raise ParseError(f"left side {gen_tok!r} must be a single generator", lineno)
         idx = gen_word.letters[0]
@@ -493,8 +549,13 @@ def parse_endo_text(text: str) -> ProductEndo:
         if inner.count(",") != 1:
             raise ParseError("image must contain exactly one comma", lineno)
         first_text, second_text = inner.split(",")
-        first_images[key] = parse_word(first_text, a, line=lineno)
-        second_images[key] = parse_word(second_text, b, line=lineno)
+        # characters before `inner` on the line: the left side, `->`, the
+        # blanks before `(`, and `(` itself
+        start = len(lhs) + 2 + len(rhs) - len(rhs.lstrip()) + 1
+        first_images[key] = parse_word(first_text, a, line=lineno, offset=start)
+        second_images[key] = parse_word(
+            second_text, b, line=lineno, offset=start + len(first_text) + 1
+        )
     missing = [
         f"{side}{i}"
         for side, rank in (("a", n), ("b", m))

@@ -28,10 +28,10 @@ canonical form reads the slot map directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ._value import FrozenValue, set_field
 from .homs import FreeHom
 from .words import Alphabet, Word, free_reduce, render_word, weighted_sum, word
 
@@ -246,12 +246,14 @@ class _Builder:
         return SubgroupGraph(self.alphabet, table)
 
 
-@dataclass(frozen=True)
-class SubgroupGraph:
+class SubgroupGraph(FrozenValue):
     """Canonical folded based graph; equality means equality of subgroups."""
 
-    alphabet: Alphabet
-    transitions: tuple[tuple[int, ...], ...]
+    __slots__ = ("alphabet", "transitions", "__dict__")  # __dict__ holds the cached properties
+
+    def __init__(self, alphabet: Alphabet, transitions: tuple[tuple[int, ...], ...]):
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "transitions", transitions)
 
     @property
     def vertex_count(self) -> int:

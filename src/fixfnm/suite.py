@@ -16,12 +16,10 @@ curated_cases() returns hand-built instances hitting every branch label
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
-from operator import mul
-from typing import Optional
+from typing import Iterator, Optional
 
+from ._value import FrozenValue, set_field
 from .fixpoints import DeclaredEndo, FixDescriptor, FixOracle, fix_product
 from .homs import FreeHom, identity_hom, inner_hom, permutation_hom
 from .product import (
@@ -41,7 +39,6 @@ from .words import (
     ParseError,
     Word,
     ball_size,
-    enumerate_ball,
     exponent_of_power,
     generator,
     parse_word,
@@ -55,19 +52,19 @@ from .words import (
 SEARCH_CAP = 50_000  # the most products MihailovaInstance.search_witness tries
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(FrozenValue):
     """A finite presentation over the x-alphabet."""
 
-    alphabet: Alphabet
-    relators: tuple[Word, ...]
+    __slots__ = ("alphabet", "relators")
 
-    def __post_init__(self) -> None:
-        if self.alphabet.letter != "x":
+    def __init__(self, alphabet: Alphabet, relators: tuple[Word, ...]):
+        if alphabet.letter != "x":
             raise ValueError("presentations use the letter x")
-        for r in self.relators:
-            if r.alphabet != self.alphabet:
+        for r in relators:
+            if r.alphabet != alphabet:
                 raise ValueError("relator alphabet mismatch")
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "relators", relators)
 
     def __str__(self) -> str:
         gens = " ".join(f"x{i + 1}" for i in range(self.alphabet.rank))
@@ -105,8 +102,7 @@ def parse_presentation_text(text: str) -> Presentation:
     return Presentation(alphabet, tuple(relators))
 
 
-@dataclass(frozen=True)
-class MihailovaInstance:
+class MihailovaInstance(FrozenValue):
     """Fixed subgroup vs. Mihailova subgroup, encoding a word problem.
 
     ``endo`` is diagonal with fixed subgroup 1 x <core>; the subgroup
@@ -116,11 +112,21 @@ class MihailovaInstance:
     is why the decision engine handles fixed subgroups on both sides only.
     """
 
-    endo: ProductEndo
-    subgroup_generators: tuple[ProductElement, ...]
-    core: Word
-    power: int
-    fix: FixDescriptor
+    __slots__ = ("endo", "subgroup_generators", "core", "power", "fix")
+
+    def __init__(
+        self,
+        endo: ProductEndo,
+        subgroup_generators: tuple[ProductElement, ...],
+        core: Word,
+        power: int,
+        fix: FixDescriptor,
+    ):
+        set_field(self, "endo", endo)
+        set_field(self, "subgroup_generators", subgroup_generators)
+        set_field(self, "core", core)
+        set_field(self, "power", power)
+        set_field(self, "fix", fix)
 
     def search_witness(self, budget: int) -> Optional[ProductElement]:
         """Bounded hunt for a nontrivial common element.
@@ -130,13 +136,7 @@ class MihailovaInstance:
         whether the cap falls short of the budget); a hit certifies
         nontriviality, a miss proves nothing.
         """
-        gens = self.subgroup_generators
-        helper = Alphabet(len(gens), "x")
-        # the ball starts with the empty product, which is skipped
-        for expression in islice(enumerate_ball(helper, budget), 1, SEARCH_CAP + 1):
-            candidate = reduce(
-                mul, (gens[s - 1] if s > 0 else gens[-s - 1].inverse() for s in expression.letters)
-            )
+        for candidate in islice(ball_products(self.subgroup_generators, budget), SEARCH_CAP):
             if candidate.is_identity():
                 continue
             if self.fix.contains(candidate):
@@ -146,6 +146,29 @@ class MihailovaInstance:
     def search_is_capped(self, budget: int) -> bool:
         """Whether SEARCH_CAP stops search_witness before it covers ``budget``."""
         return ball_size(len(self.subgroup_generators), budget) - 1 > SEARCH_CAP
+
+
+def ball_products(gens: tuple[ProductElement, ...], radius: int) -> Iterator[ProductElement]:
+    """Products of the nonempty reduced words of length <= radius over
+    ``gens``, in the order of enumerate_ball.
+
+    Each product extends its prefix's, kept from the layer before, by one
+    generator or inverse, so every product costs one multiply.
+    """
+    steps = [
+        (s * i, g if s > 0 else g.inverse()) for i, g in enumerate(gens, start=1) for s in (1, -1)
+    ]
+    layer: list[tuple[int, Optional[ProductElement]]] = [(0, None)]  # (last letter, product)
+    for _ in range(radius):
+        nxt = []
+        for last, prefix in layer:
+            for x, step in steps:
+                if x == -last:
+                    continue
+                product = step if prefix is None else prefix * step
+                nxt.append((x, product))
+                yield product
+        layer = nxt
 
 
 def mihailova_generators(pres: Presentation) -> tuple[ProductElement, ...]:
@@ -194,8 +217,7 @@ def mihailova_instance(pres: Presentation, query: Word) -> MihailovaInstance:
 # --- shape IV vs. equalizers, both directions -------------------------------
 
 
-@dataclass(frozen=True)
-class EqualizerReduction:
+class EqualizerReduction(FrozenValue):
     """Equalizer instance equivalent to a pair of shape-IV intersections.
 
     Members of the intersection are exactly the pairs (first(e), sub(e))
@@ -203,10 +225,15 @@ class EqualizerReduction:
     abstract domain and sub is ``substitute``.
     """
 
-    domain: SubgroupGraph
-    basis: tuple[Word, ...]
-    first: FreeHom
-    second: FreeHom
+    __slots__ = ("domain", "basis", "first", "second")
+
+    def __init__(
+        self, domain: SubgroupGraph, basis: tuple[Word, ...], first: FreeHom, second: FreeHom
+    ):
+        set_field(self, "domain", domain)
+        set_field(self, "basis", basis)
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
     def substitute(self, expression: Word) -> Word:
         """Evaluate an abstract word over the domain basis."""
@@ -271,14 +298,24 @@ def embed_equalizer(f: FreeHom, g: FreeHom) -> tuple[ProductEndo, ProductEndo]:
 # --- curated instances, one or more per branch label ------------------------
 
 
-@dataclass(frozen=True)
-class CuratedCase:
-    label: str
-    name: str
-    phi: ProductEndo
-    psi: ProductEndo
-    expected_trivial: bool
-    declarations: tuple[DeclaredEndo, ...] = ()
+class CuratedCase(FrozenValue):
+    __slots__ = ("label", "name", "phi", "psi", "expected_trivial", "declarations")
+
+    def __init__(
+        self,
+        label: str,
+        name: str,
+        phi: ProductEndo,
+        psi: ProductEndo,
+        expected_trivial: bool,
+        declarations: tuple[DeclaredEndo, ...] = (),
+    ):
+        set_field(self, "label", label)
+        set_field(self, "name", name)
+        set_field(self, "phi", phi)
+        set_field(self, "psi", psi)
+        set_field(self, "expected_trivial", expected_trivial)
+        set_field(self, "declarations", declarations)
 
     def oracle(self) -> FixOracle:
         return FixOracle(self.declarations)

@@ -9,10 +9,10 @@ elements of different groups cannot be mixed up silently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
+from ._value import FrozenValue, set_field
 from .lattices import IntLattice2
 
 _LETTER_NAMES = ("a", "b", "x")
@@ -31,21 +31,31 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(FrozenValue):
     """A free basis of a given rank with a display letter."""
 
-    rank: int
-    letter: str = "a"
+    __slots__ = ("rank", "letter")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be at least 1, got {self.rank}")
-        if self.letter not in _LETTER_NAMES:
+    def __init__(self, rank: int, letter: str = "a"):
+        if rank < 1:
+            raise ValueError(f"rank must be at least 1, got {rank}")
+        if letter not in _LETTER_NAMES:
             raise ValueError(f"display letter must be one of {_LETTER_NAMES}")
+        set_field(self, "rank", rank)
+        set_field(self, "letter", letter)
+
+    # written out, not inherited, here and in Word: every multiply compares
+    # alphabets, and the generic versions take about twice as long
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.letter) == (other.rank, other.letter)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.letter))
 
     def generators(self) -> tuple["Word", ...]:
-        return tuple(Word(self, (i,)) for i in range(1, self.rank + 1))
+        return tuple(Word._unchecked(self, (i,)) for i in range(1, self.rank + 1))
 
     def __str__(self) -> str:
         return f"F[{self.letter}1..{self.letter}{self.rank}]"
@@ -61,21 +71,38 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(FrozenValue):
     """A freely reduced word. Construct unreduced input via `word(...)`."""
 
-    alphabet: Alphabet
-    letters: tuple[int, ...] = ()
+    __slots__ = ("alphabet", "letters")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alphabet: Alphabet, letters: tuple[int, ...] = ()):
+        rank = alphabet.rank
         prev = 0
-        for x in self.letters:
-            if x == 0 or abs(x) > self.alphabet.rank:
-                raise ValueError(f"letter {x} outside {self.alphabet}")
+        for x in letters:
+            if x == 0 or abs(x) > rank:
+                raise ValueError(f"letter {x} outside {alphabet}")
             if x == -prev:
                 raise ValueError(f"not freely reduced at ...{prev},{x}...")
             prev = x
+        _set_alphabet(self, alphabet)
+        _set_letters(self, letters)
+
+    @staticmethod
+    def _unchecked(alphabet: Alphabet, letters: tuple[int, ...] = ()) -> "Word":
+        """A word from letters known to be valid and freely reduced; no checks."""
+        w = _new_object(Word)
+        _set_alphabet(w, alphabet)
+        _set_letters(w, letters)
+        return w
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.letters) == (other.alphabet, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -86,15 +113,15 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise ValueError(f"cannot multiply {self.alphabet} by {other.alphabet}")
-        return Word(self.alphabet, free_reduce(self.letters + other.letters))
+        return Word._unchecked(self.alphabet, free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple(-x for x in reversed(self.letters)))
+        return Word._unchecked(self.alphabet, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Word(self.alphabet)
+        result = Word._unchecked(self.alphabet)
         chunk = self
         while n:
             if n & 1:
@@ -109,6 +136,12 @@ class Word:
 
     def __str__(self) -> str:
         return render_word(self)
+
+
+_new_object = object.__new__
+# the slots' own setters: the fastest way past the refusing __setattr__
+_set_alphabet = Word.alphabet.__set__
+_set_letters = Word.letters.__set__
 
 
 def word(alphabet: Alphabet, letters: Iterable[int]) -> Word:
@@ -137,15 +170,17 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     while j - i >= 2 and ls[i] == -ls[j - 1]:
         i += 1
         j -= 1
-    return Word(w.alphabet, ls[i:j]), Word(w.alphabet, ls[:i])
+    return Word._unchecked(w.alphabet, ls[i:j]), Word._unchecked(w.alphabet, ls[:i])
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(FrozenValue):
     """w == base ** exponent with base primitive; exponent 0 only for w == 1."""
 
-    base: Word
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Word, exponent: int):
+        set_field(self, "base", base)
+        set_field(self, "exponent", exponent)
 
 
 def root(w: Word) -> Root:
@@ -250,7 +285,7 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
         raise ValueError("radius must be nonnegative")
     order = [s * i for i in range(1, alphabet.rank + 1) for s in (1, -1)]
     layer: list[tuple[int, ...]] = [()]
-    yield Word(alphabet)
+    yield Word._unchecked(alphabet)
     for _ in range(radius):
         nxt: list[tuple[int, ...]] = []
         for prefix in layer:
@@ -259,7 +294,7 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
                     continue
                 ext = prefix + (x,)
                 nxt.append(ext)
-                yield Word(alphabet, ext)
+                yield Word._unchecked(alphabet, ext)
         layer = nxt
 
 
@@ -284,14 +319,17 @@ def _bounded_int(literal: str, limit: int) -> int:
     return limit + 1 if len(digits) > len(str(limit)) else int(digits or "0")
 
 
-def parse_word(text: str, alphabet: Alphabet, *, line: int | None = None) -> Word:
+def parse_word(
+    text: str, alphabet: Alphabet, *, line: int | None = None, offset: int = 0
+) -> Word:
     """Parse whitespace-separated tokens like `a1 b2^-3`; `1` alone is the identity.
 
     The letter count is checked before anything is expanded: a word of
     more than MAX_WORD_LETTERS letters raises ParseError at the token that
-    crosses the cap.
+    crosses the cap. ``offset`` is the number of characters before ``text``
+    on its line, so that ParseError columns count from the line's start.
     """
-    tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", text)]
+    tokens = [(m.group(0), m.start() + 1 + offset) for m in re.finditer(r"\S+", text)]
     if not tokens:
         raise ParseError("empty word (use `1` for the identity)", line)
     if any(tok == "1" for tok, _ in tokens):

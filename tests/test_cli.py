@@ -107,6 +107,19 @@ def test_declarations_are_audited(tmp_path, capsys):
     assert "a1 a2 a1^-1" in capsys.readouterr().err
 
 
+def test_declaration_errors_name_line_and_column(tmp_path, capsys):
+    # columns count from the start of the raw line, in both declaration files
+    endo = str(DATA / "diag.endo")
+    big = _write(tmp_path, "big.hom", "hom 2 2 a a\na1 -> a2 a1^999999\na2 -> a2\n")
+    basis = _write(tmp_path, "a1.basis", "a1\n")
+    assert main(["fix", endo, "--declare", big, basis]) == 2
+    assert "more than 100000 letters (line 2, column 10)" in capsys.readouterr().err
+    hom = str(DATA / "retract.hom")
+    bad = _write(tmp_path, "bad.basis", "# basis\n   a1 zz\n")
+    assert main(["fix", endo, "--declare", hom, bad]) == 2
+    assert "bad token 'zz' (line 2, column 7)" in capsys.readouterr().err
+
+
 def test_intersect_nontrivial(diag, swap, capsys):
     assert main(["intersect", diag, swap]) == 1
     out = capsys.readouterr().out

@@ -141,6 +141,21 @@ def test_parse_rejects_malformed_input(bad):
         parse_hom_text(bad)
 
 
+def test_parse_error_columns_count_from_the_line_start():
+    # the token starts at column 10 of its line, left side included
+    with pytest.raises(ParseError) as exc:
+        parse_hom_text("hom 2 2 a a\na1 -> a2 a1^999999\na2 -> a2\n")
+    assert (exc.value.line, exc.value.column) == (2, 10)
+    assert "more than 100000 letters (line 2, column 10)" in str(exc.value)
+    # indentation counts as well, on either side of the arrow
+    with pytest.raises(ParseError) as exc:
+        parse_hom_text("hom 2 2 a a\n  a3 -> a1\na2 -> a2\n")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    with pytest.raises(ParseError) as exc:
+        parse_hom_text("hom 2 2 a a\na1 -> a1\n   a2 ->   a2 q\n")
+    assert (exc.value.line, exc.value.column) == (3, 15)
+
+
 def test_str_is_readable():
     h = FreeHom(A, B, (wb("b1"), wb("b2^-1")))
     assert str(h) == "[a1 -> b1, a2 -> b2^-1]"

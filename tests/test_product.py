@@ -255,6 +255,29 @@ def test_parse_rejects_malformed_input(bad):
         parse_endo_text(bad)
 
 
+def test_parse_error_columns_count_from_the_line_start():
+    # a bad token in the second word of an image, on an indented line
+    text = (
+        "endo 2 2\n"
+        "a1 -> ( a1 , 1 )\n"
+        "   a2 ->  ( a2 a1 ,b2 b1 b7 )\n"
+        "b1 -> ( 1 , b1 )\n"
+        "b2 -> ( 1 , b2 )\n"
+    )
+    line = text.splitlines()[2]
+    with pytest.raises(ParseError) as exc:
+        parse_endo_text(text)
+    assert (exc.value.line, exc.value.column) == (3, line.index("b7") + 1)
+    assert exc.value.column == 26
+    # the first word and the left side count from the line start too
+    with pytest.raises(ParseError) as exc:
+        parse_endo_text(text.replace("a2 a1 ,", "a2 x1 ,"))
+    assert exc.value.column == line.index("a1 ,") + 1
+    with pytest.raises(ParseError) as exc:
+        parse_endo_text(text.replace("   a2 ->", "   a9 ->"))
+    assert exc.value.column == 4
+
+
 def test_parse_surfaces_commutation_violations():
     text = (
         "endo 2 2\n"

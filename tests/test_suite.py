@@ -1,5 +1,9 @@
 """Presentations, the Mihailova embedding, and the equalizer reductions."""
 
+from functools import reduce
+from itertools import islice
+from operator import mul
+
 import pytest
 
 from fixfnm import (
@@ -10,9 +14,11 @@ from fixfnm import (
     Presentation,
     ProductElement,
     Word,
+    ball_size,
     bounded_equalizer,
     common_fixed_points,
     embed_equalizer,
+    enumerate_ball,
     fixed_points,
     mihailova_generators,
     mihailova_instance,
@@ -20,6 +26,7 @@ from fixfnm import (
     parse_word,
     reduce_pair_to_equalizer,
 )
+from fixfnm.suite import ball_products
 
 A = Alphabet(2, "a")
 B = Alphabet(2, "b")
@@ -105,6 +112,23 @@ def test_mihailova_instance_without_torsion():
     pres = parse_presentation_text("x1 x2 |")
     inst = mihailova_instance(pres, wx("x1"))
     assert inst.search_witness(budget=4) is None
+
+
+def test_ball_products_match_products_from_scratch():
+    # each product extends its prefix's by one factor; the order and the
+    # values are those of multiplying every expression out on its own
+    pres = parse_presentation_text("x1 x2 | x1^2 x2^-1 x1 x2")
+    gens = mihailova_generators(pres)
+    assert len(gens) == 3
+    helper = Alphabet(3, "x")
+    expressions = list(islice(enumerate_ball(helper, 8), 1, 2001))
+    expected = [
+        reduce(mul, (gens[s - 1] if s > 0 else gens[-s - 1].inverse() for s in e.letters))
+        for e in expressions
+    ]
+    assert list(islice(ball_products(gens, 8), 2000)) == expected
+    assert len(list(ball_products(gens, 2))) == ball_size(3, 2) - 1
+    assert list(ball_products(gens, 0)) == []
 
 
 def test_mihailova_instance_takes_the_root():

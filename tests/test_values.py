@@ -1,0 +1,197 @@
+"""Value semantics of the immutable record classes.
+
+Every record class compares and hashes by its fields, refuses assignment
+and deletion, takes its fields as positional or keyword arguments in slot
+order, and survives copying and pickling.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from fixfnm import (
+    Alphabet,
+    BallSpec,
+    CuratedCase,
+    DeclaredEndo,
+    EqualizerReduction,
+    ExponentGraph,
+    FactorProduct,
+    FactorSubgroup,
+    FreeHom,
+    HomGraph,
+    IntLattice2,
+    MihailovaInstance,
+    PairedPowers,
+    PowerCylinder,
+    Presentation,
+    ProductElement,
+    ProductEndo,
+    Root,
+    SubgroupGraph,
+    TrivialFix,
+    TypeI,
+    TypeII,
+    TypeIII,
+    TypeIV,
+    TypeV,
+    TypeVI,
+    TypeVII,
+    Verdict,
+    Word,
+    embed_equalizer,
+    from_generators,
+    identity_endo,
+    identity_hom,
+    inner_hom,
+    mihailova_instance,
+    parse_presentation_text,
+    parse_word,
+    reduce_pair_to_equalizer,
+)
+
+A = Alphabet(2, "a")
+B = Alphabet(2, "b")
+X = Alphabet(2, "x")
+A1, A2 = Word(A, (1,)), Word(A, (2,))
+B1 = Word(B, (1,))
+RELAB_BA = FreeHom(B, A, (A1, A2))
+RELAB_AB = FreeHom(A, B, (B1, Word(B, (2,))))
+
+
+def _graph_a():
+    return from_generators([A1])
+
+
+def _graph_b():
+    return from_generators([B1])
+
+
+# one factory per record class; each call makes a fresh, equal object
+FACTORIES = {
+    Alphabet: lambda: Alphabet(2, "a"),
+    Word: lambda: Word(A, (1, 2, -1)),
+    Root: lambda: Root(Word(A, (1,)), 3),
+    IntLattice2: lambda: IntLattice2(((1, 0), (0, 2))),
+    FreeHom: lambda: FreeHom(A, A, (A2, A1)),
+    SubgroupGraph: _graph_a,
+    ProductElement: lambda: ProductElement(A1, B1),
+    ProductEndo: lambda: identity_endo(2, 2),
+    TypeI: lambda: TypeI(A1, B1, (2, 0), (-1, 0), (1, 0), (0, 0)),
+    TypeII: lambda: TypeII(RELAB_BA, B1, (1, 0), (0, 1)),
+    TypeIII: lambda: TypeIII(A1, (2, 0), (1, 0), inner_hom(B1)),
+    TypeIV: lambda: TypeIV(RELAB_BA, inner_hom(B1)),
+    TypeV: lambda: TypeV(B1, (1, 0), (1, 0), 2),
+    TypeVI: lambda: TypeVI(identity_hom(A), identity_hom(B)),
+    TypeVII: lambda: TypeVII(RELAB_BA, RELAB_AB),
+    DeclaredEndo: lambda: DeclaredEndo(identity_hom(A), (A1, A2)),
+    TrivialFix: lambda: TrivialFix(A, B),
+    FactorSubgroup: lambda: FactorSubgroup(_graph_a(), "first", B),
+    FactorProduct: lambda: FactorProduct(_graph_a(), _graph_b()),
+    PairedPowers: lambda: PairedPowers(A1, B1, IntLattice2.full()),
+    HomGraph: lambda: HomGraph(_graph_b(), RELAB_BA, "first_from_second"),
+    PowerCylinder: lambda: PowerCylinder(A1, (1, 0), _graph_b()),
+    ExponentGraph: lambda: ExponentGraph(A1, (1, 0), 2, _graph_b()),
+    Verdict: lambda: Verdict(False, ProductElement(A1, B1), ("1.8",)),
+    BallSpec: lambda: BallSpec(4),
+    Presentation: lambda: parse_presentation_text("x1 x2 | x1^2"),
+    MihailovaInstance: lambda: mihailova_instance(
+        parse_presentation_text("x1 x2 | x1^2"), parse_word("x1", X)
+    ),
+    EqualizerReduction: lambda: reduce_pair_to_equalizer(
+        *embed_equalizer(RELAB_BA, FreeHom(B, A, (A2, A1)))
+    ),
+    CuratedCase: lambda: CuratedCase(
+        "1.7", "a name", identity_endo(2, 2), identity_endo(2, 2), False
+    ),
+}
+RECORDS = sorted(FACTORIES, key=lambda cls: cls.__name__)
+
+
+def _fields(cls):
+    return [name for name in cls.__slots__ if name != "__dict__"]
+
+
+def test_every_record_class_is_covered():
+    assert len(RECORDS) == 29
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_equal_fields_give_equal_objects(cls):
+    a, b = FACTORIES[cls](), FACTORIES[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != tuple(getattr(a, name) for name in _fields(cls))
+    assert repr(a).startswith(f"{cls.__name__}({_fields(cls)[0]}=")
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    a = FACTORIES[cls]()
+    before = [getattr(a, name) for name in _fields(cls)]
+    for name in _fields(cls):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert [getattr(a, name) for name in _fields(cls)] == before
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_fields_are_the_constructor_arguments(cls):
+    a = FACTORIES[cls]()
+    values = {name: getattr(a, name) for name in _fields(cls)}
+    assert cls(*values.values()) == a
+    assert cls(**values) == a
+    assert copy.copy(a) == a
+    assert copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_keyword_defaults():
+    assert Alphabet(2) == Alphabet(rank=2, letter="a")
+    assert Word(A) == Word(alphabet=A, letters=())
+    assert BallSpec(4) == BallSpec(radius=4, cap=8)
+    h = identity_hom(A)
+    assert DeclaredEndo(h, (A1, A2)).audit_radius is None
+    assert DeclaredEndo(h, (A1, A2), audit_radius=4).audit_radius == 4
+    e = identity_endo(2, 2)
+    assert CuratedCase("1.7", "n", e, e, expected_trivial=False).declarations == ()
+
+
+def test_different_fields_or_classes_differ():
+    assert Word(A, (1,)) != Word(A, (2,))
+    assert Word(A, (1,)) != Word(Alphabet(3, "a"), (1,))
+    assert Alphabet(2, "a") != Alphabet(2, "b")
+    swap_a = FreeHom(A, A, (A2, A1))
+    assert TypeVI(identity_hom(A), identity_hom(B)) != TypeVI(swap_a, identity_hom(B))
+    # same field values, different classes
+    assert FactorProduct(_graph_a(), _graph_b()) != TypeVI(_graph_a(), _graph_b())
+
+
+def test_constructor_checks_still_run():
+    with pytest.raises(ValueError):
+        Alphabet(0)
+    with pytest.raises(ValueError):
+        Alphabet(2, "c")
+    with pytest.raises(ValueError):
+        Word(A, (3,))
+    with pytest.raises(ValueError):
+        Word(A, (1, -1))
+    with pytest.raises(ValueError):
+        FreeHom(A, A, (A1,))
+    with pytest.raises(ValueError):
+        ProductElement(B1, A1)
+    with pytest.raises(ValueError):
+        BallSpec(9)
+    with pytest.raises(ValueError):
+        ExponentGraph(A1, (1, 0), 0, _graph_b())
+    with pytest.raises(ValueError):
+        DeclaredEndo(FreeHom(A, A, (A2, A1)), (A1,))
+    with pytest.raises(ValueError):
+        Presentation(A, ())
