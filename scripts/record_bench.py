@@ -1,20 +1,35 @@
 #!/usr/bin/env python3
 """Record benchmark rows for a parent revision and for this checkout.
 
-    python3 scripts/record_bench.py --parent REV --out BENCH_<n>.json [--seed 1] [--seconds 30]
+    python3 scripts/record_bench.py --parent REV --out BENCH_<n>.json \
+        [--pairs 10] [--seed 1] [--seconds 30]
 
 The parent revision is exported with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
-included. For each of `decide-mix`, `subgroup-fold` and `cli-intersect`
-the two trees run `bench/run.py` once each, in alternation, and the
-end-to-end line of each run is kept. Each tree then runs
-`bench/reference.py` and its fold/express table is kept (best of 3 at
-402, 802 and 1602 wedge edges). Last comes an import block per tree: the
-median wall time of 7 fresh processes each for the bare interpreter,
-`import fixfnm`, `import fixfnm.cli` and `fixfnm intersect --json`, and
-the median `-X importtime` cumulative time of every fixfnm module that
-`intersect` loads. Everything is written to one JSON file, named relative
-to the repository root, with the host it was measured on.
+included. Every measurement below is made in pairs, one run per tree, and
+the side that runs first alternates from pair to pair, so drift of the
+host hits both trees alike. Pair k uses seed `--seed` + k on both sides.
+
+  - End to end: for each of `decide-mix`, `subgroup-fold` and
+    `cli-intersect`, `--pairs` pairs of `bench/run.py --trace 0` runs.
+    Every run is kept; each side gets the median and quartiles of each
+    metric, and a comparison block counts the pairs the change wins
+    (ties count for neither) next to the parent's interquartile range.
+  - Per label: `--pairs` pairs of `bench/run.py --workload decide-mix
+    --trace 1` runs (fixed rounds; `--seconds` does not apply), keeping
+    the 16 `decision.label.*.p50_us` rows of each, with medians and
+    quartiles.
+  - Fold curve: `--pairs` pairs of `bench/reference.py` runs, keeping its
+    fold/express table (best of 3 at 402, 802 and 1602 wedge edges) and
+    the median per size.
+  - Tier-1: one timed run of the tier-1 suite per tree.
+  - Imports: per tree, the median wall time of 7 fresh processes each for
+    the bare interpreter, `import fixfnm`, `import fixfnm.cli` and
+    `fixfnm intersect --json`, and the median `-X importtime` cumulative
+    time of every fixfnm module that `intersect` loads.
+
+Everything is written to one JSON file, named relative to the repository
+root, with the host it was measured on.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("decide-mix", "subgroup-fold", "cli-intersect")
 IMPORT_RUNS = 7
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")  # ROADMAP's tier-1 command
 INTERSECT = (
     "-m", "fixfnm", "intersect", "scripts/data/diag.endo", "scripts/data/swap.endo", "--json"
 )
@@ -59,12 +75,18 @@ def export(rev: str, into: Path) -> None:
     archive.unlink()
 
 
-def end_to_end(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last line of one `bench/run.py --trace 0` run, parsed."""
+def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The last line of one `bench/run.py` run, parsed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def label_rows(tree: Path, seed: int) -> dict[str, float]:
+    """The `decision.label.*` rows of one traced `decide-mix` run."""
+    metrics = bench_run(tree, "decide-mix", seed, 0, trace=1)["metrics"]
+    return {name: row["value"] for name, row in metrics.items() if name.startswith("decision.label.")}
 
 
 def fold_curve(tree: Path) -> list[dict]:
@@ -80,6 +102,23 @@ def fold_curve(tree: Path) -> list[dict]:
         edges, fold_ms, express_ms = line.split()
         rows.append({"edges": int(edges), "fold_ms": float(fold_ms), "express_ms": float(express_ms)})
     return rows
+
+
+def tier1(tree: Path) -> dict:
+    """Wall time and summary line of one run of the tier-1 suite."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    return {"wall_s": wall, "exit": proc.returncode, "summary": proc.stdout.strip().splitlines()[-1]}
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of the runs of one side."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def import_block(tree: Path) -> dict:
@@ -120,12 +159,17 @@ def import_block(tree: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0, help="length of each run")
+    parser.add_argument("--pairs", type=int, default=10, help="parent/change pairs per measurement")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=30.0, help="length of each end-to-end run")
     parser.add_argument("--out", required=True, help="output file, relative to the repository root")
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     parent_sha = git("rev-parse", args.parent).strip()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {metric["name"]: metric["better"] for metric in declared}
     report = {
         "host": {
             "machine": platform.machine(),
@@ -136,25 +180,81 @@ def main() -> int:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "recorded": time.strftime("%Y-%m-%d %H:%M UTC", time.gmtime()),
         },
-        "settings": {"seed": args.seed, "seconds": args.seconds, "workloads": list(WORKLOADS)},
-        "parent": {"rev": parent_sha, "end_to_end": {}},
+        "settings": {"pairs": args.pairs, "first_seed": args.seed, "seconds": args.seconds,
+                     "workloads": list(WORKLOADS)},
+        "parent": {"rev": parent_sha},
         "change": {
             "rev": git("rev-parse", "HEAD").strip(),
             "uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
-            "end_to_end": {},
         },
+        "comparison": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         export(parent_sha, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+
+        def in_turn(k: int):
+            """The two trees, the parent first in even pairs and last in odd ones."""
+            order = list(trees.items())
+            return order if k % 2 == 0 else order[::-1]
+
+        def pairs(what: str, measure) -> dict[str, list]:
+            runs: dict[str, list] = {"parent": [], "change": []}
+            for k in range(args.pairs):
+                for place, (side, tree) in enumerate(in_turn(k)):
+                    print(f"pair {k + 1}/{args.pairs} {side}: {what}", file=sys.stderr)
+                    row = measure(tree, args.seed + k)
+                    runs[side].append(dict(row, seed=args.seed + k, first=place == 0))
+            return runs
+
         for workload in WORKLOADS:
-            for side, tree in trees.items():
-                print(f"{side}: {workload}", file=sys.stderr)
-                report[side]["end_to_end"][workload] = end_to_end(tree, workload, args.seed, args.seconds)
-        for side, tree in trees.items():
-            print(f"{side}: bench/reference.py", file=sys.stderr)
-            report[side]["fold_curve"] = fold_curve(tree)
-        for side, tree in trees.items():
+            runs = pairs(workload, lambda tree, seed: bench_run(tree, workload, seed, args.seconds, 0))
+            values = {side: {name: [r["metrics"][name]["value"] for r in runs[side]] for name in better}
+                      for side in trees}
+            for side in trees:
+                report[side].setdefault("end_to_end", {})[workload] = {
+                    "runs": runs[side],
+                    "metrics": {name: spread(v) for name, v in values[side].items()},
+                }
+            report["comparison"][workload] = {}
+            for name, direction in better.items():
+                ours, theirs = values["change"][name], values["parent"][name]
+                sign = 1 if direction == "higher" else -1
+                base = spread(theirs)
+                report["comparison"][workload][name] = {
+                    "better": direction,
+                    "change_wins": sum(sign * (c - p) > 0 for c, p in zip(ours, theirs)),
+                    "parent_wins": sum(sign * (c - p) < 0 for c, p in zip(ours, theirs)),
+                    "parent_median": base["median"],
+                    "change_median": statistics.median(ours),
+                    "parent_iqr": base["q3"] - base["q1"],
+                }
+
+        runs = pairs("decide-mix per label", lambda tree, seed: {"p50_us": label_rows(tree, seed)})
+        for side in trees:
+            labels = runs[side][0]["p50_us"]
+            report[side]["decide_per_label"] = {
+                "runs": runs[side],
+                "p50_us": {name: spread([r["p50_us"][name] for r in runs[side]]) for name in labels},
+            }
+
+        runs = pairs("bench/reference.py", lambda tree, seed: {"rows": fold_curve(tree)})
+        for side in trees:
+            by_size: dict[int, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
+            for run in runs[side]:
+                for row in run["rows"]:
+                    by_size[row["edges"]]["fold_ms"].append(row["fold_ms"])
+                    by_size[row["edges"]]["express_ms"].append(row["express_ms"])
+            report[side]["fold_curve"] = {
+                "runs": [run["rows"] for run in runs[side]],
+                "median": [{"edges": edges, **{k: statistics.median(v) for k, v in cols.items()}}
+                           for edges, cols in sorted(by_size.items())],
+            }
+
+        for side, tree in in_turn(0):
+            print(f"{side}: tier-1", file=sys.stderr)
+            report[side]["tier1"] = tier1(tree)
+        for side, tree in in_turn(1):
             print(f"{side}: import block", file=sys.stderr)
             report[side]["imports"] = import_block(tree)
     out = ROOT / args.out

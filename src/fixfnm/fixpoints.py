@@ -160,12 +160,9 @@ class FixOracle:
             return trivial_subgroup(h.source)
         perm = h.as_permutation()
         if perm is not None:
-            fixed = [
-                g
-                for i, g in enumerate(h.source.generators(), start=1)
-                if perm[i - 1] == i
-            ]
-            return from_generators(fixed, h.source)
+            # one vertex, with a loop at each fixed generator
+            row = tuple(0 if p == i else -1 for i, p in enumerate(perm, start=1))
+            return SubgroupGraph(h.source, (row,))
         z = _detect_inner(h)
         if z is not None:
             if z.is_identity():

@@ -6,6 +6,8 @@ application order: `f.then(g)` maps w to g(f(w)).
 
 from __future__ import annotations
 
+from typing import Collection, Sequence
+
 from ._value import FrozenValue, set_field
 from .words import Alphabet, ParseError, Word, free_reduce, generator, parse_word, render_word
 
@@ -126,11 +128,33 @@ def parse_hom_text(text: str) -> FreeHom:
         if idx in images:
             raise ParseError(f"generator {gen_tok} listed twice", lineno)
         images[idx] = parse_word(rhs, target, line=lineno, offset=len(lhs) + 2)
-    missing = [i for i in range(1, src_rank + 1) if i not in images]
-    if missing:
-        names = ", ".join(f"{source.letter}{i}" for i in missing)
-        raise ParseError(f"missing image for {names}")
+    check_images_complete([(source.letter, src_rank, images.keys())])
     return FreeHom(source, target, tuple(images[i] for i in range(1, src_rank + 1)))
+
+
+MISSING_NAMED = 5  # a missing-image error names at most this many generators
+
+
+def check_images_complete(sides: Sequence[tuple[str, int, Collection[int]]]) -> None:
+    """Raise ParseError naming the generators that got no image line.
+
+    ``sides`` holds (letter, rank, indices given) per alphabet, the indices
+    within 1..rank. The first MISSING_NAMED missing generators are named and
+    the rest counted, so the work is bounded by the lines given, not by the
+    rank in the header.
+    """
+    named: list[str] = []
+    missing = 0
+    for letter, rank, given in sides:
+        missing += rank - len(given)
+        i = 1
+        while len(named) < MISSING_NAMED and i <= rank:
+            if i not in given:
+                named.append(f"{letter}{i}")
+            i += 1
+    if missing:
+        more = f" and {missing - len(named)} more" if missing > len(named) else ""
+        raise ParseError(f"missing image for {', '.join(named)}{more}")
 
 
 def render_hom_text(h: FreeHom) -> str:

@@ -21,13 +21,12 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from ._value import FrozenValue, set_field
-from .homs import FreeHom, identity_hom, trivial_hom
+from .homs import FreeHom, check_images_complete, identity_hom, trivial_hom
 from .lattices import IntLattice2, kernel_basis
 from .words import (
     Alphabet,
     ParseError,
     Word,
-    exponent_of_power,
     parse_word,
     render_word,
     root,
@@ -421,20 +420,28 @@ EndoType = Union[TypeI, TypeII, TypeIII, TypeIV, TypeV, TypeVI, TypeVII]
 def _power_family(blocks: Sequence[Word]) -> tuple[Word, list[int]] | None:
     """Common primitive root (sign-normalized) and exponents, if one exists.
 
-    The exponent of a trivial word is 0. Returns None when some word is not
-    a power of the seed's primitive root.
+    The exponent of a trivial word is 0. Each nontrivial block is rooted
+    once: rho is the sign-normalized root of the first, and a block is a
+    power of rho iff its root is rho or rho^-1, since roots are unique.
+    Returns None when some word is not such a power, or all are trivial.
     """
-    seed = next((w for w in blocks if not w.is_identity()), None)
-    if seed is None:
-        return None
-    rho = sign_normalized(root(seed).base)
+    rho = rho_inverse = None
     exps: list[int] = []
     for w in blocks:
-        k = exponent_of_power(w, rho)
-        if k is None:
+        if w.is_identity():
+            exps.append(0)
+            continue
+        r = root(w)
+        if rho is None:
+            rho = sign_normalized(r.base)
+            rho_inverse = rho.inverse()
+        if r.base == rho:
+            exps.append(r.exponent)
+        elif r.base == rho_inverse:
+            exps.append(-r.exponent)
+        else:
             return None
-        exps.append(k)
-    return rho, exps
+    return None if rho is None else (rho, exps)
 
 
 def classify(e: ProductEndo) -> EndoType:
@@ -556,14 +563,12 @@ def parse_endo_text(text: str) -> ProductEndo:
         second_images[key] = parse_word(
             second_text, b, line=lineno, offset=start + len(first_text) + 1
         )
-    missing = [
-        f"{side}{i}"
-        for side, rank in (("a", n), ("b", m))
-        for i in range(1, rank + 1)
-        if (side, i) not in first_images
-    ]
-    if missing:
-        raise ParseError(f"missing image for {', '.join(missing)}")
+    check_images_complete(
+        [
+            (side, rank, {i for s, i in first_images if s == side})
+            for side, rank in (("a", n), ("b", m))
+        ]
+    )
     return ProductEndo(
         FreeHom(a, a, tuple(first_images[("a", i)] for i in range(1, n + 1))),
         FreeHom(b, a, tuple(first_images[("b", j)] for j in range(1, m + 1))),

@@ -397,11 +397,11 @@ def from_generators(gens: Sequence[Word], alphabet: Alphabet | None = None) -> S
 
 
 def trivial_subgroup(alphabet: Alphabet) -> SubgroupGraph:
-    return from_generators((), alphabet)
+    return SubgroupGraph(alphabet, ((-1,) * alphabet.rank,))
 
 
 def whole_group(alphabet: Alphabet) -> SubgroupGraph:
-    return from_generators(alphabet.generators())
+    return SubgroupGraph(alphabet, ((0,) * alphabet.rank,))
 
 
 def image(graph: SubgroupGraph, h: FreeHom) -> SubgroupGraph:

@@ -16,6 +16,8 @@ curated_cases() returns hand-built instances hitting every branch label
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -73,32 +75,41 @@ class Presentation(FrozenValue):
 
 
 def parse_presentation_text(text: str) -> Presentation:
-    """Parse `x1 x2 | r1, r2` (relators comma-separated, # comments)."""
-    body = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            body.append(stripped)
-    joined = " ".join(body)
-    if not joined:
+    """Parse `x1 x2 | r1, r2` (relators comma-separated, # comments).
+
+    The text may spread over lines, and a relator may run across a line
+    break. ParseError positions name the line and the column in the file.
+    """
+    # cutting each comment keeps every other character at its line and column
+    body = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
+    breaks = [m.start() for m in re.finditer("\n", body)]
+
+    def where(i: int) -> tuple[int, int]:
+        """(line, column) of body[i], both 1-based."""
+        k = bisect_left(breaks, i)
+        return k + 1, i - (breaks[k - 1] if k else -1)
+
+    if not body.strip():
         raise ParseError("empty presentation")
-    left, _, right = joined.partition("|")
+    left, _, right = body.partition("|")
+    start = len(left) + 1  # where ``right`` begins in ``body``
     if "|" in right:
-        raise ParseError("more than one `|` in presentation")
-    names = left.split()
+        raise ParseError("more than one `|` in presentation", *where(start + right.index("|")))
+    names = list(re.finditer(r"\S+", left))
     if not names:
         raise ParseError("presentation has no generators")
     alphabet = Alphabet(len(names), "x")
-    for i, tok in enumerate(names, start=1):
-        if tok != f"x{i}":
+    for i, m in enumerate(names, start=1):
+        if m.group(0) != f"x{i}":
             raise ParseError(
-                f"generators must be x1..x{len(names)} in order, got {tok!r}"
+                f"generators must be x1..x{len(names)} in order, got {m.group(0)!r}",
+                *where(m.start()),
             )
     relators = []
-    for chunk in right.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            relators.append(parse_word(chunk, alphabet))
+    for m in re.finditer("[^,]+", right):
+        if m.group(0).strip():
+            line, column = where(start + m.start())
+            relators.append(parse_word(m.group(0), alphabet, line=line, offset=column - 1))
     return Presentation(alphabet, tuple(relators))
 
 

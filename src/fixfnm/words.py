@@ -166,11 +166,17 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     Returns (core, conj).
     """
     ls = w.letters
+    c = _conjugator_length(ls)
+    return Word._unchecked(w.alphabet, ls[c : len(ls) - c]), Word._unchecked(w.alphabet, ls[:c])
+
+
+def _conjugator_length(ls: tuple[int, ...]) -> int:
+    """The length of conj in cyclic_reduce, for the letters of a reduced word."""
     i, j = 0, len(ls)
     while j - i >= 2 and ls[i] == -ls[j - 1]:
         i += 1
         j -= 1
-    return Word._unchecked(w.alphabet, ls[i:j]), Word._unchecked(w.alphabet, ls[:i])
+    return i
 
 
 class Root(FrozenValue):
@@ -188,18 +194,24 @@ def root(w: Word) -> Root:
 
     The primitive root of a nontrivial element is unique (not merely unique
     up to inversion), so this is a canonical form.
+
+    Method: split w = c core c^-1 with core cyclically reduced, of length n.
+    A divisor p of n is a period of core iff core[p:] == core[:n-p]; the
+    smallest such p gives base c core[:p] c^-1 and exponent n/p. Those
+    letters are w's first |c| + p and last |c|, freely reduced because w is
+    (core[p-1] == core[n-1]). Cost: one slice comparison, O(n), per divisor
+    tried, so O(n d(n)) with d(n) the number of divisors of n, and one tuple
+    for the base; no word is built on the way.
     """
     if w.is_identity():
         return Root(w, 0)
-    core, conj = cyclic_reduce(w)
+    ls = w.letters
+    c = _conjugator_length(ls)
+    core = ls[c : len(ls) - c]
     n = len(core)
     for p in range(1, n + 1):
-        if n % p:
-            continue
-        seed = core.letters[:p]
-        if seed * (n // p) == core.letters:
-            base = Word(w.alphabet, seed).conjugated_by(conj)
-            return Root(base, n // p)
+        if n % p == 0 and core[p:] == core[: n - p]:
+            return Root(Word._unchecked(w.alphabet, ls[: c + p] + ls[c + n :]), n // p)
     raise AssertionError("unreachable: full length always a period")
 
 
@@ -326,37 +338,43 @@ def parse_word(
 
     The letter count is checked before anything is expanded: a word of
     more than MAX_WORD_LETTERS letters raises ParseError at the token that
-    crosses the cap. ``offset`` is the number of characters before ``text``
-    on its line, so that ParseError columns count from the line's start.
+    crosses the cap. ``line`` is the line ``text`` starts on and ``offset``
+    the number of characters before it there, so that ParseError positions
+    count from the line's start. ``text`` may run over several lines; the
+    positions of tokens on later lines count from those lines' starts.
     """
-    tokens = [(m.group(0), m.start() + 1 + offset) for m in re.finditer(r"\S+", text)]
+    tokens = [
+        (m.group(0), None if line is None else line + i, m.start() + 1 + (0 if i else offset))
+        for i, part in enumerate(text.split("\n"))
+        for m in re.finditer(r"\S+", part)
+    ]
     if not tokens:
         raise ParseError("empty word (use `1` for the identity)", line)
-    if any(tok == "1" for tok, _ in tokens):
+    if any(tok == "1" for tok, _, _ in tokens):
         if len(tokens) > 1:
-            _, col = next((t, c) for t, c in tokens if t == "1")
-            raise ParseError("`1` must stand alone", line, col)
+            _, ln, col = next(t for t in tokens if t[0] == "1")
+            raise ParseError("`1` must stand alone", ln, col)
         return Word(alphabet)
     powers: list[tuple[int, int]] = []
     total = 0
-    for tok, col in tokens:
+    for tok, ln, col in tokens:
         m = _TOKEN_RE.match(tok)
         if not m:
-            raise ParseError(f"bad token {tok!r}", line, col)
+            raise ParseError(f"bad token {tok!r}", ln, col)
         if m.group("letter") != alphabet.letter:
             raise ParseError(
-                f"letter {m.group('letter')!r} does not belong to {alphabet}", line, col
+                f"letter {m.group('letter')!r} does not belong to {alphabet}", ln, col
             )
         index = _bounded_int(m.group("index"), alphabet.rank)
         if not 1 <= index <= alphabet.rank:
             raise ParseError(
-                f"index {m.group('index')} out of range 1..{alphabet.rank}", line, col
+                f"index {m.group('index')} out of range 1..{alphabet.rank}", ln, col
             )
         exp = m.group("exp") or "1"
         count = _bounded_int(exp, MAX_WORD_LETTERS)
         total += count
         if total > MAX_WORD_LETTERS:
-            raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters", line, col)
+            raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters", ln, col)
         powers.append((index if exp[0] != "-" else -index, count))
     letters: list[int] = []
     for letter, count in powers:

@@ -120,6 +120,29 @@ def test_declaration_errors_name_line_and_column(tmp_path, capsys):
     assert "bad token 'zz' (line 2, column 7)" in capsys.readouterr().err
 
 
+def test_presentation_errors_name_line_and_column(tmp_path, capsys):
+    pres = _write(tmp_path, "bad.pres", "x1 x2 |\n  x1^2, x2 q\n")
+    assert main(["mihailova", pres, "x1"]) == 2
+    assert "bad token 'q' (line 2, column 12)" in capsys.readouterr().err
+
+
+def test_huge_header_ranks_fail_fast(tmp_path, capsys):
+    # the missing-image error names a few generators and counts the rest
+    endo = _write(tmp_path, "big.endo", "endo 1000000000 2\na1 -> ( a1 , 1 )\n")
+    hom = _write(tmp_path, "big.hom", "hom 1000000000 2 a a\na1 -> a1\n")
+    cases = [
+        (["classify", endo], "a2, a3, a4, a5, a6 and 999999996 more"),  # b1, b2 as well
+        (["eq", hom, hom], "a2, a3, a4, a5, a6 and 999999994 more"),
+    ]
+    for args, named in cases:
+        started = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert f"missing image for {named}" in err
+
+
 def test_intersect_nontrivial(diag, swap, capsys):
     assert main(["intersect", diag, swap]) == 1
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Fixed-subgroup machinery: the free-factor oracle and the descriptors."""
 
+import itertools
+
 import pytest
 
 from fixfnm import (
@@ -81,6 +83,16 @@ def test_basis_permutation_support():
     # conjugation by a1 fixes a1 but moves a2: an inner map, not a permutation
     assert inner_hom(wa("a1")).as_permutation() is None
     assert oracle.fix(inner_hom(wa("a1"))) == from_generators([wa("a1")])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_recognized_permutations_match_folding(rank):
+    alph = Alphabet(rank, "a")
+    gens = alph.generators()
+    for perm in itertools.permutations(range(1, rank + 1)):
+        fixed = [g for i, g in enumerate(gens, start=1) if perm[i - 1] == i]
+        found = FixOracle().fix(permutation_hom(alph, perm))
+        assert found == from_generators(fixed, alph)
 
 
 def test_declared_endo_support():

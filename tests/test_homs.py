@@ -156,6 +156,15 @@ def test_parse_error_columns_count_from_the_line_start():
     assert (exc.value.line, exc.value.column) == (3, 15)
 
 
+def test_missing_images_name_a_few_and_count_the_rest():
+    with pytest.raises(ParseError, match="^missing image for a2, a4$"):
+        parse_hom_text("hom 4 2 a a\na3 -> a1\na1 -> a2\n")
+    # the header rank is never walked: a billion missing generators cost nothing
+    with pytest.raises(ParseError) as exc:
+        parse_hom_text("hom 1000000000 2 a a\na2 -> a1\n")
+    assert str(exc.value) == "missing image for a1, a3, a4, a5, a6 and 999999994 more"
+
+
 def test_str_is_readable():
     h = FreeHom(A, B, (wb("b1"), wb("b2^-1")))
     assert str(h) == "[a1 -> b1, a2 -> b2^-1]"

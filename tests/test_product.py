@@ -144,10 +144,21 @@ def test_type_i_exponent_matrix():
     assert e.second_from_first.apply(wa("a1")) == wb("b1^3")
 
 
+U = parse_word("a2 a1 a2^-1", A)  # primitive, sign-normalized, conjugated
+V = parse_word("b1 b2^-1", B)
+
+
 @pytest.mark.parametrize(
     "payload",
     [
         TypeI(wa("a1 a2"), wb("b1"), (1, 2), (0, 1), (1, 0), (2, 0)),
+        # blocks mixing powers of the base and of its inverse with trivial
+        # blocks; the first nontrivial block is a negative power
+        TypeI(U, V, (-2, 0), (0, 3), (0, -1), (2, 0)),
+        TypeI(U, V, (0, 1), (-1, -3), (4, 0), (0, -2)),
+        TypeII(FreeHom(B, A, (wa("a1"), wa("a2"))), V, (0, -1), (-3, 2)),
+        TypeIII(U, (-1, 0), (0, 2), inner_hom(wb("b1"))),
+        TypeV(V, (0, -3), (1, 0), 2),
         TypeII(FreeHom(B, A, (wa("a1"), wa("a2 a1"))), wb("b2"), (1, 1), (0, 2)),
         TypeIII(wa("a2"), (2, 1), (1, 0), inner_hom(wb("b1"))),
         TypeIII(wa("a2"), (1, 2), (1, 0), inner_hom(wb("b1"))),
@@ -203,7 +214,7 @@ def test_unclassifiable_power_first_collapsed_second():
         trivial_hom(A, B),
         trivial_hom(B, B),
     )
-    with pytest.raises(UnclassifiableEndo):
+    with pytest.raises(UnclassifiableEndo, match="^first coordinate is a power family fed"):
         classify(e)
 
 
@@ -215,7 +226,9 @@ def test_unclassifiable_unconstrained_first_coordinate():
         FreeHom(A, B, (wb("b1"), wb("b1"))),
         trivial_hom(B, B),
     )
-    with pytest.raises(UnclassifiableEndo):
+    with pytest.raises(
+        UnclassifiableEndo, match="^first-coordinate blocks are not powers of a common word$"
+    ):
         classify(e)
 
 
@@ -276,6 +289,14 @@ def test_parse_error_columns_count_from_the_line_start():
     with pytest.raises(ParseError) as exc:
         parse_endo_text(text.replace("   a2 ->", "   a9 ->"))
     assert exc.value.column == 4
+
+
+def test_missing_images_name_a_few_and_count_the_rest():
+    with pytest.raises(ParseError, match="^missing image for a2, b1, b3$"):
+        parse_endo_text("endo 2 3\na1 -> ( a1 , 1 )\nb2 -> ( 1 , b2 )\n")
+    with pytest.raises(ParseError) as exc:
+        parse_endo_text("endo 3 1000000000\na1 -> ( a1 , 1 )\nb1 -> ( 1 , b1 )\n")
+    assert str(exc.value) == "missing image for a2, a3, b2, b3, b4 and 999999996 more"
 
 
 def test_parse_surfaces_commutation_violations():

@@ -48,6 +48,13 @@ def test_trivial_and_whole():
         assert full.contains(w)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_one_vertex_graphs_match_folding(rank):
+    alph = Alphabet(rank, "a")
+    assert whole_group(alph) == from_generators(alph.generators())
+    assert trivial_subgroup(alph) == from_generators((), alph)
+
+
 def test_generators_that_cancel_into_nothing():
     g = from_generators([wa("a1 a2"), wa("a2^-1 a1^-1")])
     assert g.rank == 1

@@ -57,6 +57,27 @@ def test_presentation_parsing():
     commented = parse_presentation_text("# torus\nx1 x2 |\n x1 x2 x1^-1 x2^-1")
     assert len(commented.relators) == 1
 
+    # a relator may run across a line break, and a comment may end a line
+    spread = parse_presentation_text("x1 x2 | x1^2, x1 # first half\n  x2 x1^-1 x2^-1\n")
+    assert spread.relators == (wx("x1^2"), wx("x1 x2 x1^-1 x2^-1"))
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("x1 x2 |\n  x1^2, x2 q", 2, 12),
+        ("# c\nx1 x2 | x1^2, # note\n x2\n x1 , x2 | x1", 4, 10),
+        ("x1 x3 |", 1, 4),
+        ("x1 x2 | x1 x2\n  x1 1", 2, 6),
+        ("x1 x2 | x1, x2\n\n   x1^999999", 3, 4),
+    ],
+)
+def test_presentation_parse_errors_name_line_and_column(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation_text(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value).endswith(f"(line {line}, column {column})")
+
 
 @pytest.mark.parametrize(
     "bad",

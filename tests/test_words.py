@@ -108,6 +108,40 @@ def test_root_reconstructs(xs, k):
         assert r.exponent == k * root(w).exponent
 
 
+def _reference_root(w):
+    """Divisor by divisor: the shortest prefix of the core whose power spells it."""
+    from fixfnm import Root
+
+    if w.is_identity():
+        return Root(w, 0)
+    core, conj = cyclic_reduce(w)
+    n = len(core)
+    for p in range(1, n + 1):
+        seed = core.letters[:p]
+        if n % p == 0 and seed * (n // p) == core.letters:
+            return Root(Word(w.alphabet, seed).conjugated_by(conj), n // p)
+
+
+def _is_proper_power(w):
+    core = cyclic_reduce(w)[0].letters
+    n = len(core)
+    return any(n % p == 0 and core[:p] * (n // p) == core for p in range(1, n))
+
+
+@given(letters, letters, st.integers(1, 5), st.booleans())
+def test_root_matches_the_divisor_by_divisor_reference(cs, us, k, invert):
+    c, u = word(A, cs), word(A, us)
+    w = (u**k).conjugated_by(c)
+    if invert:
+        w = w.inverse()
+    r = root(w)
+    assert r == _reference_root(w)
+    assert Word(A, r.base.letters) == r.base  # validated: reduced, in range
+    assert r.base**r.exponent == w
+    if not w.is_identity():
+        assert not r.base.is_identity() and not _is_proper_power(r.base)
+
+
 def test_exponent_of_power():
     u = wparse("a1 a2")
     assert exponent_of_power(u**5, u) == 5
