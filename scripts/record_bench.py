@@ -2,24 +2,25 @@
 """Record benchmark rows for a parent revision and for this checkout.
 
     python3 scripts/record_bench.py --parent REV --out BENCH_<n>.json \
-        [--pairs 10] [--seed 1] [--seconds 30]
+        [--seed 1] [--seconds 30]
 
 The parent revision is exported with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
-included. Every measurement below is made in pairs, one run per tree, and
-the side that runs first alternates from pair to pair, so drift of the
-host hits both trees alike. Pair k uses seed `--seed` + k on both sides.
+included. Every measurement below is made in PAIRS (10) pairs, one run per
+tree, and the side that runs first alternates from pair to pair, so drift
+of the host hits both trees alike. Pair k uses seed `--seed` + k on both
+sides.
 
   - End to end: for each of `decide-mix`, `subgroup-fold` and
-    `cli-intersect`, `--pairs` pairs of `bench/run.py --trace 0` runs.
+    `cli-intersect`, PAIRS pairs of `bench/run.py --trace 0` runs.
     Every run is kept; each side gets the median and quartiles of each
     metric, and a comparison block counts the pairs the change wins
     (ties count for neither) next to the parent's interquartile range.
-  - Per label: `--pairs` pairs of `bench/run.py --workload decide-mix
+  - Per label: PAIRS pairs of `bench/run.py --workload decide-mix
     --trace 1` runs (fixed rounds; `--seconds` does not apply), keeping
     the 16 `decision.label.*.p50_us` rows of each, with medians and
     quartiles.
-  - Fold curve: `--pairs` pairs of `bench/reference.py` runs, keeping its
+  - Fold curve: PAIRS pairs of `bench/reference.py` runs, keeping its
     fold/express table (best of 3 at 402, 802 and 1602 wedge edges) and
     the median per size.
   - Tier-1: one timed run of the tier-1 suite per tree.
@@ -50,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("decide-mix", "subgroup-fold", "cli-intersect")
 IMPORT_RUNS = 7
+PAIRS = 10  # the fewest pairs a 9-in-10 win count can be read from
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")  # ROADMAP's tier-1 command
 INTERSECT = (
     "-m", "fixfnm", "intersect", "scripts/data/diag.endo", "scripts/data/swap.endo", "--json"
@@ -115,8 +117,6 @@ def tier1(tree: Path) -> dict:
 
 def spread(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of the runs of one side."""
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -159,13 +159,10 @@ def import_block(tree: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10, help="parent/change pairs per measurement")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=30.0, help="length of each end-to-end run")
     parser.add_argument("--out", required=True, help="output file, relative to the repository root")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     parent_sha = git("rev-parse", args.parent).strip()
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -180,7 +177,7 @@ def main() -> int:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "recorded": time.strftime("%Y-%m-%d %H:%M UTC", time.gmtime()),
         },
-        "settings": {"pairs": args.pairs, "first_seed": args.seed, "seconds": args.seconds,
+        "settings": {"pairs": PAIRS, "first_seed": args.seed, "seconds": args.seconds,
                      "workloads": list(WORKLOADS)},
         "parent": {"rev": parent_sha},
         "change": {
@@ -200,9 +197,9 @@ def main() -> int:
 
         def pairs(what: str, measure) -> dict[str, list]:
             runs: dict[str, list] = {"parent": [], "change": []}
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 for place, (side, tree) in enumerate(in_turn(k)):
-                    print(f"pair {k + 1}/{args.pairs} {side}: {what}", file=sys.stderr)
+                    print(f"pair {k + 1}/{PAIRS} {side}: {what}", file=sys.stderr)
                     row = measure(tree, args.seed + k)
                     runs[side].append(dict(row, seed=args.seed + k, first=place == 0))
             return runs
