@@ -15,7 +15,6 @@ from .fixpoints import (
     DeclaredEndo,
     ExponentGraph,
     FactorProduct,
-    FactorSubgroup,
     FixDescriptor,
     FixOracle,
     HomGraph,

@@ -20,7 +20,7 @@ from .decision import UnsupportedShape, decide
 from .fixpoints import DeclaredEndo, FixOracle, MissingOracle, fix_product
 from .homs import parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
-from .product import UnclassifiableEndo, classify, parse_endo_text
+from .product import UnclassifiableEndo, classify, identity_endo, parse_endo_text
 from .stallings import CertificateError
 from .words import ParseError, parse_word, render_word
 
@@ -124,10 +124,13 @@ def _cmd_fix(args: argparse.Namespace) -> int:
     endo = parse_endo_text(args.endo.read_text())
     oracle = FixOracle(_load_declarations(args.declare))
     shape = classify(endo)
-    descriptor = fix_product(endo, oracle, shape)
+    description = fix_product(endo, shape).describe(oracle)
     print(f"shape: {shape.label}")
-    print(descriptor.describe())
-    print("trivial:", "yes" if descriptor.is_trivial() else "no")
+    print(description)
+    # Fix(endo) is trivial iff it meets Fix(identity) = everything trivially
+    n, m = endo.first_alphabet.rank, endo.second_alphabet.rank
+    verdict = decide(identity_endo(n, m), endo, oracle)
+    print("trivial:", "yes" if verdict.trivial else "no")
     return 0
 
 
@@ -185,7 +188,7 @@ def _cmd_mihailova(args: argparse.Namespace) -> int:
         f"query: {render_word(query)} = core^{instance.power} with core "
         f"{render_word(instance.core)}"
     )
-    print(f"fixed subgroup: {instance.fix.describe()}")
+    print(f"fixed subgroup: {instance.fix.describe(FixOracle())}")
     print("subgroup generators:")
     for g in instance.subgroup_generators:
         print(f"  {g}")

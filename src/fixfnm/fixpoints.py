@@ -7,9 +7,13 @@ trivial, conjugations, basis permutations); anything else must be declared,
 and declarations are checked for soundness and optionally audited on a ball.
 
 For endomorphisms of the product the fixed subgroup is described
-structurally, one descriptor class per shape of answer. Every descriptor
-decides membership, decides triviality exactly, and produces a nontrivial
-witness when there is one.
+structurally, one descriptor class per shape of answer. A descriptor holds
+the words, weights and free-group homs of its formula, not subgroup graphs:
+it asks the oracle for the fixed subgroups of those homs only when a
+membership test, a description or a meet needs them. Every descriptor
+decides membership and meets itself exactly with the fixed subgroup of a
+diagonal (shape VI) or swapping (shape VII) endomorphism, returning a
+nontrivial common element or None; the decision engine is those two meets.
 """
 
 from __future__ import annotations
@@ -33,9 +37,13 @@ from .product import (
     classify,
 )
 from .stallings import (
+    CertificateError,
     SubgroupGraph,
     congruence_subgroup,
+    evaluate_expression,
+    express_in_generators,
     from_generators,
+    image,
     restricted_kernel_trivial,
     trivial_subgroup,
     whole_group,
@@ -43,10 +51,12 @@ from .stallings import (
 from .words import (
     Alphabet,
     Word,
+    cyclic_reduce,
     enumerate_ball,
     exponent_of_power,
     render_word,
     root,
+    solve_power_equation,
     weighted_sum,
 )
 
@@ -99,18 +109,16 @@ class MissingOracle(LookupError):
 
 def _detect_inner(h: FreeHom) -> Word | None:
     """The conjugator z with h = (x -> z x z^-1), if h is such a map."""
-    from .words import cyclic_reduce
-
     alph = h.source
     if alph.rank < 2:
         return None
-    first = alph.generators()[0]
-    core, conj = cyclic_reduce(h.apply(first))
+    gens = alph.generators()
+    first = gens[0]
+    core, conj = cyclic_reduce(h.images[0])
     if core != first:
         return None
     # h(a1) = c a1 c^-1 pins z down to c * a1^t; read t off h(a2).
-    second = alph.generators()[1]
-    probe = conj.inverse() * h.apply(second) * conj
+    probe = conj.inverse() * h.images[1] * conj
     run = 0
     if probe.letters and abs(probe.letters[0]) == 1:
         lead = probe.letters[0]
@@ -119,8 +127,8 @@ def _detect_inner(h: FreeHom) -> Word | None:
                 break
             run += 1 if lead == 1 else -1
     z = conj * (first ** run)
-    for g in alph.generators():
-        if h.apply(g) != g.conjugated_by(z):
+    for g, img in zip(gens, h.images):
+        if img != g.conjugated_by(z):
             return None
     return z
 
@@ -172,6 +180,89 @@ class FixOracle:
 
 
 # --- fixed subgroups of product endomorphisms -------------------------------
+#
+# Each descriptor meets itself with Fix(phi) for a diagonal phi (shape VI,
+# meet_diagonal, branches 1.x) or a swapping phi (shape VII, meet_swap,
+# branches 2.x), where phi's blocks are called to_first: F_m -> F_n and
+# to_second: F_n -> F_m.
+
+
+def _is_fixed(h: FreeHom, w: Word) -> bool:
+    return h.apply(w) == w
+
+
+def _pull_back(domain: SubgroupGraph, h: FreeHom, target: Word) -> Word:
+    """Some member of ``domain`` mapping onto ``target`` under ``h``.
+
+    ``target`` must lie in the image of the restriction; it is then
+    expressed over the images of the domain basis and the expression is
+    replayed over the basis itself.
+    """
+    gens = domain.basis()
+    expression = express_in_generators([h.apply(g) for g in gens], target)
+    if expression is None:
+        raise CertificateError(f"{target} is not in the image of the restriction")
+    out = evaluate_expression(gens, expression, domain.alphabet)
+    if h.apply(out) != target:
+        raise CertificateError(f"pulled-back {out} does not map onto {target}")
+    return out
+
+
+def _meet_through(
+    k: SubgroupGraph, h: FreeHom, fixed: SubgroupGraph
+) -> tuple[Word, Word] | None:
+    """Some x != 1 in ``k`` with h(x) in ``fixed``, as (x, h(x)), or None.
+
+    A nontrivial meet of h(k) with ``fixed`` is pulled back.  Otherwise
+    only the kernel of h on k is left.  If h keeps the rank of k it is
+    injective there (free groups are Hopfian).  If the rank drops, the
+    lifts of a basis of h(k) span less than k, so some basis word g of k
+    differs from the lift of h(g), and g times that lift's inverse is
+    killed by h (Stallings 1983; Kapovich-Myasnikov 2002).
+    """
+    img = image(k, h)
+    j = img.intersect(fixed)
+    if not j.is_trivial():
+        target = j.basis()[0]
+        return _pull_back(k, h, target), target
+    if img.rank == k.rank:
+        return None
+    lifts = [_pull_back(k, h, w) for w in img.basis()]
+    for g in k.basis():
+        expression = express_in_generators(img.basis(), h.apply(g))
+        y = g * evaluate_expression(lifts, expression, k.alphabet).inverse()
+        if not y.is_identity():
+            return y, h.apply(y)
+    raise CertificateError("fewer lifts than rank(k) cannot generate k")
+
+
+def _power_witness(u: Word, v: Word, exponents: IntLattice2) -> ProductElement | None:
+    """The first basis pair (p, q) of the lattice with (u^p, v^q) != 1."""
+    for p, q in exponents.basis:
+        g = ProductElement(u ** p, v ** q)
+        if not g.is_identity():
+            return g
+    return None
+
+
+def _power_meets_swap(
+    u: Word, weights: tuple[int, ...], drag: int, theta: FreeHom, vii: TypeVII
+) -> ProductElement | None:
+    """Branches 2.3 (drag != 0) and 2.4 (drag == 0) of a shape III map.
+
+    Its fixed points are (u^k, y) with y fixed by theta and w(y) = drag * k.
+    The swap fixes such a pair iff y = to_second(u)^k and u^k is fixed by
+    the round trip. For u^k != 1, unique roots turn that into: the round trip
+    fixes u, theta fixes to_second(u), and w(to_second(u)) = drag; then
+    k = 1 is a witness.
+    """
+    to_first, to_second = vii.first_from_second, vii.second_from_first
+    mapped = to_second.apply(u)
+    if u.is_identity() or not _is_fixed(to_second.then(to_first), u):
+        return None
+    if weighted_sum(mapped, weights) != drag or not _is_fixed(theta, mapped):
+        return None
+    return ProductElement(u, mapped)
 
 
 class TrivialFix(FrozenValue):
@@ -181,75 +272,52 @@ class TrivialFix(FrozenValue):
         set_field(self, "first_alphabet", first_alphabet)
         set_field(self, "second_alphabet", second_alphabet)
 
-    def contains(self, g: ProductElement) -> bool:
+    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
         return g.is_identity()
 
-    def is_trivial(self) -> bool:
-        return True
-
-    def nontrivial_witness(self) -> ProductElement | None:
+    def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
         return None
 
-    def describe(self) -> str:
+    def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
+        return None
+
+    def describe(self, oracle: FixOracle) -> str:
         return "trivial"
 
 
-class FactorSubgroup(FrozenValue):
-    """A subgroup of one factor, embedded with identity in the other."""
-
-    __slots__ = ("graph", "side", "other_alphabet")
-
-    def __init__(self, graph: SubgroupGraph, side: str, other_alphabet: Alphabet):
-        set_field(self, "graph", graph)
-        set_field(self, "side", side)  # "first" | "second"
-        set_field(self, "other_alphabet", other_alphabet)
-
-    def contains(self, g: ProductElement) -> bool:
-        if self.side == "first":
-            return g.second.is_identity() and self.graph.contains(g.first)
-        return g.first.is_identity() and self.graph.contains(g.second)
-
-    def is_trivial(self) -> bool:
-        return self.graph.is_trivial()
-
-    def nontrivial_witness(self) -> ProductElement | None:
-        if self.is_trivial():
-            return None
-        w = self.graph.basis()[0]
-        if self.side == "first":
-            return ProductElement(w, Word(self.other_alphabet))
-        return ProductElement(Word(self.other_alphabet), w)
-
-    def describe(self) -> str:
-        if self.side == "first":
-            return f"{self.graph} x 1"
-        return f"1 x {self.graph}"
-
-
 class FactorProduct(FrozenValue):
-    """A product of one subgroup per factor."""
+    """Fix(first) x Fix(second), for endomorphisms first and second of the factors."""
 
     __slots__ = ("first", "second")
 
-    def __init__(self, first: SubgroupGraph, second: SubgroupGraph):
+    def __init__(self, first: FreeHom, second: FreeHom):
         set_field(self, "first", first)
         set_field(self, "second", second)
 
-    def contains(self, g: ProductElement) -> bool:
-        return self.first.contains(g.first) and self.second.contains(g.second)
+    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
+        return oracle.fix(self.first).contains(g.first) and oracle.fix(self.second).contains(
+            g.second
+        )
 
-    def is_trivial(self) -> bool:
-        return self.first.is_trivial() and self.second.is_trivial()
+    def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
+        """Branch 1.7: the product of the two factorwise meets.
 
-    def nontrivial_witness(self) -> ProductElement | None:
-        if not self.first.is_trivial():
-            return ProductElement(self.first.basis()[0], Word(self.second.alphabet))
-        if not self.second.is_trivial():
-            return ProductElement(Word(self.first.alphabet), self.second.basis()[0])
+        The second factor is asked for only when the first meet is trivial.
+        """
+        first_meet = oracle.fix(vi.first).intersect(oracle.fix(self.first))
+        if not first_meet.is_trivial():
+            return ProductElement(first_meet.basis()[0], Word(vi.second.source))
+        second_meet = oracle.fix(vi.second).intersect(oracle.fix(self.second))
+        if not second_meet.is_trivial():
+            return ProductElement(Word(vi.first.source), second_meet.basis()[0])
         return None
 
-    def describe(self) -> str:
-        return f"{self.first} x {self.second}"
+    def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
+        """Branch 2.7: branch 1.8 with the roles of the two maps reversed."""
+        return _swap_graph(vii).meet_diagonal(TypeVI(self.first, self.second), oracle)
+
+    def describe(self, oracle: FixOracle) -> str:
+        return f"{oracle.fix(self.first)} x {oracle.fix(self.second)}"
 
 
 class PairedPowers(FrozenValue):
@@ -262,185 +330,233 @@ class PairedPowers(FrozenValue):
         set_field(self, "second_base", second_base)
         set_field(self, "exponents", exponents)
 
-    def contains(self, g: ProductElement) -> bool:
-        if self.first_base.is_identity():
-            if not g.first.is_identity():
-                return False
-            p = None
-        else:
-            p = exponent_of_power(g.first, self.first_base)
-            if p is None:
-                return False
-        if self.second_base.is_identity():
-            if not g.second.is_identity():
-                return False
-            q = None
-        else:
-            q = exponent_of_power(g.second, self.second_base)
-            if q is None:
-                return False
-        if p is not None and q is not None:
-            return self.exponents.contains((p, q))
-        if p is not None:
-            step = self.exponents.project(0)
-            return p == 0 if step == 0 else p % step == 0
-        if q is not None:
-            step = self.exponents.project(1)
-            return q == 0 if step == 0 else q % step == 0
-        return True
+    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
+        # a trivial base leaves its exponent free: widen the lattice along it
+        lattice, point = self.exponents, []
+        bases = ((g.first, self.first_base, (1, 0)), (g.second, self.second_base, (0, 1)))
+        for x, base, axis in bases:
+            if base.is_identity():
+                if not x.is_identity():
+                    return False
+                lattice = IntLattice2.from_rows(lattice.basis + (axis,))
+                point.append(0)
+            else:
+                exponent = exponent_of_power(x, base)
+                if exponent is None:
+                    return False
+                point.append(exponent)
+        return lattice.contains(point)
 
-    def is_trivial(self) -> bool:
-        first_live = not self.first_base.is_identity()
-        second_live = not self.second_base.is_identity()
-        if first_live and second_live:
-            return self.exponents.is_trivial()
-        if first_live:
-            return self.exponents.project(0) == 0
-        if second_live:
-            return self.exponents.project(1) == 0
-        return True
+    def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
+        """Branches 1.1, 1.2 and 1.6: a sublattice of the exponents.
 
-    def nontrivial_witness(self) -> ProductElement | None:
-        for p, q in self.exponents.basis:
-            g = ProductElement(self.first_base ** p, self.second_base ** q)
-            if not g.is_identity():
-                return g
-        return None
+        A nontrivial power is fixed iff its base is (roots are unique), so
+        an unfixed base pins the matching exponent to zero.
+        """
+        u, v = self.first_base, self.second_base
+        lattice = self.exponents
+        if not (u.is_identity() or _is_fixed(vi.first, u)):
+            lattice = lattice.intersect(IntLattice2.line((0, 1)))
+        if not (v.is_identity() or _is_fixed(vi.second, v)):
+            lattice = lattice.intersect(IntLattice2.line((1, 0)))
+        return _power_witness(u, v, lattice)
 
-    def describe(self) -> str:
+    def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
+        """Branches 2.1, 2.2 and 2.6: a sublattice of the exponents.
+
+        A member (u^p, v^q) of Fix(phi) forces v^q = to_second(u)^p; the
+        remaining equation u^p = to_first(v^q) then holds automatically
+        whenever the round trip fixes u, and otherwise pins p to zero.
+        """
+        to_first, to_second = vii.first_from_second, vii.second_from_first
+        u, v = self.first_base, self.second_base
+        lattice = self.exponents.intersect(
+            solve_power_equation(v, to_second.apply(u)).swapped()
+        )
+        if not (u.is_identity() or _is_fixed(to_second.then(to_first), u)):
+            lattice = lattice.intersect(IntLattice2.line((0, 1)))
+        return _power_witness(u, v, lattice)
+
+    def describe(self, oracle: FixOracle) -> str:
         u, v = render_word(self.first_base), render_word(self.second_base)
         return f"powers (({u})^p, ({v})^q) with (p, q) in {self.exponents}"
 
 
 class HomGraph(FrozenValue):
-    """The graph of a hom restricted to a subgroup of one factor.
+    """The graph of a hom on the fixed subgroup of one factor's endomorphism.
 
-    side == "first_from_second": elements (h(y), y) for y in the domain.
-    side == "second_from_first": elements (x, h(x)) for x in the domain.
+    side == "first_from_second": elements (h(y), y) for y in Fix(domain_endo).
+    side == "second_from_first": elements (x, h(x)) for x in Fix(domain_endo).
     """
 
-    __slots__ = ("domain", "hom", "side")
+    __slots__ = ("domain_endo", "hom", "side")
 
-    def __init__(self, domain: SubgroupGraph, hom: FreeHom, side: str):
-        set_field(self, "domain", domain)
+    def __init__(self, domain_endo: FreeHom, hom: FreeHom, side: str):
+        set_field(self, "domain_endo", domain_endo)
         set_field(self, "hom", hom)
         set_field(self, "side", side)
 
-    def contains(self, g: ProductElement) -> bool:
+    def _pair(self, x: Word, hx: Word) -> ProductElement:
         if self.side == "first_from_second":
-            return self.domain.contains(g.second) and self.hom.apply(g.second) == g.first
-        return self.domain.contains(g.first) and self.hom.apply(g.first) == g.second
+            return ProductElement(hx, x)
+        return ProductElement(x, hx)
 
-    def is_trivial(self) -> bool:
-        return self.domain.is_trivial()
+    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
+        x, hx = (g.second, g.first) if self.side == "first_from_second" else (g.first, g.second)
+        return oracle.fix(self.domain_endo).contains(x) and self.hom.apply(x) == hx
 
-    def nontrivial_witness(self) -> ProductElement | None:
-        if self.is_trivial():
-            return None
-        w = self.domain.basis()[0]
+    def _through(self, k: SubgroupGraph, fixed: SubgroupGraph) -> ProductElement | None:
+        found = _meet_through(k, self.hom, fixed)
+        return None if found is None else self._pair(*found)
+
+    def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
+        """Branches 1.5 (shape IV) and 1.8 (shape VII).
+
+        A member's domain coordinate lies in K = Fix(domain_endo) meet the
+        diagonal's fixed subgroup on the same factor, and its image must be
+        fixed on the other factor: a ``_meet_through`` K.
+        """
         if self.side == "first_from_second":
-            return ProductElement(self.hom.apply(w), w)
-        return ProductElement(w, self.hom.apply(w))
+            near, far = vi.second, vi.first
+        else:
+            near, far = vi.first, vi.second
+        k = oracle.fix(self.domain_endo).intersect(oracle.fix(near))
+        return self._through(k, oracle.fix(far))
 
-    def describe(self) -> str:
+    def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
+        """Branches 2.5 (shape IV) and 2.8 (shape VII).
+
+        Write a member as its domain coordinate x and h(x), and let back
+        be the swap's block from h's target factor to x's factor and forth
+        the other block. The swap fixes the member iff back(h(x)) = x and
+        forth(x) = h(x); given the first, the second says that the round
+        trip back then forth fixes h(x). So x lies in K = Fix(domain_endo)
+        meet Fix(h then back), and h(x) in the round trip's fixed
+        subgroup. A member dies with its image, since x = back(h(x)).
+        """
         if self.side == "first_from_second":
-            return f"pairs (h(y), y) for y in {self.domain}, h = {self.hom}"
-        return f"pairs (x, h(x)) for x in {self.domain}, h = {self.hom}"
+            back, forth = vii.second_from_first, vii.first_from_second
+        else:
+            back, forth = vii.first_from_second, vii.second_from_first
+        k = oracle.fix(self.domain_endo).intersect(oracle.fix(self.hom.then(back)))
+        return self._through(k, oracle.fix(back.then(forth)))
+
+    def describe(self, oracle: FixOracle) -> str:
+        domain = oracle.fix(self.domain_endo)
+        if self.side == "first_from_second":
+            return f"pairs (h(y), y) for y in {domain}, h = {self.hom}"
+        return f"pairs (x, h(x)) for x in {domain}, h = {self.hom}"
+
+
+def _swap_graph(vii: TypeVII) -> HomGraph:
+    """Fix of a swapping map: (x, to_second(x)) with x fixed by the round trip."""
+    loop = vii.second_from_first.then(vii.first_from_second)
+    return HomGraph(loop, vii.second_from_first, "second_from_first")
 
 
 class PowerCylinder(FrozenValue):
-    """{(u^k, y) : k in Z, y in H with zero weighted sum}.
+    """{(u^k, y) : k in Z, y in Fix(theta) with zero weighted sum}.
 
     Nontrivial whenever u is (then (u, 1) is a member: the identity has
     weight zero).
     """
 
-    __slots__ = ("first_base", "second_weights", "second_fix")
+    __slots__ = ("first_base", "second_weights", "theta")
 
-    def __init__(
-        self, first_base: Word, second_weights: tuple[int, ...], second_fix: SubgroupGraph
-    ):
+    def __init__(self, first_base: Word, second_weights: tuple[int, ...], theta: FreeHom):
         set_field(self, "first_base", first_base)
         set_field(self, "second_weights", second_weights)
-        set_field(self, "second_fix", second_fix)
+        set_field(self, "theta", theta)
 
-    def contains(self, g: ProductElement) -> bool:
+    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
         if exponent_of_power(g.first, self.first_base) is None:
             return False
         return (
-            self.second_fix.contains(g.second)
+            oracle.fix(self.theta).contains(g.second)
             and weighted_sum(g.second, self.second_weights) == 0
         )
 
-    def is_trivial(self) -> bool:
-        if not self.first_base.is_identity():
-            return False
-        return restricted_kernel_trivial(self.second_fix, self.second_weights) is None
+    def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
+        """Branch 1.4: (u, 1) if the diagonal fixes u, else the zero-weight
+        part of Fix(theta) meet the diagonal's second fixed subgroup."""
+        u = self.first_base
+        if not u.is_identity() and _is_fixed(vi.first, u):
+            return ProductElement(u, Word(vi.second.source))
+        k = oracle.fix(self.theta).intersect(oracle.fix(vi.second))
+        y = restricted_kernel_trivial(k, self.second_weights)
+        return None if y is None else ProductElement(Word(u.alphabet), y)
 
-    def nontrivial_witness(self) -> ProductElement | None:
-        if not self.first_base.is_identity():
-            return ProductElement(self.first_base, Word(self.second_fix.alphabet))
-        w = restricted_kernel_trivial(self.second_fix, self.second_weights)
-        if w is None:
-            return None
-        return ProductElement(Word(self.first_base.alphabet), w)
+    def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
+        """Branch 2.4; see ``_power_meets_swap``."""
+        return _power_meets_swap(self.first_base, self.second_weights, 0, self.theta, vii)
 
-    def describe(self) -> str:
+    def describe(self, oracle: FixOracle) -> str:
         u = render_word(self.first_base)
         return (
-            f"pairs (({u})^k, y), k any integer, y in {self.second_fix} "
+            f"pairs (({u})^k, y), k any integer, y in {oracle.fix(self.theta)} "
             f"with zero weight {list(self.second_weights)}"
         )
 
 
 class ExponentGraph(FrozenValue):
-    """{(u^(w(y)/d), y) : y in H}, where w(y) is a weighted sum and d | w(y).
+    """{(u^(w(y)/d), y) : y in Fix(theta) with d | w(y)}, w a weighted sum."""
 
-    The divisibility is baked into H (it is cut out by a congruence
-    subgroup), but membership rechecks it.
-    """
-
-    __slots__ = ("first_base", "second_weights", "divisor", "domain")
+    __slots__ = ("first_base", "second_weights", "divisor", "theta")
 
     def __init__(
-        self, first_base: Word, second_weights: tuple[int, ...], divisor: int, domain: SubgroupGraph
+        self, first_base: Word, second_weights: tuple[int, ...], divisor: int, theta: FreeHom
     ):
         if divisor == 0:
             raise ValueError("divisor must be nonzero")
         set_field(self, "first_base", first_base)
         set_field(self, "second_weights", second_weights)
         set_field(self, "divisor", divisor)
-        set_field(self, "domain", domain)
+        set_field(self, "theta", theta)
 
-    def contains(self, g: ProductElement) -> bool:
-        if not self.domain.contains(g.second):
-            return False
+    def _domain(self, oracle: FixOracle) -> SubgroupGraph:
+        """Fix(theta) cut down to d | w(y) by a congruence subgroup."""
+        window = congruence_subgroup(self.theta.source, self.second_weights, abs(self.divisor))
+        return oracle.fix(self.theta).intersect(window)
+
+    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
         total = weighted_sum(g.second, self.second_weights)
-        if total % self.divisor:
+        if total % self.divisor or not oracle.fix(self.theta).contains(g.second):
             return False
         return g.first == self.first_base ** (total // self.divisor)
 
-    def is_trivial(self) -> bool:
-        return self.domain.is_trivial()
+    def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
+        """Branch 1.3: K = domain meet the diagonal's second fixed subgroup.
 
-    def nontrivial_witness(self) -> ProductElement | None:
-        if self.is_trivial():
+        If the diagonal fixes u (or u = 1), any y != 1 in K gives a member;
+        otherwise the first coordinate must vanish, which leaves the
+        zero-weight part of K.
+        """
+        k = self._domain(oracle).intersect(oracle.fix(vi.second))
+        if k.is_trivial():
             return None
-        y = self.domain.basis()[0]
-        total = weighted_sum(y, self.second_weights)
-        return ProductElement(self.first_base ** (total // self.divisor), y)
+        u = self.first_base
+        if u.is_identity() or _is_fixed(vi.first, u):
+            y = k.basis()[0]
+            return ProductElement(u ** (weighted_sum(y, self.second_weights) // self.divisor), y)
+        y = restricted_kernel_trivial(k, self.second_weights)
+        return None if y is None else ProductElement(Word(u.alphabet), y)
 
-    def describe(self) -> str:
+    def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
+        """Branch 2.3; see ``_power_meets_swap``."""
+        return _power_meets_swap(
+            self.first_base, self.second_weights, self.divisor, self.theta, vii
+        )
+
+    def describe(self, oracle: FixOracle) -> str:
         u = render_word(self.first_base)
         return (
-            f"pairs (({u})^(w(y)/{self.divisor}), y) for y in {self.domain}, "
+            f"pairs (({u})^(w(y)/{self.divisor}), y) for y in {self._domain(oracle)}, "
             f"w = weight {list(self.second_weights)}"
         )
 
 
 FixDescriptor = Union[
     TrivialFix,
-    FactorSubgroup,
     FactorProduct,
     PairedPowers,
     HomGraph,
@@ -449,18 +565,12 @@ FixDescriptor = Union[
 ]
 
 
-def fix_product(
-    e: ProductEndo,
-    oracle: FixOracle | None = None,
-    shape: EndoType | None = None,
-) -> FixDescriptor:
+def fix_product(e: ProductEndo, shape: EndoType | None = None) -> FixDescriptor:
     """Structural description of the fixed subgroup of a product endo.
 
-    Shapes VI, VII, III and IV consult the oracle for fixed subgroups of
-    free-group endomorphisms and raise MissingOracle when it has no answer.
+    Needs no oracle: the descriptor names the free-group endomorphisms whose
+    fixed subgroups it is made of, and asks for them when it is used.
     """
-    if oracle is None:
-        oracle = FixOracle()
     if shape is None:
         shape = classify(e)
     a, b = e.first_alphabet, e.second_alphabet
@@ -469,36 +579,24 @@ def fix_product(
     if isinstance(shape, TypeII):
         if shape.gain() != 1:
             return TrivialFix(a, b)
-        return HomGraph(
-            from_generators([shape.second_base], b),
-            shape.first_from_second,
-            "first_from_second",
-        )
+        # (h(v)^k, v^k) = (r^(ek), v^k) for h(v) = r^e with r primitive
+        r = root(shape.first_from_second.apply(shape.second_base))
+        return PairedPowers(r.base, shape.second_base, IntLattice2.line((r.exponent, 1)))
     if isinstance(shape, TypeIII):
-        theta_fix = oracle.fix(shape.second_from_second)
         drag = 1 - shape.self_weight()
         if drag == 0:
-            return PowerCylinder(shape.first_base, shape.first_b_weights, theta_fix)
-        window = congruence_subgroup(b, shape.first_b_weights, abs(drag))
+            return PowerCylinder(shape.first_base, shape.first_b_weights, shape.second_from_second)
         return ExponentGraph(
-            shape.first_base,
-            shape.first_b_weights,
-            drag,
-            theta_fix.intersect(window),
+            shape.first_base, shape.first_b_weights, drag, shape.second_from_second
         )
     if isinstance(shape, TypeIV):
-        return HomGraph(
-            oracle.fix(shape.second_from_second),
-            shape.first_from_second,
-            "first_from_second",
-        )
+        return HomGraph(shape.second_from_second, shape.first_from_second, "first_from_second")
     if isinstance(shape, TypeV):
         if weighted_sum(shape.second_base, shape.second_b_weights) != 1:
             return TrivialFix(a, b)
         return PairedPowers(Word(a), shape.second_base, IntLattice2.line((0, 1)))
     if isinstance(shape, TypeVI):
-        return FactorProduct(oracle.fix(shape.first), oracle.fix(shape.second))
+        return FactorProduct(shape.first, shape.second)
     if isinstance(shape, TypeVII):
-        loop = shape.second_from_first.then(shape.first_from_second)
-        return HomGraph(oracle.fix(loop), shape.second_from_first, "second_from_first")
+        return _swap_graph(shape)
     raise TypeError(f"unknown shape {shape!r}")

@@ -147,10 +147,11 @@ class MihailovaInstance(FrozenValue):
         whether the cap falls short of the budget); a hit certifies
         nontriviality, a miss proves nothing.
         """
+        oracle = FixOracle()
         for candidate in islice(ball_products(self.subgroup_generators, budget), SEARCH_CAP):
             if candidate.is_identity():
                 continue
-            if self.fix.contains(candidate):
+            if self.fix.contains(candidate, oracle):
                 return candidate
         return None
 

@@ -146,21 +146,28 @@ def random_shape_payload(rng: random.Random, tag: str):
     if tag == "VI":
         return TypeVI(supported_component(rng, A2), supported_component(rng, B2))
     if tag == "VII":
-        # matched flavors keep the round-trip composites recognizable
-        if rng.random() < 0.5:
-            za = random_word(rng, A2, rng.randint(0, 2))
-            zb = random_word(rng, B2, rng.randint(0, 2))
-            to_first = RELAB_BA.then(inner_hom(za))
-            to_second = RELAB_AB.then(inner_hom(zb))
-        else:
-            pa = list(range(1, 3))
-            pb = list(range(1, 3))
-            rng.shuffle(pa)
-            rng.shuffle(pb)
-            to_first = RELAB_BA.then(permutation_hom(A2, tuple(pa)))
-            to_second = RELAB_AB.then(permutation_hom(B2, tuple(pb)))
-        return TypeVII(to_first, to_second)
+        return TypeVII(*swap_blocks(rng, "inner" if rng.random() < 0.5 else "permutation"))
     raise ValueError(f"unknown tag {tag!r}")
+
+
+def swap_blocks(rng: random.Random, flavour: str) -> tuple[FreeHom, FreeHom]:
+    """Blocks (to_first, to_second) of a swap: relabelling, then a conjugation
+    ("inner") or a basis permutation ("permutation").
+
+    Composites of blocks of one flavour stay in the recognized families,
+    which keeps round trips, and the mixed composites that decide meets
+    for two swaps or a swap and a shape IV map, recognizable.
+    """
+    if flavour == "inner":
+        za = random_word(rng, A2, rng.randint(0, 2))
+        zb = random_word(rng, B2, rng.randint(0, 2))
+        return RELAB_BA.then(inner_hom(za)), RELAB_AB.then(inner_hom(zb))
+    pa = list(range(1, 3))
+    pb = list(range(1, 3))
+    rng.shuffle(pa)
+    rng.shuffle(pb)
+    to_first = RELAB_BA.then(permutation_hom(A2, tuple(pa)))
+    return to_first, RELAB_AB.then(permutation_hom(B2, tuple(pb)))
 
 
 def random_shape_endo(rng: random.Random, tag: str) -> ProductEndo:

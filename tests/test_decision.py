@@ -10,6 +10,7 @@ import pytest
 import fixfnm
 from fixfnm import (
     Alphabet,
+    BallSpec,
     CertificateError,
     DeclaredEndo,
     FixOracle,
@@ -17,11 +18,16 @@ from fixfnm import (
     MissingOracle,
     ProductElement,
     TypeI,
+    TypeII,
+    TypeIII,
     TypeIV,
+    TypeV,
     TypeVI,
+    TypeVII,
     UnsupportedShape,
     Verdict,
     Word,
+    common_fixed_points,
     curated_cases,
     decide,
     identity_endo,
@@ -29,8 +35,17 @@ from fixfnm import (
     inner_hom,
     parse_word,
     permutation_hom,
+    render_endo_text,
 )
-from conftest import RELAB_BA
+from conftest import (
+    ALL_TAGS,
+    RELAB_AB,
+    RELAB_BA,
+    random_shape_payload,
+    rng_for,
+    supported_component,
+    swap_blocks,
+)
 
 A = Alphabet(2, "a")
 B = Alphabet(2, "b")
@@ -185,3 +200,78 @@ def test_verdict_describe():
     assert decide(swap_diag, rank_drop).describe() == "NONTRIVIAL (1, b2) [1.5]"
     lively = decide(identity_endo(2, 2), identity_endo(2, 2))
     assert lively.describe().startswith("NONTRIVIAL (")
+
+
+# --- laziness: a meet asks the oracle only for what it intersects -------------
+
+# transvections: no recognized family covers them, so a bare oracle misses
+TRANSVECT_A = FreeHom(A, A, (wa("a1 a2"), wa("a2")))
+TRANSVECT_B = FreeHom(B, B, (wb("b1 b2"), wb("b2")))
+SKEW_II = FreeHom(B, A, (wa("a1"), wa("a1^2")))
+
+# pairs whose meet needs no fixed subgroup of a component, each with an
+# undeclared transvection as a component
+NO_COMPONENT_NEEDED = {
+    "1.1": (
+        TypeVI(TRANSVECT_A, TRANSVECT_B),
+        TypeI(wa("a1"), wb("b1"), (2, 0), (1, 0), (2, 0), (3, 0)),
+    ),
+    "1.2": (TypeVI(TRANSVECT_A, TRANSVECT_B), TypeII(SKEW_II, wb("b1"), (1, 0), (0, 2))),
+    # the diagonal fixes the power base a1
+    "1.4": (TypeVI(identity_hom(A), TRANSVECT_B), TypeIII(wa("a1"), (1, 0), (1, -1), TRANSVECT_B)),
+    "1.6": (TypeVI(TRANSVECT_A, TRANSVECT_B), TypeV(wb("b1"), (1, 1), (1, 0), 2)),
+    # the first factors already meet nontrivially
+    "1.7": (TypeVI(identity_hom(A), TRANSVECT_B), TypeVI(identity_hom(A), TRANSVECT_B)),
+    "2.3": (TypeVII(RELAB_BA, RELAB_AB), TypeIII(wa("a1"), (2, 0), (1, 0), TRANSVECT_B)),
+    "2.4": (TypeVII(RELAB_BA, RELAB_AB), TypeIII(wa("a1"), (1, 0), (1, -1), TRANSVECT_B)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NO_COMPONENT_NEEDED))
+def test_meets_that_need_no_component_subgroup_need_no_oracle(label):
+    with pytest.raises(MissingOracle):
+        FixOracle().fix(TRANSVECT_B)
+    phi, psi = (shape.as_endo() for shape in NO_COMPONENT_NEEDED[label])
+    verdict = decide(phi, psi, FixOracle())
+    assert verdict.trace[0] == label
+    if not verdict.trivial:
+        assert phi.fixes(verdict.witness) and psi.fixes(verdict.witness)
+
+
+# --- differential check against the ball oracle, all sixteen labels ---------
+
+
+def _labelled_pair(rng, label):
+    """A pair (phi, psi) of shapes aimed at one branch label."""
+    family, index = label.split(".")
+    tag = ALL_TAGS[int(index) - 1]
+    if family == "1":
+        phi = TypeVI(supported_component(rng, A), supported_component(rng, B))
+        return phi, random_shape_payload(rng, tag)
+    # 2.5 and 2.8 meet composites of psi's blocks with phi's, which are
+    # recognized only when all the blocks share one flavour
+    flavour = rng.choice(("inner", "permutation"))
+    phi = TypeVII(*swap_blocks(rng, flavour))
+    if tag == "IV":
+        psi = TypeIV(swap_blocks(rng, flavour)[0], supported_component(rng, B))
+    elif tag == "VII":
+        psi = TypeVII(*swap_blocks(rng, flavour))
+    else:
+        psi = random_shape_payload(rng, tag)
+    return phi, psi
+
+
+def test_random_pairs_over_all_labels_agree_with_the_ball():
+    rng = rng_for("decision-differential")
+    spec = BallSpec(4)
+    for label in ALL_LABELS:
+        for _ in range(5):
+            phi, psi = (shape.as_endo() for shape in _labelled_pair(rng, label))
+            verdict = decide(phi, psi)
+            assert verdict.trace[0] == label
+            if verdict.trivial:
+                hits = common_fixed_points(phi, psi, spec)
+                assert not hits, (label, render_endo_text(phi), render_endo_text(psi), str(hits[0]))
+            else:
+                w = verdict.witness
+                assert not w.is_identity() and phi.fixes(w) and psi.fixes(w)

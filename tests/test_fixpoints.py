@@ -9,7 +9,6 @@ from fixfnm import (
     DeclaredEndo,
     ExponentGraph,
     FactorProduct,
-    FactorSubgroup,
     FixOracle,
     FreeHom,
     HomGraph,
@@ -141,100 +140,100 @@ def test_oracle_misses_and_declarations():
 
 
 # --- descriptors, one by one ---------------------------------------------------
+#
+# A descriptor's own witness is its meet with Fix(identity), the whole group.
+
+IDENTITY = TypeVI(identity_hom(A), identity_hom(B))
 
 
 def test_trivial_fix_descriptor():
     fd = TrivialFix(A, B)
-    assert fd.is_trivial()
-    assert fd.contains(pe("1", "1"))
-    assert not fd.contains(pe("a1", "1"))
-    assert fd.nontrivial_witness() is None
-
-
-def test_factor_subgroup_descriptor():
-    fd = FactorSubgroup(from_generators([wa("a1^2")]), "first", B)
-    assert fd.contains(pe("a1^2", "1"))
-    assert not fd.contains(pe("a1^2", "b1"))
-    assert not fd.contains(pe("a1", "1"))
-    w = fd.nontrivial_witness()
-    assert w is not None and fd.contains(w) and not w.is_identity()
-
-    snd = FactorSubgroup(from_generators([wb("b2")]), "second", A)
-    assert snd.contains(pe("1", "b2^5"))
-    assert not snd.contains(pe("a1", "b2"))
+    oracle = FixOracle()
+    assert fd.contains(pe("1", "1"), oracle)
+    assert not fd.contains(pe("a1", "1"), oracle)
+    assert fd.meet_diagonal(IDENTITY, oracle) is None
+    assert fd.meet_swap(TypeVII(RELAB_BA, RELAB_AB), oracle) is None
 
 
 def test_factor_product_descriptor():
-    fd = FactorProduct(from_generators([wa("a1")]), from_generators([wb("b2")]))
-    assert fd.contains(pe("a1^3", "b2^-1"))
-    assert not fd.contains(pe("a2", "b2"))
-    assert not fd.is_trivial()
-    w = fd.nontrivial_witness()
-    assert fd.contains(w) and not w.is_identity()
-    assert FactorProduct(trivial_subgroup(A), trivial_subgroup(B)).is_trivial()
+    fd = FactorProduct(inner_hom(wa("a1")), inner_hom(wb("b2")))
+    oracle = FixOracle()
+    assert fd.contains(pe("a1^3", "b2^-1"), oracle)
+    assert not fd.contains(pe("a2", "b2"), oracle)
+    assert fd.describe(oracle) == "<a1> x <b2>"
+    w = fd.meet_diagonal(IDENTITY, oracle)
+    assert fd.contains(w, oracle) and not w.is_identity()
+    dead = FactorProduct(trivial_hom(A, A), trivial_hom(B, B))
+    assert dead.meet_diagonal(IDENTITY, oracle) is None
 
 
 def test_paired_powers_descriptor():
     fd = PairedPowers(wa("a1"), wb("b1"), IntLattice2.line((2, 3)))
-    assert fd.contains(pe("a1^2", "b1^3"))
-    assert fd.contains(pe("a1^-4", "b1^-6"))
-    assert not fd.contains(pe("a1^2", "b1^2"))
-    assert not fd.contains(pe("a1 a2", "b1"))
-    assert not fd.is_trivial()
-    w = fd.nontrivial_witness()
-    assert fd.contains(w) and not w.is_identity()
+    oracle = FixOracle()
+    assert fd.contains(pe("a1^2", "b1^3"), oracle)
+    assert fd.contains(pe("a1^-4", "b1^-6"), oracle)
+    assert not fd.contains(pe("a1^2", "b1^2"), oracle)
+    assert not fd.contains(pe("a1 a2", "b1"), oracle)
+    w = fd.meet_diagonal(IDENTITY, oracle)
+    assert fd.contains(w, oracle) and not w.is_identity()
 
     # dead first coordinate: the lattice only constrains the live one
     live = PairedPowers(Word(A), wb("b1"), IntLattice2.full())
-    assert live.contains(pe("1", "b1^7"))
-    assert not live.contains(pe("a1", "b1"))
+    assert live.contains(pe("1", "b1^7"), oracle)
+    assert not live.contains(pe("a1", "b1"), oracle)
     dead = PairedPowers(Word(A), wb("b1"), IntLattice2.zero())
-    assert dead.is_trivial()
-    assert dead.nontrivial_witness() is None
+    assert dead.meet_diagonal(IDENTITY, oracle) is None
 
 
 def test_hom_graph_descriptor():
-    fd = HomGraph(from_generators([wb("b1")]), RELAB_BA, "first_from_second")
-    assert fd.contains(pe("a1", "b1"))
-    assert fd.contains(pe("a1^-2", "b1^-2"))
-    assert not fd.contains(pe("a2", "b1"))
-    assert not fd.contains(pe("a1", "b2"))
-    w = fd.nontrivial_witness()
-    assert fd.contains(w) and not w.is_identity()
+    # Fix(conjugation by b1) = <b1>
+    fd = HomGraph(inner_hom(wb("b1")), RELAB_BA, "first_from_second")
+    oracle = FixOracle()
+    assert fd.contains(pe("a1", "b1"), oracle)
+    assert fd.contains(pe("a1^-2", "b1^-2"), oracle)
+    assert not fd.contains(pe("a2", "b1"), oracle)
+    assert not fd.contains(pe("a1", "b2"), oracle)
+    w = fd.meet_diagonal(IDENTITY, oracle)
+    assert fd.contains(w, oracle) and not w.is_identity()
 
-    other = HomGraph(whole_group(A), RELAB_AB, "second_from_first")
-    assert other.contains(pe("a1 a2", "b1 b2"))
-    assert not other.contains(pe("a1", "b2"))
+    other = HomGraph(identity_hom(A), RELAB_AB, "second_from_first")
+    assert other.contains(pe("a1 a2", "b1 b2"), oracle)
+    assert not other.contains(pe("a1", "b2"), oracle)
 
 
 def test_power_cylinder_descriptor():
-    fd = PowerCylinder(wa("a1"), (1, -1), from_generators([wb("b1 b2")]))
-    assert fd.contains(pe("a1^5", "b1 b2"))
-    assert fd.contains(pe("1", "1"))
-    assert not fd.contains(pe("a2", "b1 b2"))
-    assert not fd.is_trivial()  # (a1, 1) is always in
+    # Fix(conjugation by b1 b2) = <b1 b2>
+    theta = inner_hom(wb("b1 b2"))
+    fd = PowerCylinder(wa("a1"), (1, -1), theta)
+    oracle = FixOracle()
+    assert fd.contains(pe("a1^5", "b1 b2"), oracle)
+    assert fd.contains(pe("1", "1"), oracle)
+    assert not fd.contains(pe("a2", "b1 b2"), oracle)
+    assert fd.meet_diagonal(IDENTITY, oracle) == pe("a1", "1")  # (a1, 1) is always in
 
     # collapsed first base: triviality is the restricted-kernel question
-    flat = PowerCylinder(Word(A), (1, 1), from_generators([wb("b1 b2")]))
-    assert flat.is_trivial()  # weight of b1 b2 is 2, never zero on <b1 b2> \ 1
-    assert flat.nontrivial_witness() is None
-    zero = PowerCylinder(Word(A), (1, -1), from_generators([wb("b1 b2")]))
-    assert not zero.is_trivial()
-    w = zero.nontrivial_witness()
-    assert w is not None and zero.contains(w) and not w.is_identity()
+    flat = PowerCylinder(Word(A), (1, 1), theta)
+    # weight of b1 b2 is 2, never zero on <b1 b2> \ 1
+    assert flat.meet_diagonal(IDENTITY, oracle) is None
+    zero = PowerCylinder(Word(A), (1, -1), theta)
+    w = zero.meet_diagonal(IDENTITY, oracle)
+    assert w is not None and zero.contains(w, oracle) and not w.is_identity()
 
 
 def test_exponent_graph_descriptor():
-    domain = congruence_subgroup(B, (1, 0), 2)
-    fd = ExponentGraph(wa("a1"), (1, 0), 2, domain)
-    assert fd.contains(pe("a1", "b1^2"))
-    assert fd.contains(pe("1", "b2"))
-    assert not fd.contains(pe("a1", "b1"))  # b1 outside the congruence domain
-    assert not fd.contains(pe("a1^2", "b1^2"))  # wrong exponent
-    w = fd.nontrivial_witness()
-    assert fd.contains(w) and not w.is_identity()
+    # Fix(identity) = F_b, cut down to even b1-weight
+    fd = ExponentGraph(wa("a1"), (1, 0), 2, identity_hom(B))
+    oracle = FixOracle()
+    assert fd.contains(pe("a1", "b1^2"), oracle)
+    assert fd.contains(pe("1", "b2"), oracle)
+    assert not fd.contains(pe("a1", "b1"), oracle)  # b1 outside the congruence domain
+    assert not fd.contains(pe("a1^2", "b1^2"), oracle)  # wrong exponent
+    window = congruence_subgroup(B, (1, 0), 2)
+    assert fd.describe(oracle).endswith(f"for y in {window}, w = weight [1, 0]")
+    w = fd.meet_diagonal(IDENTITY, oracle)
+    assert fd.contains(w, oracle) and not w.is_identity()
     with pytest.raises(ValueError):
-        ExponentGraph(wa("a1"), (1, 0), 0, domain)
+        ExponentGraph(wa("a1"), (1, 0), 0, identity_hom(B))
 
 
 # --- fix_product across the shapes ---------------------------------------------
@@ -243,76 +242,95 @@ def test_exponent_graph_descriptor():
 def test_fix_product_type_i():
     payload = TypeI(wa("a1"), wb("b1"), (2, 0), (1, 0), (2, 0), (3, 0))
     fd = fix_product(payload.as_endo())
+    oracle = FixOracle()
     assert isinstance(fd, PairedPowers)
     # kernel of ((1, 1), (2, 2)) is spanned by (1, -1)
     assert fd.exponents == IntLattice2.line((1, -1))
-    assert fd.contains(pe("a1", "b1^-1"))
-    assert not fd.contains(pe("a1", "b1"))
+    assert fd.contains(pe("a1", "b1^-1"), oracle)
+    assert not fd.contains(pe("a1", "b1"), oracle)
 
 
 def test_fix_product_type_ii():
     theta = FreeHom(B, A, (wa("a1"), wa("a1^2")))
+    oracle = FixOracle()
+    # gain 1: the pairs (theta(v)^k, v^k), powers of the root of theta(v)
     graph_case = fix_product(TypeII(theta, wb("b1"), (1, 0), (0, 2)).as_endo())
-    assert isinstance(graph_case, HomGraph)
-    assert graph_case.contains(pe("a1", "b1"))
+    assert graph_case == PairedPowers(wa("a1"), wb("b1"), IntLattice2.line((1, 1)))
+    assert graph_case.contains(pe("a1", "b1"), oracle)
+    # theta(b2) = a1^2: the root exponent scales the first coordinate
+    square = fix_product(TypeII(theta, wb("b2"), (1, 0), (0, -1)).as_endo())
+    assert square == PairedPowers(wa("a1"), wb("b2"), IntLattice2.line((2, 1)))
+    assert square.contains(pe("a1^-2", "b2^-1"), oracle)
+    assert not square.contains(pe("a1", "b2"), oracle)
     trivial_case = fix_product(TypeII(theta, wb("b1"), (2, 0), (0, 2)).as_endo())
     assert isinstance(trivial_case, TrivialFix)
 
 
 def test_fix_product_type_iii():
+    oracle = FixOracle()
     # self weight 1: a cylinder over the kernel of the cross weights
     cyl = fix_product(TypeIII(wa("a1"), (1, 0), (1, -1), inner_hom(wb("b1"))).as_endo())
-    assert isinstance(cyl, PowerCylinder)
-    assert cyl.contains(pe("a1^4", "1"))
+    assert cyl == PowerCylinder(wa("a1"), (1, -1), inner_hom(wb("b1")))
+    assert cyl.contains(pe("a1^4", "1"), oracle)
     # self weight 2: exponents are forced by the second coordinate
     graph = fix_product(TypeIII(wa("a1"), (2, 0), (1, 0), identity_hom(B)).as_endo())
     assert isinstance(graph, ExponentGraph)
     assert graph.divisor == -1
-    assert graph.contains(pe("a1^-1", "b1"))
+    assert graph.contains(pe("a1^-1", "b1"), oracle)
 
 
 def test_fix_product_type_iv():
     theta = FreeHom(B, A, (wa("a1"), wa("a2")))
     fd = fix_product(TypeIV(theta, inner_hom(wb("b1 b2"))).as_endo())
-    assert isinstance(fd, HomGraph)
-    assert fd.contains(pe("a1 a2", "b1 b2"))
-    assert not fd.contains(pe("a1", "b1"))
+    oracle = FixOracle()
+    assert fd == HomGraph(inner_hom(wb("b1 b2")), theta, "first_from_second")
+    assert fd.contains(pe("a1 a2", "b1 b2"), oracle)
+    assert not fd.contains(pe("a1", "b1"), oracle)
 
 
 def test_fix_product_type_v():
+    oracle = FixOracle()
     live = fix_product(TypeV(wb("b1"), (1, 1), (1, 0), 2).as_endo())
     assert isinstance(live, PairedPowers)
-    assert live.contains(pe("1", "b1^9"))
-    assert not live.contains(pe("a1", "b1"))
+    assert live.contains(pe("1", "b1^9"), oracle)
+    assert not live.contains(pe("a1", "b1"), oracle)
     flat = fix_product(TypeV(wb("b1"), (1, 1), (2, 0), 2).as_endo())
     assert isinstance(flat, TrivialFix)
 
 
 def test_fix_product_type_vi():
-    fd = fix_product(TypeVI(inner_hom(wa("a1")), permutation_hom(B, (2, 1))).as_endo())
-    assert isinstance(fd, FactorProduct)
-    assert fd.contains(pe("a1^2", "1"))
-    assert not fd.contains(pe("a1", "b1"))
+    first, second = inner_hom(wa("a1")), permutation_hom(B, (2, 1))
+    fd = fix_product(TypeVI(first, second).as_endo())
+    oracle = FixOracle()
+    assert fd == FactorProduct(first, second)
+    assert fd.contains(pe("a1^2", "1"), oracle)
+    assert not fd.contains(pe("a1", "b1"), oracle)
 
 
 def test_fix_product_type_vii():
     fd = fix_product(TypeVII(RELAB_BA, RELAB_AB).as_endo())
+    oracle = FixOracle()
     assert isinstance(fd, HomGraph)
     assert fd.side == "second_from_first"
-    assert fd.contains(pe("a1 a2^-1", "b1 b2^-1"))
-    assert not fd.contains(pe("a1", "b2"))
+    assert fd.domain_endo == RELAB_AB.then(RELAB_BA)
+    assert fd.contains(pe("a1 a2^-1", "b1 b2^-1"), oracle)
+    assert not fd.contains(pe("a1", "b2"), oracle)
 
 
 def test_fix_product_consults_the_oracle():
     stretch = FreeHom(B, B, (wb("b1 b2"), wb("b2")))
     e = TypeIV(RELAB_BA, stretch).as_endo()
+    fd = fix_product(e)  # names stretch; asks for Fix(stretch) only when used
+    assert fd == HomGraph(stretch, RELAB_BA, "first_from_second")
     with pytest.raises(MissingOracle):
-        fix_product(e)
+        fd.describe(FixOracle())
+    with pytest.raises(MissingOracle):
+        fd.meet_diagonal(IDENTITY, FixOracle())
     basis = (wb("b2"), wb("b1 b2 b1^-1"))
     oracle = FixOracle([DeclaredEndo(stretch, basis, audit_radius=4)])
-    fd = fix_product(e, oracle)
-    assert fd.contains(pe("a2", "b2"))
-    assert fd.contains(pe("a1 a2 a1^-1", "b1 b2 b1^-1"))
+    assert fd.contains(pe("a2", "b2"), oracle)
+    assert fd.contains(pe("a1 a2 a1^-1", "b1 b2 b1^-1"), oracle)
+    assert fd.describe(oracle) == f"pairs (h(y), y) for y in {oracle.fix(stretch)}, h = {RELAB_BA}"
 
 
 def test_fix_product_agrees_with_direct_checking():
@@ -322,12 +340,12 @@ def test_fix_product_agrees_with_direct_checking():
         for _ in range(3):
             e = random_shape_endo(rng, tag)
             fd = fix_product(e)
+            oracle = FixOracle()
             fixed = [g for g in ball if e.fixes(g)]
             for g in ball:
-                assert fd.contains(g) == e.fixes(g), (tag, str(g))
-            if fd.is_trivial():
+                assert fd.contains(g, oracle) == e.fixes(g), (tag, str(g))
+            w = fd.meet_diagonal(IDENTITY, oracle)
+            if w is None:
                 assert all(g.is_identity() for g in fixed)
             else:
-                w = fd.nontrivial_witness()
-                assert w is not None and not w.is_identity()
-                assert e.fixes(w)
+                assert not w.is_identity() and e.fixes(w)

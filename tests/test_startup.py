@@ -11,11 +11,12 @@ import fixfnm
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "scripts" / "data"
 
-# fixfnm.__all__ before the worked instances of fixfnm.suite became lazy
+# fixfnm.__all__ before the worked instances of fixfnm.suite became lazy, less
+# FactorSubgroup, which fix_product never returned
 PUBLIC_NAMES = {
     "Alphabet", "BallSpec", "CertificateError", "CommutationViolation", "CuratedCase",
     "DeclaredEndo", "EndoType", "EqualizerReduction", "ExponentGraph", "FactorProduct",
-    "FactorSubgroup", "FixDescriptor", "FixOracle", "FreeHom", "HomGraph", "IntLattice2",
+    "FixDescriptor", "FixOracle", "FreeHom", "HomGraph", "IntLattice2",
     "MihailovaInstance", "MissingOracle", "PairedPowers", "ParseError", "PowerCylinder",
     "Presentation", "ProductElement", "ProductEndo", "Root", "SubgroupGraph", "TrivialFix",
     "TypeI", "TypeII", "TypeIII", "TypeIV", "TypeV", "TypeVI", "TypeVII",

@@ -9,6 +9,7 @@ import pytest
 from fixfnm import (
     Alphabet,
     BallSpec,
+    FixOracle,
     FreeHom,
     ParseError,
     Presentation,
@@ -118,8 +119,9 @@ def test_mihailova_instance_with_torsion():
     inst = mihailova_instance(pres, wx("x1"))
     assert inst.core == wb("b1")
     assert inst.power == 1
-    assert inst.fix.contains(ProductElement(Word(A), wb("b1^5")))
-    assert not inst.fix.contains(ProductElement(wa("a1"), Word(B)))
+    oracle = FixOracle()
+    assert inst.fix.contains(ProductElement(Word(A), wb("b1^5")), oracle)
+    assert not inst.fix.contains(ProductElement(wa("a1"), Word(B)), oracle)
 
     hit = inst.search_witness(budget=4)
     assert hit is not None

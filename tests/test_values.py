@@ -18,7 +18,6 @@ from fixfnm import (
     EqualizerReduction,
     ExponentGraph,
     FactorProduct,
-    FactorSubgroup,
     FreeHom,
     HomGraph,
     IntLattice2,
@@ -64,10 +63,6 @@ def _graph_a():
     return from_generators([A1])
 
 
-def _graph_b():
-    return from_generators([B1])
-
-
 # one factory per record class; each call makes a fresh, equal object
 FACTORIES = {
     Alphabet: lambda: Alphabet(2, "a"),
@@ -87,12 +82,11 @@ FACTORIES = {
     TypeVII: lambda: TypeVII(RELAB_BA, RELAB_AB),
     DeclaredEndo: lambda: DeclaredEndo(identity_hom(A), (A1, A2)),
     TrivialFix: lambda: TrivialFix(A, B),
-    FactorSubgroup: lambda: FactorSubgroup(_graph_a(), "first", B),
-    FactorProduct: lambda: FactorProduct(_graph_a(), _graph_b()),
+    FactorProduct: lambda: FactorProduct(inner_hom(A1), inner_hom(B1)),
     PairedPowers: lambda: PairedPowers(A1, B1, IntLattice2.full()),
-    HomGraph: lambda: HomGraph(_graph_b(), RELAB_BA, "first_from_second"),
-    PowerCylinder: lambda: PowerCylinder(A1, (1, 0), _graph_b()),
-    ExponentGraph: lambda: ExponentGraph(A1, (1, 0), 2, _graph_b()),
+    HomGraph: lambda: HomGraph(inner_hom(B1), RELAB_BA, "first_from_second"),
+    PowerCylinder: lambda: PowerCylinder(A1, (1, 0), inner_hom(B1)),
+    ExponentGraph: lambda: ExponentGraph(A1, (1, 0), 2, inner_hom(B1)),
     Verdict: lambda: Verdict(False, ProductElement(A1, B1), ("1.8",)),
     BallSpec: lambda: BallSpec(4),
     Presentation: lambda: parse_presentation_text("x1 x2 | x1^2"),
@@ -114,7 +108,7 @@ def _fields(cls):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 28
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -171,7 +165,7 @@ def test_different_fields_or_classes_differ():
     swap_a = FreeHom(A, A, (A2, A1))
     assert TypeVI(identity_hom(A), identity_hom(B)) != TypeVI(swap_a, identity_hom(B))
     # same field values, different classes
-    assert FactorProduct(_graph_a(), _graph_b()) != TypeVI(_graph_a(), _graph_b())
+    assert FactorProduct(identity_hom(A), identity_hom(B)) != TypeVI(identity_hom(A), identity_hom(B))
 
 
 def test_constructor_checks_still_run():
@@ -190,7 +184,7 @@ def test_constructor_checks_still_run():
     with pytest.raises(ValueError):
         BallSpec(9)
     with pytest.raises(ValueError):
-        ExponentGraph(A1, (1, 0), 0, _graph_b())
+        ExponentGraph(A1, (1, 0), 0, inner_hom(B1))
     with pytest.raises(ValueError):
         DeclaredEndo(FreeHom(A, A, (A2, A1)), (A1,))
     with pytest.raises(ValueError):
