@@ -23,6 +23,10 @@ sides.
   - Fold curve: PAIRS pairs of `bench/reference.py` runs, keeping its
     fold/express table (best of 3 at 402, 802 and 1602 wedge edges) and
     the median per size.
+  - Large fold: PAIRS pairs of one process per tree, with that tree's
+    `src/` on the path, timing `from_generators` on (a1 a2)^2500,
+    (a1 a2)^2501 (10,002 wedge edges, past the end of the
+    `bench/reference.py` curve) as the best of 3, and the median.
   - Tier-1: one timed run of the tier-1 suite per tree.
   - Imports: per tree, the median wall time of 7 fresh processes each for
     the bare interpreter, `import fixfnm`, `import fixfnm.cli` and
@@ -55,6 +59,18 @@ PAIRS = 10  # the fewest pairs a 9-in-10 win count can be read from
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")  # ROADMAP's tier-1 command
 INTERSECT = (
     "-m", "fixfnm", "intersect", "scripts/data/diag.endo", "scripts/data/swap.endo", "--json"
+)
+LARGE_FOLD = (
+    "-c",
+    "import time, fixfnm as F\n"
+    "a1, a2 = F.Alphabet(2, 'a').generators()\n"
+    "gens = [(a1 * a2) ** 2500, (a1 * a2) ** 2501]\n"
+    "best = float('inf')\n"
+    "for _ in range(3):\n"
+    "    started = time.perf_counter()\n"
+    "    F.from_generators(gens)\n"
+    "    best = min(best, time.perf_counter() - started)\n"
+    "print(best * 1e3)\n",
 )
 IMPORT_COMMANDS = {
     "interpreter": ("-c", "pass"),
@@ -104,6 +120,14 @@ def fold_curve(tree: Path) -> list[dict]:
         edges, fold_ms, express_ms = line.split()
         rows.append({"edges": int(edges), "fold_ms": float(fold_ms), "express_ms": float(express_ms)})
     return rows
+
+
+def large_fold(tree: Path) -> float:
+    """Best of 3 `from_generators` times, in ms, on the 10,002-edge wedge."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, *LARGE_FOLD], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout)
 
 
 def tier1(tree: Path) -> dict:
@@ -246,6 +270,14 @@ def main() -> int:
                 "runs": [run["rows"] for run in runs[side]],
                 "median": [{"edges": edges, **{k: statistics.median(v) for k, v in cols.items()}}
                            for edges, cols in sorted(by_size.items())],
+            }
+
+        runs = pairs("10,002-edge fold", lambda tree, seed: {"fold_ms": large_fold(tree)})
+        for side in trees:
+            report[side]["large_fold"] = {
+                "edges": 10002,
+                "runs": runs[side],
+                "median_fold_ms": statistics.median(r["fold_ms"] for r in runs[side]),
             }
 
         for side, tree in in_turn(0):

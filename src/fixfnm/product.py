@@ -23,6 +23,7 @@ from typing import Sequence, Union
 from ._value import FrozenValue, set_field
 from .homs import FreeHom, check_images_complete, identity_hom, trivial_hom
 from .lattices import IntLattice2, kernel_basis
+from .stallings import CertificateError
 from .words import (
     Alphabet,
     ParseError,
@@ -444,6 +445,18 @@ def _power_family(blocks: Sequence[Word]) -> tuple[Word, list[int]] | None:
     return None if rho is None else (rho, exps)
 
 
+def _forced_family(blocks: Sequence[Word]) -> tuple[Word, list[int]]:
+    """The power family that commutation forces on these blocks.
+
+    A valid endomorphism always has one here; its absence is a fault in
+    this library, so a plain check raises rather than an assert.
+    """
+    fam = _power_family(blocks)
+    if fam is None:
+        raise CertificateError("commutation forces a common root here, but the blocks have none")
+    return fam
+
+
 def classify(e: ProductEndo) -> EndoType:
     """Sort a valid endomorphism into one of the seven shapes.
 
@@ -463,14 +476,10 @@ def classify(e: ProductEndo) -> EndoType:
     if z1 and z2:
         return TypeIV(e.first_from_second, e.second_from_second)
     if z1 and z3:
-        fam = _power_family(e.second_from_first.images + e.second_from_second.images)
-        assert fam is not None, "commutation forces a common root here"
-        base, exps = fam
+        base, exps = _forced_family(e.second_from_first.images + e.second_from_second.images)
         return TypeV(base, tuple(exps[:n]), tuple(exps[n:]), n)
     if z1:
-        fam = _power_family(e.second_from_first.images + e.second_from_second.images)
-        assert fam is not None, "commutation forces a common root here"
-        base, exps = fam
+        base, exps = _forced_family(e.second_from_first.images + e.second_from_second.images)
         return TypeII(e.first_from_second, base, tuple(exps[:n]), tuple(exps[n:]))
     if z2:
         if z4:
@@ -478,9 +487,7 @@ def classify(e: ProductEndo) -> EndoType:
                 "first coordinate is a power family fed by both factors but "
                 "the second coordinate collapses; no shape covers this"
             )
-        fam = _power_family(e.first_from_first.images + e.first_from_second.images)
-        assert fam is not None, "commutation forces a common root here"
-        base, exps = fam
+        base, exps = _forced_family(e.first_from_first.images + e.first_from_second.images)
         return TypeIII(base, tuple(exps[:n]), tuple(exps[n:]), e.second_from_second)
     first_fam = _power_family(e.first_from_first.images + e.first_from_second.images)
     if first_fam is None:

@@ -6,11 +6,16 @@ leaving v (or -1). Graphs are folded, trimmed of dangling trees, and
 renumbered breadth-first, so two subgroups are equal iff their graphs
 compare equal.
 
-Construction goes through a mutable multigraph that wedges one loop per
-generator and folds. Every edge carries a name, a freely reduced word over
-the generators x1, x2, ...: on any base loop the product of the names,
-read over the generators, spells the loop's label. Folding keeps this
-true (Kapovich-Myasnikov, J. Algebra 248, 2002), so reading a member word
+Construction goes through a mutable multigraph that attaches one base loop
+per generator and folds. A loop is first read through the graph from both
+ends: the prefix that the graph already reads from the base and the suffix
+it reads into the base cost no edges, and only the middle between them is
+added, so the fold settles clashes at the two ends of each middle rather
+than undoing whole copies of letters the graph already has. Every edge
+carries a name, a freely reduced word over the generators x1, x2, ...: on
+any base loop the product of the names, read over the generators, spells
+the loop's label. Attaching a loop and folding keep this true
+(Kapovich-Myasnikov, J. Algebra 248, 2002), so reading a member word
 through the folded graph writes it as a product of the generators. Only
 express_in_generators names edges; the other constructions fold unnamed
 edges and never rewrite a name.
@@ -80,23 +85,63 @@ class _Builder:
         self._seat(eid, tail, label, head)
         return eid
 
-    def add_loop(self, w: Word) -> int | None:
-        """Attach a base loop spelling w and return its closing edge.
+    def add_loop(self, w: Word, name: tuple[int, ...] = ()) -> None:
+        """Attach a base loop spelling w whose edge names multiply to ``name``.
 
-        The closing edge runs against the loop when w ends in an inverse
-        letter. An empty w adds nothing and returns None.
+        The graph already reads some prefix of w from the base (``head``,
+        the product of the names met) and some suffix of w into the base
+        (``tail``). Neither read passes through the base: a read that went
+        on would wrap c^(k+1) round the loop of c^k and fold the graph onto
+        itself with long names. Only the middle between the reads gets new
+        edges, and it keeps at least one letter; its last edge carries the
+        name head^-1 name tail^-1, so the loop's names still multiply to
+        ``name``. Clashes can arise only at the two ends of the middle. An
+        empty w adds nothing.
         """
-        cur = self.base
-        last = len(w.letters) - 1
-        eid = None
-        for i, x in enumerate(w.letters):
-            nxt = self.base if i == last else self.new_vertex()
+        letters = w.letters
+        if not letters:
+            return
+        i, start, head = self._read(letters, len(letters) - 1, name, 1)
+        k, end, tail_inverse = self._read(letters, len(letters) - 1 - i, name, -1)
+        cur, last = start, len(letters) - k - 1
+        for j in range(i, last + 1):
+            x = letters[j]
+            nxt = end if j == last else self.new_vertex()
             if x > 0:
                 eid = self.add_edge(cur, x, nxt)
             else:
                 eid = self.add_edge(nxt, -x, cur)
             cur = nxt
-        return eid
+        if name:
+            label = free_reduce(_inverse(head) + name + tail_inverse)
+            if label:
+                self.names[eid] = label if x > 0 else _inverse(label)
+
+    def _read(
+        self, letters: tuple[int, ...], limit: int, named: tuple[int, ...], sign: int
+    ) -> tuple[int, int, tuple[int, ...]]:
+        """Follow at most ``limit`` letters of w (sign 1) or of w^-1 (sign -1)
+        from the base, stopping before the base.
+
+        Returns how many letters were read, the vertex reached and, when
+        ``named`` is nonempty, the product of the names met (else ()).
+        """
+        slots, edges, names, base = self.slots, self.edges, self.names, self.base
+        cur, read, product = base, 0, ()
+        while read < limit:
+            x = letters[read] if sign > 0 else -letters[-1 - read]
+            eid = slots.get((cur, x))
+            if eid is None:
+                break
+            t, _, h = edges[eid]
+            nxt = h if x > 0 else t
+            if nxt == base:
+                break
+            if named and eid in names:
+                product += names[eid] if x > 0 else _inverse(names[eid])
+            cur = nxt
+            read += 1
+        return read, cur, product
 
     def _seat(self, eid: int, tail: int, label: int, head: int) -> None:
         """Put an edge in both its slots; a slot held by another edge queues a clash."""
@@ -139,8 +184,10 @@ class _Builder:
 
         Cost: every clash deletes an edge, so there are fewer clashes than
         edges, and a merge touches only the edges at its smaller end;
-        nothing rescans the graph. Name rewriting comes on top and grows
-        with the names, which stay empty unless the caller names edges.
+        nothing rescans the graph. Since ``add_loop`` adds no edge that the
+        graph already reads, clashes start only at the ends of each loop's
+        new middle. Name rewriting comes on top and grows with the names,
+        which stay empty unless the caller names edges.
         """
         edges, names, incident, clashes = self.edges, self.names, self.incident, self.clashes
         while clashes:
@@ -468,19 +515,18 @@ def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | Non
     gens[|ik|-1]**sign(ik) equals target, or None when target is not in
     the subgroup the generators span. The expression is freely reduced.
 
-    Method: fold the wedge of generator loops, carrying edge names, then
-    read target through the folded graph; the reduced product of the names
-    met on the way is the expression.
+    Method: attach the loop of each generator g_i with the name x_i, so
+    that only the part the graph does not already read gets new edges, one
+    of them named; fold, carrying the names, then read target through the
+    folded graph. The reduced product of the names met on the way is the
+    expression.
     """
     alphabet = target.alphabet
     b = _Builder(alphabet)
     for i, g in enumerate(gens, start=1):
         if g.alphabet != alphabet:
             raise ValueError(f"{g} is not a word over {alphabet}")
-        closing = b.add_loop(g)
-        if closing is not None:
-            # the loop reads x_i, so an edge it runs against reads x_i^-1
-            b.names[closing] = (i if g.letters[-1] > 0 else -i,)
+        b.add_loop(g, (i,))
     b.fold()
     cur = b.base
     letters: list[int] = []

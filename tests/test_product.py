@@ -2,8 +2,10 @@
 
 import pytest
 
+import fixfnm.product as product_module
 from fixfnm import (
     Alphabet,
+    CertificateError,
     CommutationViolation,
     FreeHom,
     ParseError,
@@ -230,6 +232,22 @@ def test_unclassifiable_unconstrained_first_coordinate():
         UnclassifiableEndo, match="^first-coordinate blocks are not powers of a common word$"
     ):
         classify(e)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        TypeV(wb("b1 b2"), (1, 0), (0, 3), 2),
+        TypeII(FreeHom(B, A, (wa("a1"), wa("a2"))), wb("b2"), (0, -1), (-3, 2)),
+        TypeIII(wa("a2"), (2, 1), (1, 0), inner_hom(wb("b1"))),
+    ],
+)
+def test_missing_forced_root_is_a_certificate_error(monkeypatch, payload):
+    # commutation forces a common root on these blocks; were it ever missed,
+    # a plain check (not an assert, so also under python -O) must say so
+    monkeypatch.setattr(product_module, "_power_family", lambda blocks: None)
+    with pytest.raises(CertificateError, match="commutation forces a common root"):
+        classify(payload.as_endo())
 
 
 def test_parse_render_round_trip():

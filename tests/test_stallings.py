@@ -21,7 +21,7 @@ from fixfnm import (
     weighted_sum,
     whole_group,
 )
-from fixfnm.stallings import evaluate_expression
+from fixfnm.stallings import _Builder, evaluate_expression
 from conftest import random_word, rng_for
 
 A = Alphabet(2, "a")
@@ -162,6 +162,77 @@ def test_fold_matches_quadratic_reference():
         assert from_generators(gens).transitions == _reference_fold(gens, alphabet), gens
         count += 1
     assert count == 240
+
+
+def _read_path_families():
+    """Seeded families whose later loops the graph already partly reads."""
+    rng = rng_for("stallings-read-paths")
+    C = Alphabet(3, "a")
+    for alphabet in (A, C):
+
+        def rw(lo, hi):
+            return random_word(rng, alphabet, rng.randint(lo, hi))
+
+        for _ in range(15):  # shared suffixes g s read into the base
+            s = rw(3, 8)
+            yield [rw(0, 3) * s for _ in range(rng.randint(2, 4))]
+        for _ in range(15):  # conjugates s g s^-1 read at both ends
+            s = rw(1, 5)
+            yield [s * rw(1, 3) * s.inverse() for _ in range(rng.randint(2, 4))]
+        for _ in range(15):  # every generator ends in an inverse letter
+            gens = []
+            while len(gens) < rng.randint(2, 4):
+                g = rw(1, 6)
+                if g.letters[-1] < 0:
+                    gens.append(g)
+            yield gens
+        for _ in range(15):  # duplicates, inverses and products: fully readable loops
+            base = [rw(1, 5) for _ in range(rng.randint(1, 3))]
+            product = Word(alphabet)
+            for _ in range(rng.randint(2, 3)):
+                g = rng.choice(base)
+                product = product * (g if rng.random() < 0.5 else g.inverse())
+            yield base + [rng.choice(base), rng.choice(base).inverse(), product]
+        for _ in range(15):  # c^k t then c^(k+1) t wraps round the loop of c
+            c, t, k = rw(1, 4), rw(0, 2), rng.randint(1, 6)
+            yield [c**k * t, c ** (k + 1) * t]
+
+
+def test_read_paths_match_quadratic_reference():
+    rng = rng_for("stallings-read-paths-express")
+    count = 0
+    for gens in _read_path_families():
+        alphabet = gens[0].alphabet
+        assert from_generators(gens).transitions == _reference_fold(gens, alphabet), gens
+        for _ in range(3):
+            target = Word(alphabet)
+            for _ in range(rng.randint(0, 5)):
+                g = rng.choice(gens)
+                target = target * (g if rng.random() < 0.5 else g.inverse())
+            expr = express_in_generators(gens, target)
+            assert expr is not None, (gens, target)
+            _assert_reduced(expr)
+            assert evaluate_expression(gens, expr, alphabet) == target
+        count += 1
+    assert count == 150
+
+
+def test_loops_add_only_the_unread_middle():
+    # the second loop reads c^k along the first and adds only c t
+    c, s, t = wa("a1 a2 a1^-1 a2"), wa("a2 a2"), wa("a1 a1")
+    for k in (1, 3, 6):
+        b = _Builder(A)
+        b.add_loop(c**k * s)
+        before = b._next_edge
+        b.add_loop(c ** (k + 1) * t)
+        assert b._next_edge - before == len(c) + len(t)
+    # a duplicate, an inverse, and a loop that leaves the first on its last letter
+    for text in ("a1 a2 a1", "a1^-1 a2^-1 a1^-1", "a1 a2 a2"):
+        b = _Builder(A)
+        b.add_loop(wa("a1 a2 a1"))
+        before = b._next_edge
+        b.add_loop(wa(text))
+        assert b._next_edge - before == 1, text
 
 
 def test_fold_of_long_collapsing_wedge_is_fast():
