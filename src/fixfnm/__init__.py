@@ -13,14 +13,13 @@ the ``intersect`` command do not pay for them.
 from .decision import UnsupportedShape, Verdict, decide
 from .fixpoints import (
     DeclaredEndo,
-    ExponentGraph,
     FactorProduct,
     FixDescriptor,
     FixOracle,
     HomGraph,
     MissingOracle,
     PairedPowers,
-    PowerCylinder,
+    PowerGraph,
     TrivialFix,
     fix_product,
 )

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .decision import UnsupportedShape, decide
 from .fixpoints import DeclaredEndo, FixOracle, MissingOracle, fix_product
-from .homs import parse_hom_text
+from .homs import _content_lines, parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
 from .product import UnclassifiableEndo, classify, identity_endo, parse_endo_text
 from .stallings import CertificateError
@@ -105,11 +105,10 @@ def _load_declarations(pairs: list[list[str]]) -> tuple[DeclaredEndo, ...]:
     out = []
     for hom_file, basis_file in pairs:
         h = parse_hom_text(Path(hom_file).read_text())
-        basis = []
-        for lineno, raw in enumerate(Path(basis_file).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0]
-            if line.strip():
-                basis.append(parse_word(line, h.source, line=lineno))
+        basis = [
+            parse_word(line, h.source, line=lineno)
+            for lineno, line in _content_lines(Path(basis_file).read_text())
+        ]
         out.append(DeclaredEndo(h, tuple(basis), audit_radius=_AUDIT_RADIUS))
     return tuple(out)
 

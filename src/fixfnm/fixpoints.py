@@ -7,7 +7,9 @@ trivial, conjugations, basis permutations); anything else must be declared,
 and declarations are checked for soundness and optionally audited on a ball.
 
 For endomorphisms of the product the fixed subgroup is described
-structurally, one descriptor class per shape of answer. A descriptor holds
+structurally, one descriptor class per shape of answer: TrivialFix,
+FactorProduct (shape VI), PairedPowers (shapes I, II and V), HomGraph
+(shapes IV and VII) and PowerGraph (shape III). A descriptor holds
 the words, weights and free-group homs of its formula, not subgroup graphs:
 it asks the oracle for the fixed subgroups of those homs only when a
 membership test, a description or a meet needs them. Every descriptor
@@ -23,6 +25,7 @@ from typing import Union
 from ._value import FrozenValue, set_field
 from .homs import FreeHom
 from .lattices import IntLattice2
+from .oracle import BallSpec, fixed_words
 from .product import (
     EndoType,
     ProductElement,
@@ -52,7 +55,6 @@ from .words import (
     Alphabet,
     Word,
     cyclic_reduce,
-    enumerate_ball,
     exponent_of_power,
     render_word,
     root,
@@ -68,8 +70,9 @@ class DeclaredEndo(FrozenValue):
 
     Each basis word must be fixed (checked exactly; that makes the whole
     declared subgroup consist of fixed points). Completeness cannot be
-    checked exactly; pass audit_radius to verify that no fixed point of
-    length <= audit_radius falls outside the declared subgroup.
+    checked exactly; pass audit_radius (0..8, the ball oracle's MAX_RADIUS) to
+    verify that no fixed point of length <= audit_radius falls outside the
+    declared subgroup.
     """
 
     __slots__ = ("endo", "fix_basis", "audit_radius")
@@ -84,9 +87,10 @@ class DeclaredEndo(FrozenValue):
         set_field(self, "fix_basis", fix_basis)
         set_field(self, "audit_radius", audit_radius)
         if audit_radius is not None:
+            fixed = fixed_words(endo, BallSpec(audit_radius))
             graph = self.fix_graph()
-            for w in enumerate_ball(endo.source, audit_radius):
-                if endo.apply(w) == w and not graph.contains(w):
+            for w in fixed:
+                if not graph.contains(w):
                     raise ValueError(
                         f"fixed point {render_word(w)} is missing from the "
                         f"declared subgroup"
@@ -243,26 +247,6 @@ def _power_witness(u: Word, v: Word, exponents: IntLattice2) -> ProductElement |
         if not g.is_identity():
             return g
     return None
-
-
-def _power_meets_swap(
-    u: Word, weights: tuple[int, ...], drag: int, theta: FreeHom, vii: TypeVII
-) -> ProductElement | None:
-    """Branches 2.3 (drag != 0) and 2.4 (drag == 0) of a shape III map.
-
-    Its fixed points are (u^k, y) with y fixed by theta and w(y) = drag * k.
-    The swap fixes such a pair iff y = to_second(u)^k and u^k is fixed by
-    the round trip. For u^k != 1, unique roots turn that into: the round trip
-    fixes u, theta fixes to_second(u), and w(to_second(u)) = drag; then
-    k = 1 is a witness.
-    """
-    to_first, to_second = vii.first_from_second, vii.second_from_first
-    mapped = to_second.apply(u)
-    if u.is_identity() or not _is_fixed(to_second.then(to_first), u):
-        return None
-    if weighted_sum(mapped, weights) != drag or not _is_fixed(theta, mapped):
-        return None
-    return ProductElement(u, mapped)
 
 
 class TrivialFix(FrozenValue):
@@ -454,115 +438,92 @@ def _swap_graph(vii: TypeVII) -> HomGraph:
     return HomGraph(loop, vii.second_from_first, "second_from_first")
 
 
-class PowerCylinder(FrozenValue):
-    """{(u^k, y) : k in Z, y in Fix(theta) with zero weighted sum}.
+class PowerGraph(FrozenValue):
+    """{(u^k, y) : k in Z, y in Fix(theta), w(y) = drag * k}, w a weighted sum.
 
-    Nontrivial whenever u is (then (u, 1) is a member: the identity has
-    weight zero).
+    The fixed subgroup of a shape III map, drag being 1 - its self weight.
+    For drag != 0, y forces k; for drag == 0, k is free and w(y) = 0.
     """
 
-    __slots__ = ("first_base", "second_weights", "theta")
-
-    def __init__(self, first_base: Word, second_weights: tuple[int, ...], theta: FreeHom):
-        set_field(self, "first_base", first_base)
-        set_field(self, "second_weights", second_weights)
-        set_field(self, "theta", theta)
-
-    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
-        if exponent_of_power(g.first, self.first_base) is None:
-            return False
-        return (
-            oracle.fix(self.theta).contains(g.second)
-            and weighted_sum(g.second, self.second_weights) == 0
-        )
-
-    def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
-        """Branch 1.4: (u, 1) if the diagonal fixes u, else the zero-weight
-        part of Fix(theta) meet the diagonal's second fixed subgroup."""
-        u = self.first_base
-        if not u.is_identity() and _is_fixed(vi.first, u):
-            return ProductElement(u, Word(vi.second.source))
-        k = oracle.fix(self.theta).intersect(oracle.fix(vi.second))
-        y = restricted_kernel_trivial(k, self.second_weights)
-        return None if y is None else ProductElement(Word(u.alphabet), y)
-
-    def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
-        """Branch 2.4; see ``_power_meets_swap``."""
-        return _power_meets_swap(self.first_base, self.second_weights, 0, self.theta, vii)
-
-    def describe(self, oracle: FixOracle) -> str:
-        u = render_word(self.first_base)
-        return (
-            f"pairs (({u})^k, y), k any integer, y in {oracle.fix(self.theta)} "
-            f"with zero weight {list(self.second_weights)}"
-        )
-
-
-class ExponentGraph(FrozenValue):
-    """{(u^(w(y)/d), y) : y in Fix(theta) with d | w(y)}, w a weighted sum."""
-
-    __slots__ = ("first_base", "second_weights", "divisor", "theta")
+    __slots__ = ("first_base", "second_weights", "drag", "theta")
 
     def __init__(
-        self, first_base: Word, second_weights: tuple[int, ...], divisor: int, theta: FreeHom
+        self, first_base: Word, second_weights: tuple[int, ...], drag: int, theta: FreeHom
     ):
-        if divisor == 0:
-            raise ValueError("divisor must be nonzero")
         set_field(self, "first_base", first_base)
         set_field(self, "second_weights", second_weights)
-        set_field(self, "divisor", divisor)
+        set_field(self, "drag", drag)
         set_field(self, "theta", theta)
 
     def _domain(self, oracle: FixOracle) -> SubgroupGraph:
-        """Fix(theta) cut down to d | w(y) by a congruence subgroup."""
-        window = congruence_subgroup(self.theta.source, self.second_weights, abs(self.divisor))
-        return oracle.fix(self.theta).intersect(window)
+        """Fix(theta), cut down to drag | w(y) by a congruence subgroup if drag != 0."""
+        fixed = oracle.fix(self.theta)
+        if self.drag == 0:
+            return fixed
+        window = congruence_subgroup(self.theta.source, self.second_weights, abs(self.drag))
+        return fixed.intersect(window)
 
     def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
         total = weighted_sum(g.second, self.second_weights)
-        if total % self.divisor or not oracle.fix(self.theta).contains(g.second):
-            return False
-        return g.first == self.first_base ** (total // self.divisor)
+        u, drag = self.first_base, self.drag
+        if drag == 0:
+            first_ok = total == 0 and exponent_of_power(g.first, u) is not None
+        else:
+            first_ok = total % drag == 0 and g.first == u ** (total // drag)
+        return first_ok and oracle.fix(self.theta).contains(g.second)
 
     def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
-        """Branch 1.3: K = domain meet the diagonal's second fixed subgroup.
+        """Branches 1.3 (drag != 0) and 1.4 (drag == 0).
 
-        If the diagonal fixes u (or u = 1), any y != 1 in K gives a member;
-        otherwise the first coordinate must vanish, which leaves the
-        zero-weight part of K.
+        (u, 1) is a member if drag == 0 and the diagonal fixes u != 1.
+        Otherwise y lies in K = domain meet the diagonal's second fixed
+        subgroup. If drag != 0 and the diagonal fixes u (or u = 1), any
+        y != 1 in K gives a member; else the first coordinate must vanish,
+        which leaves the zero-weight part of K.
         """
+        u = self.first_base
+        if self.drag == 0 and not u.is_identity() and _is_fixed(vi.first, u):
+            return ProductElement(u, Word(vi.second.source))
         k = self._domain(oracle).intersect(oracle.fix(vi.second))
         if k.is_trivial():
             return None
-        u = self.first_base
-        if u.is_identity() or _is_fixed(vi.first, u):
+        if self.drag != 0 and (u.is_identity() or _is_fixed(vi.first, u)):
             y = k.basis()[0]
-            return ProductElement(u ** (weighted_sum(y, self.second_weights) // self.divisor), y)
+            return ProductElement(u ** (weighted_sum(y, self.second_weights) // self.drag), y)
         y = restricted_kernel_trivial(k, self.second_weights)
         return None if y is None else ProductElement(Word(u.alphabet), y)
 
     def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
-        """Branch 2.3; see ``_power_meets_swap``."""
-        return _power_meets_swap(
-            self.first_base, self.second_weights, self.divisor, self.theta, vii
-        )
+        """Branches 2.3 (drag != 0) and 2.4 (drag == 0).
+
+        The swap fixes a member (u^k, y) iff y = to_second(u)^k and u^k is
+        fixed by the round trip. For u^k != 1, unique roots turn that into:
+        the round trip fixes u, theta fixes to_second(u), and
+        w(to_second(u)) = drag; then k = 1 is a witness.
+        """
+        to_first, to_second = vii.first_from_second, vii.second_from_first
+        u, weights, theta = self.first_base, self.second_weights, self.theta
+        mapped = to_second.apply(u)
+        if u.is_identity() or not _is_fixed(to_second.then(to_first), u):
+            return None
+        if weighted_sum(mapped, weights) != self.drag or not _is_fixed(theta, mapped):
+            return None
+        return ProductElement(u, mapped)
 
     def describe(self, oracle: FixOracle) -> str:
-        u = render_word(self.first_base)
+        u, weights = render_word(self.first_base), list(self.second_weights)
+        if self.drag == 0:
+            return (
+                f"pairs (({u})^k, y), k any integer, y in {oracle.fix(self.theta)} "
+                f"with zero weight {weights}"
+            )
         return (
-            f"pairs (({u})^(w(y)/{self.divisor}), y) for y in {self._domain(oracle)}, "
-            f"w = weight {list(self.second_weights)}"
+            f"pairs (({u})^(w(y)/{self.drag}), y) for y in {self._domain(oracle)}, "
+            f"w = weight {weights}"
         )
 
 
-FixDescriptor = Union[
-    TrivialFix,
-    FactorProduct,
-    PairedPowers,
-    HomGraph,
-    PowerCylinder,
-    ExponentGraph,
-]
+FixDescriptor = Union[TrivialFix, FactorProduct, PairedPowers, HomGraph, PowerGraph]
 
 
 def fix_product(e: ProductEndo, shape: EndoType | None = None) -> FixDescriptor:
@@ -584,11 +545,7 @@ def fix_product(e: ProductEndo, shape: EndoType | None = None) -> FixDescriptor:
         return PairedPowers(r.base, shape.second_base, IntLattice2.line((r.exponent, 1)))
     if isinstance(shape, TypeIII):
         drag = 1 - shape.self_weight()
-        if drag == 0:
-            return PowerCylinder(shape.first_base, shape.first_b_weights, shape.second_from_second)
-        return ExponentGraph(
-            shape.first_base, shape.first_b_weights, drag, shape.second_from_second
-        )
+        return PowerGraph(shape.first_base, shape.first_b_weights, drag, shape.second_from_second)
     if isinstance(shape, TypeIV):
         return HomGraph(shape.second_from_second, shape.first_from_second, "first_from_second")
     if isinstance(shape, TypeV):

@@ -97,7 +97,7 @@ def parse_hom_text(text: str) -> FreeHom:
 
     Header: `hom <src-rank> <tgt-rank> <src-letter> <tgt-letter>`, then one
     `<gen> -> <word>` line per source generator, in any order but each
-    exactly once. Blank lines and lines starting with `#` are skipped.
+    exactly once. `#` starts a comment; blank lines are skipped.
     """
     lines = _content_lines(text)
     if not lines:
@@ -165,10 +165,14 @@ def render_hom_text(h: FreeHom) -> str:
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, raw line) for each line that is not blank or a comment."""
+    """(line number, line) for each line that is not blank once its comment is cut.
+
+    A `#` starts a comment anywhere on a line. The cut keeps the line's
+    start as written, so columns of the tokens before it do not move.
+    """
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((lineno, raw))
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            out.append((lineno, line))
     return out

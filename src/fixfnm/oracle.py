@@ -1,8 +1,8 @@
 """Brute-force reference computations over bounded balls.
 
 Everything here is exponential in the radius and exists to cross-check the
-structural machinery on small instances.  The cap on BallSpec keeps a typo
-from turning a test run into an overnight job.
+structural machinery on small instances.  BallSpec caps every radius at
+MAX_RADIUS, which keeps a typo from turning a test run into an overnight job.
 """
 
 from __future__ import annotations
@@ -15,18 +15,18 @@ from .product import ProductElement, ProductEndo
 from .words import Alphabet, Word, enumerate_ball
 
 
+MAX_RADIUS = 8
+
+
 class BallSpec(FrozenValue):
-    """Search bound: total word length up to ``radius``."""
+    """Search bound: total word length up to ``radius``, at most MAX_RADIUS."""
 
-    __slots__ = ("radius", "cap")
+    __slots__ = ("radius",)
 
-    def __init__(self, radius: int, cap: int = 8):
-        if cap < 0:
-            raise ValueError("cap must be nonnegative")
-        if not 0 <= radius <= cap:
-            raise ValueError(f"radius must lie in [0, {cap}], got {radius}")
+    def __init__(self, radius: int):
+        if not 0 <= radius <= MAX_RADIUS:
+            raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {radius}")
         set_field(self, "radius", radius)
-        set_field(self, "cap", cap)
 
 
 def enumerate_product_ball(

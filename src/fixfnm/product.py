@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from ._value import FrozenValue, set_field
-from .homs import FreeHom, check_images_complete, identity_hom, trivial_hom
+from .homs import FreeHom, _content_lines, check_images_complete, identity_hom, trivial_hom
 from .lattices import IntLattice2, kernel_basis
 from .stallings import CertificateError
 from .words import (
@@ -422,11 +422,11 @@ def _power_family(blocks: Sequence[Word]) -> tuple[Word, list[int]] | None:
     """Common primitive root (sign-normalized) and exponents, if one exists.
 
     The exponent of a trivial word is 0. Each nontrivial block is rooted
-    once: rho is the sign-normalized root of the first, and a block is a
-    power of rho iff its root is rho or rho^-1, since roots are unique.
+    once: rho is the sign-normalized root of the first, and ``Root.power_of``
+    reads each block's exponent over rho.
     Returns None when some word is not such a power, or all are trivial.
     """
-    rho = rho_inverse = None
+    rho = None
     exps: list[int] = []
     for w in blocks:
         if w.is_identity():
@@ -435,13 +435,10 @@ def _power_family(blocks: Sequence[Word]) -> tuple[Word, list[int]] | None:
         r = root(w)
         if rho is None:
             rho = sign_normalized(r.base)
-            rho_inverse = rho.inverse()
-        if r.base == rho:
-            exps.append(r.exponent)
-        elif r.base == rho_inverse:
-            exps.append(-r.exponent)
-        else:
+        exponent = r.power_of(rho)
+        if exponent is None:
             return None
+        exps.append(exponent)
     return None if rho is None else (rho, exps)
 
 
@@ -519,13 +516,9 @@ def parse_endo_text(text: str) -> ProductEndo:
 
     Header `endo <n> <m>`, then one line per generator of either factor:
     `a<i> -> ( <a-word> , <b-word> )` or `b<j> -> ( <a-word> , <b-word> )`.
-    Blank lines and `#` comments are skipped.
+    `#` starts a comment; blank lines are skipped.
     """
-    lines = [
-        (no, ln)
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty endo description")
     lineno, header = lines[0]

@@ -188,6 +188,18 @@ class Root(FrozenValue):
         set_field(self, "base", base)
         set_field(self, "exponent", exponent)
 
+    def power_of(self, rho: Word) -> int | None:
+        """The m with rho**m == base**exponent, for a primitive rho != 1, or None.
+
+        Roots are unique, so m is +-exponent when base is rho or rho^-1 and
+        there is none otherwise. rho^-1 is only built when base is not rho.
+        """
+        if self.base == rho:
+            return self.exponent
+        if self.base == rho.inverse():
+            return -self.exponent
+        return None
+
 
 def root(w: Word) -> Root:
     """Primitive root decomposition. root(1) = (1, 0), else exponent >= 1.
@@ -229,22 +241,20 @@ def exponent_of_power(x: Word, u: Word) -> int | None:
         return 0
     if u.is_identity():
         return None
-    ru, rx = root(u), root(x)
-    if rx.base == ru.base:
-        m = rx.exponent
-    elif rx.base == ru.base.inverse():
-        m = -rx.exponent
-    else:
+    ru = root(u)
+    m = root(x).power_of(ru.base)
+    if m is None or m % ru.exponent:
         return None
-    return m // ru.exponent if m % ru.exponent == 0 else None
+    return m // ru.exponent
 
 
 def solve_power_equation(v: Word, w: Word) -> IntLattice2:
     """The lattice of all (m, k) in Z^2 with v**m == w**k.
 
-    Nontrivial non-commuting pairs admit only (0, 0). Commuting nontrivial
-    pairs share a unique primitive root rho with v = rho^c, w = rho^d, and
-    the solutions form the line spanned by (d/g, c/g), g = gcd(c, d).
+    Nontrivial v and w commute iff their primitive roots agree up to
+    inversion. If they do not, only (0, 0) solves. If they do, v = rho^c
+    and w = rho^d for the root rho of v, and the solutions form the line
+    spanned by (d/g, c/g), g = gcd(c, d).
     """
     if v.is_identity() and w.is_identity():
         return IntLattice2.full()
@@ -252,16 +262,10 @@ def solve_power_equation(v: Word, w: Word) -> IntLattice2:
         return IntLattice2.line((1, 0))
     if w.is_identity():
         return IntLattice2.line((0, 1))
-    if not commute(v, w):
+    rv = root(v)
+    c, d = rv.exponent, root(w).power_of(rv.base)
+    if d is None:
         return IntLattice2.zero()
-    rv, rw = root(v), root(w)
-    c = rv.exponent
-    if rw.base == rv.base:
-        d = rw.exponent
-    elif rw.base == rv.base.inverse():
-        d = -rw.exponent
-    else:
-        raise AssertionError("commuting nontrivial words must share a primitive root")
     g = gcd(c, d)
     return IntLattice2.line((d // g, c // g))
 

@@ -89,6 +89,53 @@ def test_curated_case(case):
         assert case.psi.fixes(verdict.witness)
 
 
+# Verdict.describe() of each curated case, in curated_cases() order: a changed
+# witness or trace label shows here, not only in scripts/verdict_digest.py
+CURATED_LINES = [
+    "NONTRIVIAL (a1, b1) [1.1]",
+    "TRIVIAL [1.1]",
+    "NONTRIVIAL (a1, b1) [1.2]",
+    "TRIVIAL [1.2]",
+    "NONTRIVIAL (a1^-1, b1) [1.3]",
+    "NONTRIVIAL (1, b1) [1.3]",
+    "TRIVIAL [1.3]",
+    "NONTRIVIAL (a1, 1) [1.4]",
+    "TRIVIAL [1.4]",
+    "NONTRIVIAL (a1, b1) [1.5]",
+    "TRIVIAL [1.5]",
+    "NONTRIVIAL (1, b2) [1.5]",
+    "NONTRIVIAL (1, b1) [1.6]",
+    "TRIVIAL [1.6]",
+    "NONTRIVIAL (a1, 1) [1.7]",
+    "NONTRIVIAL (1, b1) [1.7]",
+    "TRIVIAL [1.7]",
+    "NONTRIVIAL (a1, 1) [1.7]",
+    "NONTRIVIAL (a1, b1) [1.8]",
+    "TRIVIAL [1.8]",
+    "NONTRIVIAL (a1, b1^-1) [2.1]",
+    "TRIVIAL [2.1]",
+    "NONTRIVIAL (a1, b1) [2.2]",
+    "TRIVIAL [2.2]",
+    "NONTRIVIAL (a1, b1) [2.3]",
+    "TRIVIAL [2.3]",
+    "NONTRIVIAL (a1, b1) [2.4]",
+    "TRIVIAL [2.4]",
+    "NONTRIVIAL (a1, b1) [2.5]",
+    "TRIVIAL [2.5]",
+    "TRIVIAL [2.6]",
+    "TRIVIAL [2.6]",
+    "NONTRIVIAL (a1, b1) [2.7/1.8]",
+    "TRIVIAL [2.7/1.8]",
+    "NONTRIVIAL (a1, b1) [2.8]",
+    "TRIVIAL [2.8]",
+]
+
+
+def test_curated_verdict_lines_are_pinned():
+    cases = curated_cases()
+    assert [decide(c.phi, c.psi, c.oracle()).describe() for c in cases] == CURATED_LINES
+
+
 def test_delegated_trace_for_swap_meets_diagonal():
     swap_first = next(c for c in curated_cases() if c.label == "2.7")
     verdict = decide(swap_first.phi, swap_first.psi, swap_first.oracle())

@@ -7,7 +7,6 @@ import pytest
 from fixfnm import (
     Alphabet,
     DeclaredEndo,
-    ExponentGraph,
     FactorProduct,
     FixOracle,
     FreeHom,
@@ -15,7 +14,7 @@ from fixfnm import (
     IntLattice2,
     MissingOracle,
     PairedPowers,
-    PowerCylinder,
+    PowerGraph,
     ProductElement,
     TrivialFix,
     TypeI,
@@ -106,6 +105,22 @@ def test_declared_endo_support():
         DeclaredEndo(identity_hom(A), (wa("a1"),), audit_radius=2)
     with pytest.raises(ValueError):
         DeclaredEndo(RELAB_AB, ())  # not an endomorphism
+
+
+def test_audit_radius_beyond_the_ball_cap_is_refused(monkeypatch):
+    # refused before any word is applied, not after walking a radius-9 ball
+    def no_apply(self, w):
+        raise AssertionError("the audit walked the ball")
+
+    retract = FreeHom(A, A, (wa("a1"), Word(A)))
+    basis = (wa("a1"),)
+    monkeypatch.setattr(FreeHom, "apply", no_apply)
+    with pytest.raises(ValueError, match="radius must lie in"):
+        DeclaredEndo(retract, (), audit_radius=9)
+    with pytest.raises(ValueError, match="radius must lie in"):
+        DeclaredEndo(retract, (), audit_radius=-1)
+    monkeypatch.undo()
+    assert DeclaredEndo(retract, basis, audit_radius=8).audit_radius == 8
 
 
 # --- the oracle ---------------------------------------------------------------
@@ -201,28 +216,31 @@ def test_hom_graph_descriptor():
     assert not other.contains(pe("a1", "b2"), oracle)
 
 
-def test_power_cylinder_descriptor():
+def test_power_graph_descriptor_with_zero_drag():
     # Fix(conjugation by b1 b2) = <b1 b2>
     theta = inner_hom(wb("b1 b2"))
-    fd = PowerCylinder(wa("a1"), (1, -1), theta)
+    fd = PowerGraph(wa("a1"), (1, -1), 0, theta)
     oracle = FixOracle()
     assert fd.contains(pe("a1^5", "b1 b2"), oracle)
     assert fd.contains(pe("1", "1"), oracle)
     assert not fd.contains(pe("a2", "b1 b2"), oracle)
     assert fd.meet_diagonal(IDENTITY, oracle) == pe("a1", "1")  # (a1, 1) is always in
+    assert fd.describe(oracle) == (
+        f"pairs ((a1)^k, y), k any integer, y in {oracle.fix(theta)} with zero weight [1, -1]"
+    )
 
     # collapsed first base: triviality is the restricted-kernel question
-    flat = PowerCylinder(Word(A), (1, 1), theta)
+    flat = PowerGraph(Word(A), (1, 1), 0, theta)
     # weight of b1 b2 is 2, never zero on <b1 b2> \ 1
     assert flat.meet_diagonal(IDENTITY, oracle) is None
-    zero = PowerCylinder(Word(A), (1, -1), theta)
+    zero = PowerGraph(Word(A), (1, -1), 0, theta)
     w = zero.meet_diagonal(IDENTITY, oracle)
     assert w is not None and zero.contains(w, oracle) and not w.is_identity()
 
 
-def test_exponent_graph_descriptor():
+def test_power_graph_descriptor_with_nonzero_drag():
     # Fix(identity) = F_b, cut down to even b1-weight
-    fd = ExponentGraph(wa("a1"), (1, 0), 2, identity_hom(B))
+    fd = PowerGraph(wa("a1"), (1, 0), 2, identity_hom(B))
     oracle = FixOracle()
     assert fd.contains(pe("a1", "b1^2"), oracle)
     assert fd.contains(pe("1", "b2"), oracle)
@@ -232,8 +250,6 @@ def test_exponent_graph_descriptor():
     assert fd.describe(oracle).endswith(f"for y in {window}, w = weight [1, 0]")
     w = fd.meet_diagonal(IDENTITY, oracle)
     assert fd.contains(w, oracle) and not w.is_identity()
-    with pytest.raises(ValueError):
-        ExponentGraph(wa("a1"), (1, 0), 0, identity_hom(B))
 
 
 # --- fix_product across the shapes ---------------------------------------------
@@ -270,12 +286,11 @@ def test_fix_product_type_iii():
     oracle = FixOracle()
     # self weight 1: a cylinder over the kernel of the cross weights
     cyl = fix_product(TypeIII(wa("a1"), (1, 0), (1, -1), inner_hom(wb("b1"))).as_endo())
-    assert cyl == PowerCylinder(wa("a1"), (1, -1), inner_hom(wb("b1")))
+    assert cyl == PowerGraph(wa("a1"), (1, -1), 0, inner_hom(wb("b1")))
     assert cyl.contains(pe("a1^4", "1"), oracle)
     # self weight 2: exponents are forced by the second coordinate
     graph = fix_product(TypeIII(wa("a1"), (2, 0), (1, 0), identity_hom(B)).as_endo())
-    assert isinstance(graph, ExponentGraph)
-    assert graph.divisor == -1
+    assert graph == PowerGraph(wa("a1"), (1, 0), -1, identity_hom(B))
     assert graph.contains(pe("a1^-1", "b1"), oracle)
 
 

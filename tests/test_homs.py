@@ -156,6 +156,14 @@ def test_parse_error_columns_count_from_the_line_start():
     assert (exc.value.line, exc.value.column) == (3, 15)
 
 
+def test_trailing_comments_are_cut_and_keep_columns():
+    text = "hom 2 2 b a  # relabel\nb1 -> a1 # relabel\nb2 -> a2 a1#\n"
+    assert parse_hom_text(text) == FreeHom(B, A, (wa("a1"), wa("a2 a1")))
+    with pytest.raises(ParseError) as exc:
+        parse_hom_text("hom 2 2 b a\nb1 -> a1 q # relabel\nb2 -> a2\n")
+    assert (exc.value.line, exc.value.column) == (2, 10)
+
+
 def test_missing_images_name_a_few_and_count_the_rest():
     with pytest.raises(ParseError, match="^missing image for a2, a4$"):
         parse_hom_text("hom 4 2 a a\na3 -> a1\na1 -> a2\n")

@@ -19,6 +19,7 @@ from fixfnm import (
     parse_word,
     permutation_hom,
 )
+from fixfnm.oracle import MAX_RADIUS
 from conftest import RELAB_AB, RELAB_BA
 
 A = Alphabet(2, "a")
@@ -35,14 +36,14 @@ def pe(first, second):
 
 def test_ball_spec_bounds():
     assert BallSpec(4).radius == 4
-    assert BallSpec(0).cap == 8
+    assert BallSpec(0).radius == 0
+    assert BallSpec(MAX_RADIUS).radius == MAX_RADIUS == 8
     with pytest.raises(ValueError):
         BallSpec(-1)
     with pytest.raises(ValueError):
         BallSpec(9)
-    assert BallSpec(12, cap=12).radius == 12
-    with pytest.raises(ValueError):
-        BallSpec(3, cap=-1)
+    with pytest.raises(TypeError):
+        BallSpec(3, cap=12)
 
 
 def test_enumerate_product_ball():

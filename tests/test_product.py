@@ -309,6 +309,23 @@ def test_parse_error_columns_count_from_the_line_start():
     assert exc.value.column == 4
 
 
+def test_trailing_comments_are_cut_and_keep_columns():
+    text = (
+        "endo 2 2  # two factors of rank 2\n"
+        "a1 -> ( 1 , b1 )  # swap\n"
+        "a2 -> ( 1 , b2 )#\n"
+        "b1 -> ( a1 , 1 ) # ( a2 , b1 ) is not read\n"
+        "b2 -> ( a2 , 1 )\n"
+    )
+    assert parse_endo_text(text) == TypeVII(RELAB_BA, RELAB_AB).as_endo()
+    # a bad token before the comment keeps the column it has on the raw line
+    bad = text.replace("( 1 , b1 )  # swap", "( 1 , b1 b7 )  # swap")
+    with pytest.raises(ParseError) as exc:
+        parse_endo_text(bad)
+    line = bad.splitlines()[1]
+    assert (exc.value.line, exc.value.column) == (2, line.index("b7") + 1)
+
+
 def test_missing_images_name_a_few_and_count_the_rest():
     with pytest.raises(ParseError, match="^missing image for a2, b1, b3$"):
         parse_endo_text("endo 2 3\na1 -> ( a1 , 1 )\nb2 -> ( 1 , b2 )\n")

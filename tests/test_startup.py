@@ -12,12 +12,13 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "scripts" / "data"
 
 # fixfnm.__all__ before the worked instances of fixfnm.suite became lazy, less
-# FactorSubgroup, which fix_product never returned
+# FactorSubgroup, which fix_product never returned, and with PowerGraph in
+# place of the two shape III descriptors it merges
 PUBLIC_NAMES = {
     "Alphabet", "BallSpec", "CertificateError", "CommutationViolation", "CuratedCase",
-    "DeclaredEndo", "EndoType", "EqualizerReduction", "ExponentGraph", "FactorProduct",
+    "DeclaredEndo", "EndoType", "EqualizerReduction", "FactorProduct",
     "FixDescriptor", "FixOracle", "FreeHom", "HomGraph", "IntLattice2",
-    "MihailovaInstance", "MissingOracle", "PairedPowers", "ParseError", "PowerCylinder",
+    "MihailovaInstance", "MissingOracle", "PairedPowers", "ParseError", "PowerGraph",
     "Presentation", "ProductElement", "ProductEndo", "Root", "SubgroupGraph", "TrivialFix",
     "TypeI", "TypeII", "TypeIII", "TypeIV", "TypeV", "TypeVI", "TypeVII",
     "UnclassifiableEndo", "UnsupportedShape", "Verdict", "Word", "ball_size",

@@ -16,14 +16,13 @@ from fixfnm import (
     CuratedCase,
     DeclaredEndo,
     EqualizerReduction,
-    ExponentGraph,
     FactorProduct,
     FreeHom,
     HomGraph,
     IntLattice2,
     MihailovaInstance,
     PairedPowers,
-    PowerCylinder,
+    PowerGraph,
     Presentation,
     ProductElement,
     ProductEndo,
@@ -85,8 +84,7 @@ FACTORIES = {
     FactorProduct: lambda: FactorProduct(inner_hom(A1), inner_hom(B1)),
     PairedPowers: lambda: PairedPowers(A1, B1, IntLattice2.full()),
     HomGraph: lambda: HomGraph(inner_hom(B1), RELAB_BA, "first_from_second"),
-    PowerCylinder: lambda: PowerCylinder(A1, (1, 0), inner_hom(B1)),
-    ExponentGraph: lambda: ExponentGraph(A1, (1, 0), 2, inner_hom(B1)),
+    PowerGraph: lambda: PowerGraph(A1, (1, 0), 2, inner_hom(B1)),
     Verdict: lambda: Verdict(False, ProductElement(A1, B1), ("1.8",)),
     BallSpec: lambda: BallSpec(4),
     Presentation: lambda: parse_presentation_text("x1 x2 | x1^2"),
@@ -108,7 +106,7 @@ def _fields(cls):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 28
+    assert len(RECORDS) == 27
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -150,7 +148,7 @@ def test_fields_are_the_constructor_arguments(cls):
 def test_keyword_defaults():
     assert Alphabet(2) == Alphabet(rank=2, letter="a")
     assert Word(A) == Word(alphabet=A, letters=())
-    assert BallSpec(4) == BallSpec(radius=4, cap=8)
+    assert BallSpec(4) == BallSpec(radius=4)
     h = identity_hom(A)
     assert DeclaredEndo(h, (A1, A2)).audit_radius is None
     assert DeclaredEndo(h, (A1, A2), audit_radius=4).audit_radius == 4
@@ -183,8 +181,6 @@ def test_constructor_checks_still_run():
         ProductElement(B1, A1)
     with pytest.raises(ValueError):
         BallSpec(9)
-    with pytest.raises(ValueError):
-        ExponentGraph(A1, (1, 0), 0, inner_hom(B1))
     with pytest.raises(ValueError):
         DeclaredEndo(FreeHom(A, A, (A2, A1)), (A1,))
     with pytest.raises(ValueError):

@@ -152,6 +152,13 @@ def test_exponent_of_power():
     assert exponent_of_power(u, Word(A)) is None
 
 
+def test_root_power_of():
+    u = wparse("a2 a1 a2^-1")  # primitive
+    assert root(u**4).power_of(u) == 4
+    assert root(u**-2).power_of(u) == -2
+    assert root(u**3).power_of(u.inverse()) == -3
+    assert root(a1 * a2).power_of(u) is None
+
 def test_commute_iff_common_root():
     u = wparse("a1 a2")
     assert commute(u**2, u**-3)
@@ -180,6 +187,12 @@ def test_solve_power_equation_sound(xs, m, k):
     lat = solve_power_equation(v, w)
     assert lat.contains((m, k)) == (v**m == w**k)
 
+
+@given(letters, letters)
+def test_solve_power_equation_is_zero_iff_nontrivial_words_do_not_commute(xs, ys):
+    v, w = word(A, xs), word(A, ys)
+    zero = solve_power_equation(v, w).basis == ()
+    assert zero == (not v.is_identity() and not w.is_identity() and not commute(v, w))
 
 def test_weighted_sum():
     # signed letter count against the weight vector: 2 + 2 - 1
