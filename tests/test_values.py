@@ -100,6 +100,18 @@ FACTORIES = {
 }
 RECORDS = sorted(FACTORIES, key=lambda cls: cls.__name__)
 
+# PowerGraph is checked in both of its shapes, under the names of the two
+# records it replaced: drag 0 (a power cylinder) and drag != 0 (an exponent graph)
+POWER_SHAPES = {
+    "PowerCylinder": lambda: PowerGraph(A1, (1, 0), 0, inner_hom(B1)),
+    "ExponentGraph": FACTORIES[PowerGraph],
+}
+CASES = sorted(
+    [(cls.__name__, cls, FACTORIES[cls]) for cls in RECORDS if cls is not PowerGraph]
+    + [(name, PowerGraph, make) for name, make in POWER_SHAPES.items()]
+)
+CASES = [pytest.param(cls, make, id=name) for name, cls, make in CASES]
+
 
 def _fields(cls):
     return [name for name in cls.__slots__ if name != "__dict__"]
@@ -109,9 +121,9 @@ def test_every_record_class_is_covered():
     assert len(RECORDS) == 27
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_equal_fields_give_equal_objects(cls):
-    a, b = FACTORIES[cls](), FACTORIES[cls]()
+@pytest.mark.parametrize("cls, make", CASES)
+def test_equal_fields_give_equal_objects(cls, make):
+    a, b = make(), make()
     assert type(a) is cls and a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
@@ -120,9 +132,9 @@ def test_equal_fields_give_equal_objects(cls):
     assert repr(a).startswith(f"{cls.__name__}({_fields(cls)[0]}=")
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_fields_cannot_be_assigned_or_deleted(cls):
-    a = FACTORIES[cls]()
+@pytest.mark.parametrize("cls, make", CASES)
+def test_fields_cannot_be_assigned_or_deleted(cls, make):
+    a = make()
     before = [getattr(a, name) for name in _fields(cls)]
     for name in _fields(cls):
         with pytest.raises(AttributeError):
@@ -134,9 +146,9 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
     assert [getattr(a, name) for name in _fields(cls)] == before
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_fields_are_the_constructor_arguments(cls):
-    a = FACTORIES[cls]()
+@pytest.mark.parametrize("cls, make", CASES)
+def test_fields_are_the_constructor_arguments(cls, make):
+    a = make()
     values = {name: getattr(a, name) for name in _fields(cls)}
     assert cls(*values.values()) == a
     assert cls(**values) == a
