@@ -20,6 +20,11 @@ sides.
     --trace 1` runs (fixed rounds; `--seconds` does not apply), keeping
     the 16 `decision.label.*.p50_us` rows of each, with medians and
     quartiles.
+  - Per layer: PAIRS pairs of `bench/run.py --workload subgroup-fold
+    --trace 1` runs (fixed rounds), keeping the `self_ms` rows of
+    `stallings.from_generators`, `stallings.intersect`, `stallings.basis`
+    and `stallings.express`, with medians and quartiles and the same
+    comparison block as the end-to-end rows.
   - Fold curve: PAIRS pairs of `bench/reference.py` runs, keeping its
     fold/express table (best of 3 at 402, 802 and 1602 wedge edges) and
     the median per size.
@@ -55,6 +60,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("decide-mix", "subgroup-fold", "cli-intersect")
 IMPORT_RUNS = 7
+FOLD_LAYERS = tuple(
+    f"stallings.{layer}.self_ms" for layer in ("from_generators", "intersect", "basis", "express")
+)
 PAIRS = 10  # the fewest pairs a 9-in-10 win count can be read from
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")  # ROADMAP's tier-1 command
 INTERSECT = (
@@ -101,10 +109,29 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def traced_rows(tree: Path, workload: str, seed: int, keep) -> dict[str, float]:
+    """The rows of one traced run whose names ``keep`` accepts."""
+    metrics = bench_run(tree, workload, seed, 0, trace=1)["metrics"]
+    return {name: row["value"] for name, row in metrics.items() if keep(name)}
+
+
 def label_rows(tree: Path, seed: int) -> dict[str, float]:
     """The `decision.label.*` rows of one traced `decide-mix` run."""
-    metrics = bench_run(tree, "decide-mix", seed, 0, trace=1)["metrics"]
-    return {name: row["value"] for name, row in metrics.items() if name.startswith("decision.label.")}
+    return traced_rows(tree, "decide-mix", seed, lambda name: name.startswith("decision.label."))
+
+
+def compare(ours: list[float], theirs: list[float], direction: str) -> dict:
+    """Pairs won by each side (ties count for neither), medians, the parent's IQR."""
+    sign = 1 if direction == "higher" else -1
+    base = spread(theirs)
+    return {
+        "better": direction,
+        "change_wins": sum(sign * (c - p) > 0 for c, p in zip(ours, theirs)),
+        "parent_wins": sum(sign * (c - p) < 0 for c, p in zip(ours, theirs)),
+        "parent_median": base["median"],
+        "change_median": statistics.median(ours),
+        "parent_iqr": base["q3"] - base["q1"],
+    }
 
 
 def fold_curve(tree: Path) -> list[dict]:
@@ -237,19 +264,10 @@ def main() -> int:
                     "runs": runs[side],
                     "metrics": {name: spread(v) for name, v in values[side].items()},
                 }
-            report["comparison"][workload] = {}
-            for name, direction in better.items():
-                ours, theirs = values["change"][name], values["parent"][name]
-                sign = 1 if direction == "higher" else -1
-                base = spread(theirs)
-                report["comparison"][workload][name] = {
-                    "better": direction,
-                    "change_wins": sum(sign * (c - p) > 0 for c, p in zip(ours, theirs)),
-                    "parent_wins": sum(sign * (c - p) < 0 for c, p in zip(ours, theirs)),
-                    "parent_median": base["median"],
-                    "change_median": statistics.median(ours),
-                    "parent_iqr": base["q3"] - base["q1"],
-                }
+            report["comparison"][workload] = {
+                name: compare(values["change"][name], values["parent"][name], direction)
+                for name, direction in better.items()
+            }
 
         runs = pairs("decide-mix per label", lambda tree, seed: {"p50_us": label_rows(tree, seed)})
         for side in trees:
@@ -258,6 +276,20 @@ def main() -> int:
                 "runs": runs[side],
                 "p50_us": {name: spread([r["p50_us"][name] for r in runs[side]]) for name in labels},
             }
+
+        runs = pairs("subgroup-fold per layer", lambda tree, seed: {
+            "self_ms": traced_rows(tree, "subgroup-fold", seed, FOLD_LAYERS.__contains__)})
+        values = {side: {name: [r["self_ms"][name] for r in runs[side]] for name in FOLD_LAYERS}
+                  for side in trees}
+        for side in trees:
+            report[side]["fold_layers"] = {
+                "runs": runs[side],
+                "self_ms": {name: spread(v) for name, v in values[side].items()},
+            }
+        report["comparison"]["subgroup-fold per layer"] = {
+            name: compare(values["change"][name], values["parent"][name], "lower")
+            for name in FOLD_LAYERS
+        }
 
         runs = pairs("bench/reference.py", lambda tree, seed: {"rows": fold_curve(tree)})
         for side in trees:

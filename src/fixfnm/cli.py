@@ -22,7 +22,7 @@ from .homs import _content_lines, parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
 from .product import UnclassifiableEndo, classify, identity_endo, parse_endo_text
 from .stallings import CertificateError
-from .words import ParseError, parse_word, render_word
+from .words import LetterTally, ParseError, parse_word, render_word
 
 # every --declare is audited on the ball of this radius before it is trusted
 _AUDIT_RADIUS = 4
@@ -105,8 +105,9 @@ def _load_declarations(pairs: list[list[str]]) -> tuple[DeclaredEndo, ...]:
     out = []
     for hom_file, basis_file in pairs:
         h = parse_hom_text(Path(hom_file).read_text())
+        tally = LetterTally()  # a basis file, like the others, holds at most MAX_FILE_LETTERS
         basis = [
-            parse_word(line, h.source, line=lineno)
+            parse_word(line, h.source, line=lineno, tally=tally)
             for lineno, line in _content_lines(Path(basis_file).read_text())
         ]
         out.append(DeclaredEndo(h, tuple(basis), audit_radius=_AUDIT_RADIUS))

@@ -20,6 +20,7 @@ nontrivial common element or None; the decision engine is those two meets.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Union
 
 from ._value import FrozenValue, set_field
@@ -75,7 +76,7 @@ class DeclaredEndo(FrozenValue):
     declared subgroup.
     """
 
-    __slots__ = ("endo", "fix_basis", "audit_radius")
+    __slots__ = ("endo", "fix_basis", "audit_radius", "__dict__")  # __dict__ holds the graph
 
     def __init__(self, endo: FreeHom, fix_basis: tuple[Word, ...], audit_radius: int | None = None):
         if endo.source != endo.target:
@@ -97,6 +98,11 @@ class DeclaredEndo(FrozenValue):
                     )
 
     def fix_graph(self) -> SubgroupGraph:
+        """The folded declared subgroup, built once and shared by every oracle."""
+        return self._graph
+
+    @cached_property
+    def _graph(self) -> SubgroupGraph:
         return from_generators(self.fix_basis, self.endo.source)
 
 

@@ -9,7 +9,16 @@ from __future__ import annotations
 from typing import Collection, Sequence
 
 from ._value import FrozenValue, set_field
-from .words import Alphabet, ParseError, Word, free_reduce, generator, parse_word, render_word
+from .words import (
+    Alphabet,
+    LetterTally,
+    ParseError,
+    Word,
+    free_reduce,
+    generator,
+    parse_word,
+    render_word,
+)
 
 
 class FreeHom(FrozenValue):
@@ -97,7 +106,9 @@ def parse_hom_text(text: str) -> FreeHom:
 
     Header: `hom <src-rank> <tgt-rank> <src-letter> <tgt-letter>`, then one
     `<gen> -> <word>` line per source generator, in any order but each
-    exactly once. `#` starts a comment; blank lines are skipped.
+    exactly once. `#` starts a comment; blank lines are skipped. The words
+    of the file, left sides included, expand to at most MAX_FILE_LETTERS
+    letters.
     """
     lines = _content_lines(text)
     if not lines:
@@ -116,18 +127,19 @@ def parse_hom_text(text: str) -> FreeHom:
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
     images: dict[int, Word] = {}
+    tally = LetterTally()
     for lineno, line in lines[1:]:
         lhs, arrow, rhs = line.partition("->")
         if not arrow:
             raise ParseError("expected `<gen> -> <word>`", lineno)
         gen_tok = lhs.strip()
-        gen_word = parse_word(lhs, source, line=lineno)
+        gen_word = parse_word(lhs, source, line=lineno, tally=tally)
         if len(gen_word.letters) != 1 or gen_word.letters[0] < 0:
             raise ParseError(f"left side {gen_tok!r} must be a single generator", lineno)
         idx = gen_word.letters[0]
         if idx in images:
             raise ParseError(f"generator {gen_tok} listed twice", lineno)
-        images[idx] = parse_word(rhs, target, line=lineno, offset=len(lhs) + 2)
+        images[idx] = parse_word(rhs, target, line=lineno, offset=len(lhs) + 2, tally=tally)
     check_images_complete([(source.letter, src_rank, images.keys())])
     return FreeHom(source, target, tuple(images[i] for i in range(1, src_rank + 1)))
 

@@ -26,6 +26,7 @@ from .lattices import IntLattice2, kernel_basis
 from .stallings import CertificateError
 from .words import (
     Alphabet,
+    LetterTally,
     ParseError,
     Word,
     parse_word,
@@ -516,7 +517,8 @@ def parse_endo_text(text: str) -> ProductEndo:
 
     Header `endo <n> <m>`, then one line per generator of either factor:
     `a<i> -> ( <a-word> , <b-word> )` or `b<j> -> ( <a-word> , <b-word> )`.
-    `#` starts a comment; blank lines are skipped.
+    `#` starts a comment; blank lines are skipped. The words of the file,
+    left sides included, expand to at most MAX_FILE_LETTERS letters.
     """
     lines = _content_lines(text)
     if not lines:
@@ -534,6 +536,7 @@ def parse_endo_text(text: str) -> ProductEndo:
     a, b = Alphabet(n, "a"), Alphabet(m, "b")
     first_images: dict[tuple[str, int], Word] = {}
     second_images: dict[tuple[str, int], Word] = {}
+    tally = LetterTally()
     for lineno, line in lines[1:]:
         lhs, arrow, rhs = line.partition("->")
         if not arrow:
@@ -542,7 +545,7 @@ def parse_endo_text(text: str) -> ProductEndo:
         side = gen_tok[:1]
         if side not in ("a", "b"):
             raise ParseError(f"left side {gen_tok!r} must be a generator", lineno)
-        gen_word = parse_word(lhs, a if side == "a" else b, line=lineno)
+        gen_word = parse_word(lhs, a if side == "a" else b, line=lineno, tally=tally)
         if len(gen_word.letters) != 1 or gen_word.letters[0] < 0:
             raise ParseError(f"left side {gen_tok!r} must be a single generator", lineno)
         idx = gen_word.letters[0]
@@ -559,9 +562,9 @@ def parse_endo_text(text: str) -> ProductEndo:
         # characters before `inner` on the line: the left side, `->`, the
         # blanks before `(`, and `(` itself
         start = len(lhs) + 2 + len(rhs) - len(rhs.lstrip()) + 1
-        first_images[key] = parse_word(first_text, a, line=lineno, offset=start)
+        first_images[key] = parse_word(first_text, a, line=lineno, offset=start, tally=tally)
         second_images[key] = parse_word(
-            second_text, b, line=lineno, offset=start + len(first_text) + 1
+            second_text, b, line=lineno, offset=start + len(first_text) + 1, tally=tally
         )
     check_images_complete(
         [

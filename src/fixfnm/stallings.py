@@ -2,33 +2,38 @@
 
 The canonical form is a deterministic edge-labeled based graph: vertex 0 is
 the basepoint, `transitions[v][l-1]` is the endpoint of the l-labeled edge
-leaving v (or -1). Graphs are folded, trimmed of dangling trees, and
-renumbered breadth-first, so two subgroups are equal iff their graphs
-compare equal.
+leaving v (or -1), and the cached `backward[v][l-1]` is the start of the
+l-labeled edge entering v (or -1). Every graph is folded, then trimmed of
+dangling trees and renumbered breadth-first by one routine,
+`_trim_and_number`, so two subgroups are equal iff their graphs compare
+equal.
 
-Construction goes through a mutable multigraph that attaches one base loop
-per generator and folds. A loop is first read through the graph from both
-ends: the prefix that the graph already reads from the base and the suffix
-it reads into the base cost no edges, and only the middle between them is
-added, so the fold settles clashes at the two ends of each middle rather
-than undoing whole copies of letters the graph already has. Every edge
-carries a name, a freely reduced word over the generators x1, x2, ...: on
-any base loop the product of the names, read over the generators, spells
-the loop's label. Attaching a loop and folding keep this true
-(Kapovich-Myasnikov, J. Algebra 248, 2002), so reading a member word
-through the folded graph writes it as a product of the generators. Only
-express_in_generators names edges; the other constructions fold unnamed
-edges and never rewrite a name.
+Construction from generators goes through a mutable multigraph that
+attaches one base loop per generator and folds. A loop is first read
+through the graph from both ends: the prefix that the graph already reads
+from the base and the suffix it reads into the base cost no edges, and only
+the middle between them is added, in one pass, so the fold settles clashes
+at the two ends of each middle rather than undoing whole copies of letters
+the graph already has. Every edge carries a name, a freely reduced word
+over the generators x1, x2, ...: on any base loop the product of the names,
+read over the generators, spells the loop's label. Attaching a loop and
+folding keep this true (Kapovich-Myasnikov, J. Algebra 248, 2002), so
+reading a member word through the folded graph writes it as a product of
+the generators. Only express_in_generators names edges; the other
+constructions fold unnamed edges and never rewrite a name.
 
-Folding follows Touikan (IJAC 16(6), 2006) and never rescans the graph. A
-slot map sends (v, l) to the l-edge leaving v and (v, -l) to the l-edge
-entering v; an edge whose slot is already held goes on a work list of
-clashes with the holder. Each clash deletes one edge and merges two
-vertices, the one with fewer edges into the other (the base never
-merges away), and only the moved edges are seated again, which finds the
-next clashes. A fold therefore costs the edges moved, not a scan per
-clash. Trimming peels vertices of degree <= 1 off a queue, and the
-canonical form reads the slot map directly.
+Folding follows Touikan (IJAC 16(6), 2006) and never rescans the graph.
+Storage is flat: each vertex owns a slot row of 2·rank entries in one list,
+its out-edges by label and then its in-edges by label; an edge whose slot
+is already held goes on a work list of clashes with the holder. Each clash
+deletes one edge and merges two vertices, the one with fewer edges into the
+other (the base never merges away), and only the moved edges are seated
+again, which finds the next clashes. A fold therefore costs the edges
+moved, not a scan per clash. The folded slot rows are exported as head and
+tail tables for `_trim_and_number`, which peels vertices of degree 1 off a
+queue and numbers the rest. The pullback of two folded graphs and the coset
+graph of a congruence subgroup are folded already, so `intersect` and
+`congruence_subgroup` write those tables directly and skip the builder.
 """
 
 from __future__ import annotations
@@ -52,38 +57,31 @@ class CertificateError(RuntimeError):
 class _Builder:
     """Mutable edge-labeled multigraph over a fixed alphabet; base vertex 0.
 
-    ``slots`` maps (v, l) to the l-edge leaving v and (v, -l) to the l-edge
-    entering v. An edge that finds one of its slots taken waits in
-    ``clashes`` beside the edge holding it. ``incident`` holds the edges
-    at each live vertex. ``names`` holds the nonempty edge names; an edge
-    missing from it has the empty name.
+    Storage is flat. ``slot`` holds a row of 2·rank entries per vertex:
+    ``slot[v*2r + l-1]`` is the l-edge leaving v and ``slot[v*2r + r + l-1]``
+    the l-edge entering v, or -1; out-edges by label, then in-edges by
+    label, the order in which the canonical form visits neighbours, so the
+    out half of a row is as wide as a row of the canonical table. An edge
+    that finds one of its slots taken waits in ``clashes`` beside the edge
+    holding it. ``edges[e]`` is (tail, label, head), or None once e is
+    dropped; ``incident[v]`` is the set of edges at v, or None once v has
+    merged away. ``names`` holds the nonempty edge names; an edge missing
+    from it has the empty name.
     """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
+        self.rank = alphabet.rank
         self.base = 0
-        self._next_vertex = 1
-        self._next_edge = 0
-        self.edges: dict[int, tuple[int, int, int]] = {}
+        self.edges: list[tuple[int, int, int] | None] = []
         self.names: dict[int, tuple[int, ...]] = {}
-        self.slots: dict[tuple[int, int], int] = {}
-        self.incident: dict[int, set[int]] = {self.base: set()}
+        self.slot: list[int] = [-1] * (2 * self.rank)
+        self.incident: list[set[int] | None] = [set()]
         self.clashes: list[tuple[int, int]] = []
 
-    def new_vertex(self) -> int:
-        v = self._next_vertex
-        self._next_vertex += 1
-        self.incident[v] = set()
-        return v
-
-    def add_edge(self, tail: int, label: int, head: int) -> int:
-        eid = self._next_edge
-        self._next_edge += 1
-        self.edges[eid] = (tail, label, head)
-        self.incident[tail].add(eid)
-        self.incident[head].add(eid)
-        self._seat(eid, tail, label, head)
-        return eid
+    @property
+    def _next_edge(self) -> int:
+        return len(self.edges)
 
     def add_loop(self, w: Word, name: tuple[int, ...] = ()) -> None:
         """Attach a base loop spelling w whose edge names multiply to ``name``.
@@ -95,27 +93,38 @@ class _Builder:
         itself with long names. Only the middle between the reads gets new
         edges, and it keeps at least one letter; its last edge carries the
         name head^-1 name tail^-1, so the loop's names still multiply to
-        ``name``. Clashes can arise only at the two ends of the middle. An
-        empty w adds nothing.
+        ``name``. The middle is laid down in one pass: its inner vertices
+        are new and w is reduced, so only its first and last edge can
+        clash, and only those two are seated through ``_seat``. An empty w
+        adds nothing.
         """
         letters = w.letters
         if not letters:
             return
         i, start, head = self._read(letters, len(letters) - 1, name, 1)
         k, end, tail_inverse = self._read(letters, len(letters) - 1 - i, name, -1)
-        cur, last = start, len(letters) - k - 1
-        for j in range(i, last + 1):
-            x = letters[j]
-            nxt = end if j == last else self.new_vertex()
-            if x > 0:
-                eid = self.add_edge(cur, x, nxt)
-            else:
-                eid = self.add_edge(nxt, -x, cur)
-            cur = nxt
+        edges, incident, slot, r = self.edges, self.incident, self.slot, self.rank
+        # the middle letters[i:i + count] runs start, v0, v0 + 1, ..., end on edges e0..last
+        count, e0, v0 = len(letters) - k - i, len(edges), len(incident)
+        last = e0 + count - 1
+        path = [start, *range(v0, v0 + count - 1), end]
+        edges.extend(
+            [(a, x, b) if x > 0 else (b, -x, a) for a, x, b in zip(path, letters[i:], path[1:])]
+        )
+        incident[start].add(e0)
+        incident.extend([{e - 1, e} for e in range(e0 + 1, last + 1)])
+        incident[end].add(last)
+        slot.extend([-1] * (2 * r * (count - 1)))
+        for e in range(e0 + 1, last):  # both ends are new: no clash
+            t, l, h = edges[e]
+            slot[2 * r * t + l - 1] = slot[2 * r * h + r + l - 1] = e
+        self._seat(e0, *edges[e0])
+        if last != e0:
+            self._seat(last, *edges[last])
         if name:
             label = free_reduce(_inverse(head) + name + tail_inverse)
             if label:
-                self.names[eid] = label if x > 0 else _inverse(label)
+                self.names[last] = label if letters[i + count - 1] > 0 else _inverse(label)
 
     def _read(
         self, letters: tuple[int, ...], limit: int, named: tuple[int, ...], sign: int
@@ -126,12 +135,12 @@ class _Builder:
         Returns how many letters were read, the vertex reached and, when
         ``named`` is nonempty, the product of the names met (else ()).
         """
-        slots, edges, names, base = self.slots, self.edges, self.names, self.base
+        slot, edges, names, base, r = self.slot, self.edges, self.names, self.base, self.rank
         cur, read, product = base, 0, ()
         while read < limit:
             x = letters[read] if sign > 0 else -letters[-1 - read]
-            eid = slots.get((cur, x))
-            if eid is None:
+            eid = slot[2 * r * cur + (x - 1 if x > 0 else r - x - 1)]
+            if eid == -1:
                 break
             t, _, h = edges[eid]
             nxt = h if x > 0 else t
@@ -145,24 +154,24 @@ class _Builder:
 
     def _seat(self, eid: int, tail: int, label: int, head: int) -> None:
         """Put an edge in both its slots; a slot held by another edge queues a clash."""
-        slots = self.slots
-        holder = slots.setdefault((tail, label), eid)
-        if holder != eid:
-            self.clashes.append((holder, eid))
-        holder = slots.setdefault((head, -label), eid)
-        if holder != eid:
-            self.clashes.append((holder, eid))
+        slot, r = self.slot, self.rank
+        for i in (2 * r * tail + label - 1, 2 * r * head + r + label - 1):
+            holder = slot[i]
+            if holder == -1:
+                slot[i] = eid
+            elif holder != eid:
+                self.clashes.append((holder, eid))
 
     def _unseat(self, eid: int, tail: int, label: int, head: int) -> None:
         """Free the slots that the edge holds."""
-        slots = self.slots
-        if slots.get((tail, label)) == eid:
-            del slots[(tail, label)]
-        if slots.get((head, -label)) == eid:
-            del slots[(head, -label)]
+        slot, r = self.slot, self.rank
+        for i in (2 * r * tail + label - 1, 2 * r * head + r + label - 1):
+            if slot[i] == eid:
+                slot[i] = -1
 
     def _drop(self, eid: int) -> None:
-        t, l, h = self.edges.pop(eid)
+        t, l, h = self.edges[eid]
+        self.edges[eid] = None
         self.names.pop(eid, None)
         self._unseat(eid, t, l, h)
         self.incident[t].discard(eid)
@@ -184,17 +193,18 @@ class _Builder:
 
         Cost: every clash deletes an edge, so there are fewer clashes than
         edges, and a merge touches only the edges at its smaller end;
-        nothing rescans the graph. Since ``add_loop`` adds no edge that the
-        graph already reads, clashes start only at the ends of each loop's
+        nothing rescans the graph, and each slot is one index into the
+        flat ``slot`` list. Since ``add_loop`` adds no edge that the graph
+        already reads, clashes start only at the two ends of each loop's
         new middle. Name rewriting comes on top and grows with the names,
         which stay empty unless the caller names edges.
         """
         edges, names, incident, clashes = self.edges, self.names, self.incident, self.clashes
         while clashes:
             a, b = clashes.pop()
-            if b not in edges:
+            if edges[b] is None:
                 continue
-            if a not in edges:
+            if edges[a] is None:
                 # the holder folded away since; b takes its slot or clashes anew
                 self._seat(b, *edges[b])
                 continue
@@ -220,10 +230,11 @@ class _Builder:
 
     def _merge(self, loser: int, survivor: int, shift: tuple[int, ...]) -> None:
         """Move the loser's edges onto the survivor, renaming them by ``shift``."""
-        edges, names = self.edges, self.names
+        edges, names, incident = self.edges, self.names, self.incident
         back = _inverse(shift)
-        into = self.incident[survivor]
-        for eid in self.incident.pop(loser):
+        into, moved = incident[survivor], incident[loser]
+        incident[loser] = None
+        for eid in moved:
             t, l, h = edges[eid]
             self._unseat(eid, t, l, h)
             leaves, enters = t == loser, h == loser
@@ -240,57 +251,61 @@ class _Builder:
                     names.pop(eid, None)
             self._seat(eid, t, l, h)
 
-    def trim(self) -> None:
-        """Drop non-base vertices of total degree <= 1, repeatedly.
-
-        A queue holds the vertices that may have fallen to degree <= 1;
-        dropping one's edge queues its neighbour.
-        """
-        edges, incident = self.edges, self.incident
-        queue = [v for v, at in incident.items() if v != self.base and len(at) <= 1]
-        while queue:
-            v = queue.pop()
-            at = incident.get(v)
-            if at is None:
-                continue
-            if at:
-                (eid,) = at
-                t, _, h = edges[eid]
-                if t == h:
-                    continue  # a loop counts twice
-                self._drop(eid)
-                other = h if t == v else t
-                if other != self.base and len(incident[other]) <= 1:
-                    queue.append(other)
-            del incident[v]
-
     def canonical(self) -> "SubgroupGraph":
+        """Fold, export the head and tail tables, then trim and number them."""
         self.fold()
-        self.trim()
-        slots, edges = self.slots, self.edges
-        rank = self.alphabet.rank
-        letters = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
-        seq = [self.base]
-        number = {self.base: 0}
-        i = 0
-        while i < len(seq):
-            v = seq[i]
-            i += 1
-            for x in letters:  # out-edges by label, then in-edges by label
-                eid = slots.get((v, x))
-                if eid is not None:
-                    u = edges[eid][2 if x > 0 else 0]
-                    if u not in number:
-                        number[u] = len(seq)
-                        seq.append(u)
-        table = tuple(
-            tuple(
-                number[edges[slots[(v, l)]][2]] if (v, l) in slots else -1
-                for l in range(1, rank + 1)
-            )
-            for v in seq
-        )
-        return SubgroupGraph(self.alphabet, table)
+        r = self.rank
+        fwd, bwd = [-1] * (len(self.slot) // 2), [-1] * (len(self.slot) // 2)
+        for edge in self.edges:
+            if edge is not None:
+                t, l, h = edge
+                fwd[t * r + l - 1] = h
+                bwd[h * r + l - 1] = t
+        return SubgroupGraph(self.alphabet, _trim_and_number(r, fwd, bwd))
+
+
+def _trim_and_number(rank: int, fwd: list[int], bwd: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The canonical transition table of a folded graph given by two flat tables.
+
+    With r the rank, ``fwd[v*r + l-1]`` is the head of the l-edge leaving v
+    and ``bwd[v*r + l-1]`` the tail of the l-edge entering v, or -1; vertex
+    0 is the base. Non-base vertices of degree 1 come off a queue (a loop
+    counts twice), their edge cut from both tables in place, so dangling
+    trees peel away; vertices of degree 0 are never reached. The base's
+    component is then numbered breadth first, out-edges by label and then
+    in-edges by label.
+    """
+    r = rank
+    degree = [
+        2 * r - fwd[lo : lo + r].count(-1) - bwd[lo : lo + r].count(-1)
+        for lo in range(0, len(fwd), r)
+    ]
+    queue = [v for v in range(1, len(degree)) if degree[v] == 1]
+    while queue:
+        v = queue.pop()
+        if degree[v] != 1:
+            continue
+        degree[v] = 0
+        lo = v * r
+        near, far = (fwd, bwd) if fwd[lo : lo + r].count(-1) < r else (bwd, fwd)
+        i = next(i for i in range(lo, lo + r) if near[i] != -1)
+        u, near[i] = near[i], -1
+        far[u * r + i - lo] = -1
+        degree[u] -= 1
+        if u != 0 and degree[u] == 1:
+            queue.append(u)
+    number = [-1] * (len(degree) + 1)  # the extra last entry keeps number[-1] == -1
+    number[0] = 0
+    at = number.__getitem__
+    seq, table = [0], []
+    for v in seq:
+        out = fwd[v * r : v * r + r]
+        for u in out + bwd[v * r : v * r + r]:
+            if u != -1 and number[u] == -1:
+                number[u] = len(seq)
+                seq.append(u)
+        table.append(tuple(map(at, out)))  # every neighbour of v is numbered by now
+    return tuple(table)
 
 
 class SubgroupGraph(FrozenValue):
@@ -316,13 +331,14 @@ class SubgroupGraph(FrozenValue):
         return self.edge_count - self.vertex_count + 1
 
     @cached_property
-    def _pred(self) -> dict[tuple[int, int], int]:
-        m: dict[tuple[int, int], int] = {}
+    def backward(self) -> tuple[tuple[int, ...], ...]:
+        """``backward[v][l-1]`` is the start of the l-labeled edge entering v, or -1."""
+        rows = [[-1] * self.alphabet.rank for _ in self.transitions]
         for u, row in enumerate(self.transitions):
             for j, h in enumerate(row):
                 if h != -1:
-                    m[(h, j + 1)] = u
-        return m
+                    rows[h][j] = u
+        return tuple(map(tuple, rows))
 
     def is_trivial(self) -> bool:
         return self.vertex_count == 1 and self.edge_count == 0
@@ -341,9 +357,10 @@ class SubgroupGraph(FrozenValue):
     def contains(self, w: Word) -> bool:
         if w.alphabet != self.alphabet:
             raise ValueError(f"{w} is not a word over {self.alphabet}")
+        fwd, bwd = self.transitions, self.backward
         v = 0
         for x in w.letters:
-            v = self.transitions[v][x - 1] if x > 0 else self._pred.get((v, -x), -1)
+            v = fwd[v][x - 1] if x > 0 else bwd[v][-x - 1]
             if v == -1:
                 return False
         return v == 0
@@ -353,7 +370,7 @@ class SubgroupGraph(FrozenValue):
 
     @cached_property
     def _basis(self) -> tuple[Word, ...]:
-        rank = self.alphabet.rank
+        rank, bwd = self.alphabet.rank, self.backward
         parent: dict[int, tuple[int, int]] = {}
         tree: set[tuple[int, int]] = set()
         seen = {0}
@@ -370,19 +387,22 @@ class SubgroupGraph(FrozenValue):
                     tree.add((v, l))
                     seq.append(h)
             for l in range(1, rank + 1):
-                t = self._pred.get((v, l), -1)
+                t = bwd[v][l - 1]
                 if t != -1 and t not in seen:
                     seen.add(t)
                     parent[t] = (v, -l)
                     tree.add((t, l))
                     seq.append(t)
-        path: dict[int, tuple[int, ...]] = {0: ()}
 
-        def word_to(v: int) -> tuple[int, ...]:
-            if v not in path:
-                pv, step = parent[v]
-                path[v] = word_to(pv) + (step,)
-            return path[v]
+        def up_from(v: int) -> list[int]:
+            # the tree path from the base to v, last step first, walked per
+            # basis word: paths stored for every vertex would hold
+            # vertices x depth letters at once
+            steps = []
+            while v:
+                v, step = parent[v]
+                steps.append(step)
+            return steps
 
         gens: list[Word] = []
         for u in range(self.vertex_count):
@@ -390,39 +410,36 @@ class SubgroupGraph(FrozenValue):
                 v = self.transitions[u][l - 1]
                 if v == -1 or (u, l) in tree:
                     continue
-                letters = word_to(u) + (l,) + tuple(-x for x in reversed(word_to(v)))
+                letters = (*reversed(up_from(u)), l, *(-x for x in up_from(v)))
                 gens.append(word(self.alphabet, letters))
         return tuple(gens)
 
     def intersect(self, other: "SubgroupGraph") -> "SubgroupGraph":
-        """Pullback construction: the component of the pair of basepoints."""
+        """Pullback construction: the component of the pair of basepoints.
+
+        The product of two folded graphs is folded, so its head and tail
+        tables are written straight from the factors' and go to the same
+        ``_trim_and_number`` as every other graph.
+        """
         if self.alphabet != other.alphabet:
             raise ValueError("cannot intersect subgroups of different groups")
-        rank = self.alphabet.rank
-        b = _Builder(self.alphabet)
-        ids: dict[tuple[int, int], int] = {(0, 0): b.base}
-        seq: list[tuple[int, int]] = [(0, 0)]
-        i = 0
-        while i < len(seq):
-            s1, s2 = seq[i]
-            i += 1
-            for l in range(1, rank + 1):
-                h1 = self.transitions[s1][l - 1]
-                h2 = other.transitions[s2][l - 1]
-                if h1 != -1 and h2 != -1:
-                    key = (h1, h2)
-                    if key not in ids:
-                        ids[key] = b.new_vertex()
-                        seq.append(key)
-                    b.add_edge(ids[(s1, s2)], l, ids[key])
-                t1 = self._pred.get((s1, l), -1)
-                t2 = other._pred.get((s2, l), -1)
-                if t1 != -1 and t2 != -1 and (t1, t2) not in ids:
-                    # Forward edges out of this state get added when it is
-                    # dequeued, so only discovery happens here.
-                    ids[(t1, t2)] = b.new_vertex()
-                    seq.append((t1, t2))
-        return b.canonical()
+        ids: dict[tuple[int, int], int] = {(0, 0): 0}
+        pairs: list[tuple[int, int]] = [(0, 0)]
+        f1, f2, b1, b2 = self.transitions, other.transitions, self.backward, other.backward
+        fwd: list[int] = []
+        bwd: list[int] = []
+        for s1, s2 in pairs:
+            for table, ends in ((fwd, zip(f1[s1], f2[s2])), (bwd, zip(b1[s1], b2[s2]))):
+                for key in ends:
+                    if -1 in key:
+                        table.append(-1)
+                        continue
+                    v = ids.get(key)
+                    if v is None:
+                        v = ids[key] = len(pairs)
+                        pairs.append(key)
+                    table.append(v)
+        return SubgroupGraph(self.alphabet, _trim_and_number(self.alphabet.rank, fwd, bwd))
 
     def __str__(self) -> str:
         if self.is_trivial():
@@ -470,24 +487,17 @@ def congruence_subgroup(alphabet: Alphabet, weights: Sequence[int], modulus: int
     if m == 0:
         raise ValueError("modulus must be nonzero")
     seq = [0]
-    seen = {0}
-    i = 0
-    while i < len(seq):
-        r = seq[i]
-        i += 1
+    index = {0: 0}
+    for r in seq:
         for wj in weights:
             s = (r + wj) % m
-            if s not in seen:
-                seen.add(s)
+            if s not in index:
+                index[s] = len(seq)
                 seq.append(s)
-    b = _Builder(alphabet)
-    ids = {0: b.base}
-    for r in seq[1:]:
-        ids[r] = b.new_vertex()
-    for r in seq:
-        for j, wj in enumerate(weights, start=1):
-            b.add_edge(ids[r], j, ids[(r + wj) % m])
-    return b.canonical()
+    # each label permutes the residues, so the coset graph is folded
+    fwd = [index[(r + wj) % m] for r in seq for wj in weights]
+    bwd = [index[(r - wj) % m] for r in seq for wj in weights]
+    return SubgroupGraph(alphabet, _trim_and_number(alphabet.rank, fwd, bwd))
 
 
 def restricted_kernel_trivial(graph: SubgroupGraph, weights: Sequence[int]) -> Word | None:
@@ -528,16 +538,23 @@ def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | Non
             raise ValueError(f"{g} is not a word over {alphabet}")
         b.add_loop(g, (i,))
     b.fold()
+    slot, edges, names, r = b.slot, b.edges, b.names, b.rank
     cur = b.base
     letters: list[int] = []
     for x in target.letters:
-        eid = b.slots.get((cur, x))
-        if eid is None:
+        eid = slot[2 * r * cur + (x - 1 if x > 0 else r - x - 1)]
+        if eid == -1:
             return None
-        t, _, h = b.edges[eid]
-        cur = h if x > 0 else t
-        name = b.names.get(eid, ())
-        letters.extend(name if x > 0 else _inverse(name))
+        t, _, h = edges[eid]
+        name = names.get(eid)  # None for the empty name
+        if x > 0:
+            cur = h
+            if name:
+                letters.extend(name)
+        else:
+            cur = t
+            if name:
+                letters.extend(_inverse(name))
     if cur != b.base:
         return None
     expr = list(free_reduce(letters))

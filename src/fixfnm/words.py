@@ -326,6 +326,21 @@ def ball_size(rank: int, radius: int) -> int:
 _TOKEN_RE = re.compile(r"(?P<letter>[abx])(?P<index>[0-9]+)(\^(?P<exp>-?[0-9]+))?$")
 
 MAX_WORD_LETTERS = 100_000  # parse_word refuses words that expand to more
+MAX_FILE_LETTERS = 200_000  # and, given a tally, files whose words total more
+
+
+class LetterTally:
+    """The letters that the words of one input file have expanded to so far.
+
+    A file parser hands one tally to parse_word for every word of the file,
+    left sides included, and parse_word refuses the token that takes the
+    total past MAX_FILE_LETTERS.
+    """
+
+    __slots__ = ("letters",)
+
+    def __init__(self) -> None:
+        self.letters = 0
 
 
 def _bounded_int(literal: str, limit: int) -> int:
@@ -336,13 +351,20 @@ def _bounded_int(literal: str, limit: int) -> int:
 
 
 def parse_word(
-    text: str, alphabet: Alphabet, *, line: int | None = None, offset: int = 0
+    text: str,
+    alphabet: Alphabet,
+    *,
+    line: int | None = None,
+    offset: int = 0,
+    tally: LetterTally | None = None,
 ) -> Word:
     """Parse whitespace-separated tokens like `a1 b2^-3`; `1` alone is the identity.
 
     The letter count is checked before anything is expanded: a word of
     more than MAX_WORD_LETTERS letters raises ParseError at the token that
-    crosses the cap. ``line`` is the line ``text`` starts on and ``offset``
+    crosses the cap; with a ``tally``, so does a word that takes the file's
+    total past MAX_FILE_LETTERS, and the tally then counts the word's
+    letters. ``line`` is the line ``text`` starts on and ``offset``
     the number of characters before it there, so that ParseError positions
     count from the line's start. ``text`` may run over several lines; the
     positions of tokens on later lines count from those lines' starts.
@@ -379,7 +401,11 @@ def parse_word(
         total += count
         if total > MAX_WORD_LETTERS:
             raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters", ln, col)
+        if tally is not None and tally.letters + total > MAX_FILE_LETTERS:
+            raise ParseError(f"file expands to more than {MAX_FILE_LETTERS} letters", ln, col)
         powers.append((index if exp[0] != "-" else -index, count))
+    if tally is not None:
+        tally.letters += total
     letters: list[int] = []
     for letter, count in powers:
         letters.extend([letter] * count)

@@ -22,6 +22,7 @@ from fixfnm import (
     render_endo_text,
     render_hom_text,
 )
+from fixfnm.words import MAX_FILE_LETTERS
 from fixfnm.cli import main
 from conftest import RELAB_AB, RELAB_BA
 
@@ -118,6 +119,17 @@ def test_declaration_errors_name_line_and_column(tmp_path, capsys):
     bad = _write(tmp_path, "bad.basis", "# basis\n   a1 zz\n")
     assert main(["fix", endo, "--declare", hom, bad]) == 2
     assert "bad token 'zz' (line 2, column 7)" in capsys.readouterr().err
+
+
+def test_declared_basis_files_are_capped_in_total_letters(tmp_path, capsys):
+    endo = str(DATA / "diag.endo")
+    hom = str(DATA / "retract.hom")
+    half = MAX_FILE_LETTERS // 2
+    basis = _write(tmp_path, "long.basis", f"a1^{half}\n\na1^{half}\na1\n")
+    assert main(["fix", endo, "--declare", hom, basis]) == 2
+    assert f"file expands to more than {MAX_FILE_LETTERS} letters (line 4, column 1)" in (
+        capsys.readouterr().err
+    )
 
 
 def test_presentation_errors_name_line_and_column(tmp_path, capsys):

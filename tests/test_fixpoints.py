@@ -26,6 +26,8 @@ from fixfnm import (
     TypeVII,
     Word,
     congruence_subgroup,
+    curated_cases,
+    decide,
     enumerate_product_ball,
     fix_product,
     from_generators,
@@ -37,6 +39,7 @@ from fixfnm import (
     trivial_subgroup,
     whole_group,
 )
+from fixfnm import fixpoints
 from conftest import ALL_TAGS, RELAB_AB, RELAB_BA, random_shape_endo, rng_for
 
 A = Alphabet(2, "a")
@@ -152,6 +155,23 @@ def test_oracle_misses_and_declarations():
 
     with pytest.raises(ValueError):
         FixOracle().fix(RELAB_AB)  # not an endomorphism
+
+
+def test_declared_basis_is_folded_once(monkeypatch):
+    # the audit folds the declared basis; every oracle that joins reuses it
+    case = next(c for c in curated_cases() if c.declarations)
+    (declared,) = case.declarations
+
+    def refold(*args, **kwargs):
+        raise AssertionError("a declared basis was folded again")
+
+    monkeypatch.setattr(fixpoints, "from_generators", refold)
+    oracles = [case.oracle() for _ in range(2)]
+    for oracle in oracles:
+        assert oracle.fix(declared.endo) is declared.fix_graph()
+    monkeypatch.undo()  # the case's other maps are recognized, which folds their roots
+    for oracle in oracles:
+        assert decide(case.phi, case.psi, oracle).trivial == case.expected_trivial
 
 
 # --- descriptors, one by one ---------------------------------------------------

@@ -18,6 +18,7 @@ from fixfnm import (
     trivial_hom,
     word,
 )
+from fixfnm.words import MAX_FILE_LETTERS
 
 A = Alphabet(2, "a")
 B = Alphabet(2, "b")
@@ -154,6 +155,18 @@ def test_parse_error_columns_count_from_the_line_start():
     with pytest.raises(ParseError) as exc:
         parse_hom_text("hom 2 2 a a\na1 -> a1\n   a2 ->   a2 q\n")
     assert (exc.value.line, exc.value.column) == (3, 15)
+
+
+def test_hom_files_are_capped_in_total_letters():
+    # each word is under the word cap; with the left sides, the file is not
+    text = "hom 2 2 a a\na1 -> a1^100000\na2 -> a2^{}\n"
+    assert parse_hom_text(text.format(MAX_FILE_LETTERS - 100_002)).images[1] == wa(
+        f"a2^{MAX_FILE_LETTERS - 100_002}"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_hom_text(text.format(MAX_FILE_LETTERS - 100_001))
+    assert (exc.value.line, exc.value.column) == (3, 7)
+    assert f"file expands to more than {MAX_FILE_LETTERS} letters" in str(exc.value)
 
 
 def test_trailing_comments_are_cut_and_keep_columns():

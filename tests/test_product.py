@@ -31,6 +31,7 @@ from fixfnm import (
     render_endo_text,
     trivial_hom,
 )
+from fixfnm.words import MAX_FILE_LETTERS
 from conftest import (
     ALL_TAGS,
     RELAB_AB,
@@ -332,6 +333,22 @@ def test_missing_images_name_a_few_and_count_the_rest():
     with pytest.raises(ParseError) as exc:
         parse_endo_text("endo 3 1000000000\na1 -> ( a1 , 1 )\nb1 -> ( 1 , b1 )\n")
     assert str(exc.value) == "missing image for a2, a3, b2, b3, b4 and 999999996 more"
+
+
+def test_endo_files_are_capped_in_total_letters():
+    # the images reach the cap on line 3; the left side of line 4 crosses it
+    half = MAX_FILE_LETTERS // 2
+    text = (
+        "endo 2 2\n"
+        f"a1 -> ( a1^{half - 1} , 1 )\n"
+        f"a2 -> ( a2^{half - 2} , b1 )\n"
+        "b1 -> ( 1 , b1 )\n"
+        "b2 -> ( 1 , b2 )\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_endo_text(text)
+    assert (exc.value.line, exc.value.column) == (4, 1)
+    assert f"file expands to more than {MAX_FILE_LETTERS} letters" in str(exc.value)
 
 
 def test_parse_surfaces_commutation_violations():

@@ -116,6 +116,11 @@ def _reference_fold(gens, alphabet):
             break
         keep, lose = sorted(pair)  # the base, vertex 0, always stays
         edges = {(keep if t == lose else t, l, keep if h == lose else h) for t, l, h in edges}
+    return _reference_trim_and_number(edges, alphabet)
+
+
+def _reference_trim_and_number(edges, alphabet):
+    """Transition table of a folded edge set with base 0: trim, then number."""
     while True:  # strip non-base vertices of degree <= 1
         ends = [v for t, _, h in edges for v in (t, h)]
         dead = {v for v in ends if v != 0 and ends.count(v) == 1}
@@ -302,6 +307,65 @@ def test_intersection_trims_long_dangling_trees():
     small_meet = small_h.intersect(congruence_subgroup(A, (1, 1), 3))
     for w in enumerate_ball(A, 4):
         assert small_meet.contains(w) == (small_h.contains(w) and weighted_sum(w, (1, 1)) % 3 == 0)
+
+
+def _reference_pullback(g1, g2):
+    """Transition table of the meet: the product over all vertex pairs, as an edge set."""
+    n = g2.vertex_count
+    edges = {
+        (u1 * n + u2, l + 1, h1 * n + h2)
+        for u1, row1 in enumerate(g1.transitions)
+        for u2, row2 in enumerate(g2.transitions)
+        for l, (h1, h2) in enumerate(zip(row1, row2))
+        if h1 != -1 and h2 != -1
+    }
+    return _reference_trim_and_number(edges, g1.alphabet)
+
+
+def _assert_backward_inverts(graph):
+    backward, forward = enumerate(graph.backward), enumerate(graph.transitions)
+    entering = {(v, l): t for v, row in backward for l, t in enumerate(row) if t != -1}
+    leaving = {(h, l): t for t, row in forward for l, h in enumerate(row) if h != -1}
+    assert len(graph.backward) == graph.vertex_count
+    assert entering == leaving
+
+
+def _meet_pairs():
+    """Seeded pairs of subgroups, 150 in all, for the pullback comparison."""
+    rng = rng_for("stallings-pullback")
+    for rank in (1, 2, 3):
+        alphabet = Alphabet(rank, "a")
+
+        def rw(lo, hi):
+            return random_word(rng, alphabet, rng.randint(lo, hi))
+
+        def wedge():
+            return from_generators([rw(1, 6) for _ in range(rng.randint(1, 3))], alphabet)
+
+        for _ in range(20):  # two random wedges
+            yield wedge(), wedge()
+        for _ in range(6):  # the trivial group and the whole group
+            yield wedge(), rng.choice((trivial_subgroup(alphabet), whole_group(alphabet)))
+        for _ in range(12):  # finite index on one side
+            weights = [rng.randint(-3, 3) for _ in range(rank)]
+            k = congruence_subgroup(alphabet, weights, rng.randint(1, 4))
+            yield (wedge(), k) if rng.random() < 0.5 else (k, wedge())
+        for _ in range(12):  # conjugates by long stems leave long dangling trees
+            stem = rw(6, 12)
+            h = from_generators([stem * rw(1, 3) * stem.inverse()], alphabet)
+            weights = [rng.randint(1, 2) for _ in range(rank)]
+            yield h, congruence_subgroup(alphabet, weights, rng.randint(2, 4))
+
+
+def test_intersection_matches_reference_pullback():
+    count = 0
+    for g1, g2 in _meet_pairs():
+        meet = g1.intersect(g2)
+        assert meet.transitions == _reference_pullback(g1, g2), (g1, g2)
+        for graph in (g1, g2, meet):
+            _assert_backward_inverts(graph)
+        count += 1
+    assert count == 150
 
 
 def test_intersection_rejects_mixed_alphabets():
