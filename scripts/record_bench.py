@@ -25,9 +25,11 @@ sides.
     `stallings.from_generators`, `stallings.intersect`, `stallings.basis`
     and `stallings.express`, with medians and quartiles and the same
     comparison block as the end-to-end rows.
-  - Fold curve: PAIRS pairs of `bench/reference.py` runs, keeping its
-    fold/express table (best of 3 at 402, 802 and 1602 wedge edges) and
-    the median per size.
+  - Fold and ball curves: PAIRS pairs of `bench/reference.py` runs,
+    keeping its fold/express table (best of 3 at 402, 802 and 1602 wedge
+    edges) and its ball table (`common_fixed_points` on the curated
+    nontrivial 1.8 pair, best of 3 at radius 4, 5 and 6), and the median
+    per size.
   - Large fold: PAIRS pairs of one process per tree, with that tree's
     `src/` on the path, timing `from_generators` on (a1 a2)^2500,
     (a1 a2)^2501 (10,002 wedge edges, past the end of the
@@ -134,19 +136,23 @@ def compare(ours: list[float], theirs: list[float], direction: str) -> dict:
     }
 
 
-def fold_curve(tree: Path) -> list[dict]:
-    """The `edges  fold_ms  express_ms` table of `bench/reference.py`."""
+REFERENCE_TABLES = {"fold": "edges  fold_ms  express_ms", "ball": "radius  elements  hits  ms"}
+
+
+def reference_tables(tree: Path) -> dict[str, list[dict]]:
+    """The fold and ball tables of one `bench/reference.py` run, by their REFERENCE_TABLES key."""
     proc = subprocess.run([sys.executable, "bench/reference.py"], cwd=tree,
                           capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
-    start = lines.index("edges  fold_ms  express_ms") + 1
-    rows = []
-    for line in lines[start:]:
-        if not line.strip():
-            break
-        edges, fold_ms, express_ms = line.split()
-        rows.append({"edges": int(edges), "fold_ms": float(fold_ms), "express_ms": float(express_ms)})
-    return rows
+    tables = {}
+    for name, header in REFERENCE_TABLES.items():
+        columns, rows = header.split(), []
+        for line in lines[lines.index(header) + 1:]:
+            if not line.strip():
+                break
+            rows.append({c: float(v) if "." in v else int(v) for c, v in zip(columns, line.split())})
+        tables[name] = rows
+    return tables
 
 
 def large_fold(tree: Path) -> float:
@@ -291,18 +297,21 @@ def main() -> int:
             for name in FOLD_LAYERS
         }
 
-        runs = pairs("bench/reference.py", lambda tree, seed: {"rows": fold_curve(tree)})
+        runs = pairs("bench/reference.py", lambda tree, seed: reference_tables(tree))
+        curves = (("fold_curve", "fold", "edges", ("fold_ms", "express_ms")),
+                  ("ball_curve", "ball", "radius", ("elements", "hits", "ms")))
         for side in trees:
-            by_size: dict[int, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
-            for run in runs[side]:
-                for row in run["rows"]:
-                    by_size[row["edges"]]["fold_ms"].append(row["fold_ms"])
-                    by_size[row["edges"]]["express_ms"].append(row["express_ms"])
-            report[side]["fold_curve"] = {
-                "runs": [run["rows"] for run in runs[side]],
-                "median": [{"edges": edges, **{k: statistics.median(v) for k, v in cols.items()}}
-                           for edges, cols in sorted(by_size.items())],
-            }
+            for block, table, size, columns in curves:
+                by_size: dict[int, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
+                for run in runs[side]:
+                    for row in run[table]:
+                        for column in columns:
+                            by_size[row[size]][column].append(row[column])
+                report[side][block] = {
+                    "runs": [run[table] for run in runs[side]],
+                    "median": [{size: n, **{k: statistics.median(v) for k, v in cols.items()}}
+                               for n, cols in sorted(by_size.items())],
+                }
 
         runs = pairs("10,002-edge fold", lambda tree, seed: {"fold_ms": large_fold(tree)})
         for side in trees:

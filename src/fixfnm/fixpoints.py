@@ -82,7 +82,9 @@ class DeclaredEndo(FrozenValue):
         if endo.source != endo.target:
             raise ValueError("fixed subgroups are only defined for endomorphisms")
         for w in fix_basis:
-            if endo.apply(w) != w:
+            if w.alphabet != endo.source:
+                raise ValueError(f"declared basis word {w} is not a word over {endo.source}")
+            if endo.image_letters(w.letters) != w.letters:
                 raise ValueError(f"declared basis word {render_word(w)} is not fixed")
         set_field(self, "endo", endo)
         set_field(self, "fix_basis", fix_basis)
@@ -198,7 +200,7 @@ class FixOracle:
 
 
 def _is_fixed(h: FreeHom, w: Word) -> bool:
-    return h.apply(w) == w
+    return h.image_letters(w.letters) == w.letters
 
 
 def _pull_back(domain: SubgroupGraph, h: FreeHom, target: Word) -> Word:

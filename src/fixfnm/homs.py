@@ -1,11 +1,14 @@
 """Homomorphisms between finitely generated free groups.
 
-A homomorphism is stored by its generator images. Composition is written in
-application order: `f.then(g)` maps w to g(f(w)).
+A homomorphism is stored by its generator images; `FreeHom.image_letters` is
+the one routine that maps letters through them, for `apply` and for every
+fixed-point and equalizer test. Composition is written in application order:
+`f.then(g)` maps w to g(f(w)).
 """
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Collection, Sequence
 
 from ._value import FrozenValue, set_field
@@ -34,17 +37,18 @@ class FreeHom(FrozenValue):
         set_field(self, "target", target)
         set_field(self, "images", images)
 
+    def image_letters(self, letters: Sequence[int]) -> tuple[int, ...]:
+        """The freely reduced image of ``letters``, trusted to be letters of the source."""
+        out: list[int] = []
+        for x in letters:
+            img = self.images[abs(x) - 1].letters
+            out.extend(img if x > 0 else map(neg, reversed(img)))
+        return free_reduce(out)
+
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.source:
             raise ValueError(f"{w} is not a word over {self.source}")
-        out: list[int] = []
-        for x in w.letters:
-            img = self.images[abs(x) - 1]
-            if x > 0:
-                out.extend(img.letters)
-            else:
-                out.extend(-y for y in reversed(img.letters))
-        return Word._unchecked(self.target, free_reduce(out))
+        return Word._unchecked(self.target, self.image_letters(w.letters))
 
     def then(self, other: "FreeHom") -> "FreeHom":
         """Composite mapping w to other(self(w))."""

@@ -29,6 +29,7 @@ from .words import (
     LetterTally,
     ParseError,
     Word,
+    free_reduce,
     parse_word,
     render_word,
     root,
@@ -62,15 +63,6 @@ class ProductElement(FrozenValue):
             raise ValueError("product elements pair an a-word with a b-word")
         set_field(self, "first", first)
         set_field(self, "second", second)
-
-    # written out, not inherited: ProductEndo.fixes compares on every call
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.first, self.second) == (other.first, other.second)
-
-    def __hash__(self) -> int:
-        return hash((self.first, self.second))
 
     def __mul__(self, other: "ProductElement") -> "ProductElement":
         return ProductElement(self.first * other.first, self.second * other.second)
@@ -176,7 +168,15 @@ class ProductEndo(FrozenValue):
         )
 
     def fixes(self, g: ProductElement) -> bool:
-        return self.apply(g) == g
+        """Whether g is fixed; its second coordinate is mapped only if the first is."""
+        if g.first.alphabet != self.first_alphabet or g.second.alphabet != self.second_alphabet:
+            raise ValueError("element does not belong to this endomorphism's group")
+        x, y = g.first.letters, g.second.letters
+        first = self.first_from_first.image_letters(x) + self.first_from_second.image_letters(y)
+        if free_reduce(first) != x:
+            return False
+        second = self.second_from_first.image_letters(x) + self.second_from_second.image_letters(y)
+        return free_reduce(second) == y
 
 
 def identity_endo(n: int, m: int) -> ProductEndo:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Optional
 
 from ._value import FrozenValue, set_field
 from .fixpoints import DeclaredEndo, FixDescriptor, FixOracle, fix_product
@@ -38,8 +38,10 @@ from .product import (
 from .stallings import SubgroupGraph
 from .words import (
     Alphabet,
+    LetterTally,
     ParseError,
     Word,
+    ball_products,
     ball_size,
     exponent_of_power,
     generator,
@@ -79,6 +81,7 @@ def parse_presentation_text(text: str) -> Presentation:
 
     The text may spread over lines, and a relator may run across a line
     break. ParseError positions name the line and the column in the file.
+    The relators expand to at most MAX_FILE_LETTERS letters in all.
     """
     # cutting each comment keeps every other character at its line and column
     body = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
@@ -106,10 +109,13 @@ def parse_presentation_text(text: str) -> Presentation:
                 *where(m.start()),
             )
     relators = []
+    tally = LetterTally()
     for m in re.finditer("[^,]+", right):
         if m.group(0).strip():
             line, column = where(start + m.start())
-            relators.append(parse_word(m.group(0), alphabet, line=line, offset=column - 1))
+            relators.append(
+                parse_word(m.group(0), alphabet, line=line, offset=column - 1, tally=tally)
+            )
     return Presentation(alphabet, tuple(relators))
 
 
@@ -158,29 +164,6 @@ class MihailovaInstance(FrozenValue):
     def search_is_capped(self, budget: int) -> bool:
         """Whether SEARCH_CAP stops search_witness before it covers ``budget``."""
         return ball_size(len(self.subgroup_generators), budget) - 1 > SEARCH_CAP
-
-
-def ball_products(gens: tuple[ProductElement, ...], radius: int) -> Iterator[ProductElement]:
-    """Products of the nonempty reduced words of length <= radius over
-    ``gens``, in the order of enumerate_ball.
-
-    Each product extends its prefix's, kept from the layer before, by one
-    generator or inverse, so every product costs one multiply.
-    """
-    steps = [
-        (s * i, g if s > 0 else g.inverse()) for i, g in enumerate(gens, start=1) for s in (1, -1)
-    ]
-    layer: list[tuple[int, Optional[ProductElement]]] = [(0, None)]  # (last letter, product)
-    for _ in range(radius):
-        nxt = []
-        for last, prefix in layer:
-            for x, step in steps:
-                if x == -last:
-                    continue
-                product = step if prefix is None else prefix * step
-                nxt.append((x, product))
-                yield product
-        layer = nxt
 
 
 def mihailova_generators(pres: Presentation) -> tuple[ProductElement, ...]:

@@ -3,19 +3,21 @@
 A word is a freely reduced tuple of nonzero signed integers: letter i stands
 for the i-th generator, -i for its inverse. Alphabets carry a display letter
 ('a' and 'b' for the two direct factors, 'x' for presentation alphabets) so
-elements of different groups cannot be mixed up silently.
+elements of different groups cannot be mixed up silently. `ball_products` is
+the one walker of reduced-word balls, behind `enumerate_ball` as well.
 """
 
 from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from ._value import FrozenValue, set_field
 from .lattices import IntLattice2
 
 _LETTER_NAMES = ("a", "b", "x")
+G = TypeVar("G")  # a group element: anything with `*` and `inverse()`
 
 
 class ParseError(ValueError):
@@ -299,18 +301,30 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    order = [s * i for i in range(1, alphabet.rank + 1) for s in (1, -1)]
-    layer: list[tuple[int, ...]] = [()]
     yield Word._unchecked(alphabet)
+    yield from ball_products(alphabet.generators(), radius)
+
+
+def ball_products(gens: Sequence[G], radius: int) -> Iterator[G]:
+    """Products of the nonempty reduced words of length <= radius over
+    ``gens``, in the order of enumerate_ball.
+
+    Each product extends its prefix's, kept from the layer before, by one
+    generator or inverse, so every product costs one multiply.
+    """
+    steps = [
+        (s * i, g if s > 0 else g.inverse()) for i, g in enumerate(gens, start=1) for s in (1, -1)
+    ]
+    layer: list[tuple[int, G | None]] = [(0, None)]  # (last letter, product)
     for _ in range(radius):
-        nxt: list[tuple[int, ...]] = []
-        for prefix in layer:
-            for x in order:
-                if prefix and prefix[-1] == -x:
+        nxt = []
+        for last, prefix in layer:
+            for x, step in steps:
+                if x == -last:
                     continue
-                ext = prefix + (x,)
-                nxt.append(ext)
-                yield Word._unchecked(alphabet, ext)
+                product = step if prefix is None else prefix * step
+                nxt.append((x, product))
+                yield product
         layer = nxt
 
 

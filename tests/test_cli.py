@@ -132,6 +132,35 @@ def test_declared_basis_files_are_capped_in_total_letters(tmp_path, capsys):
     )
 
 
+def test_presentation_files_are_capped_in_total_letters(tmp_path, capsys):
+    # each relator is under the word cap; the third takes the file past its cap
+    pres = _write(tmp_path, "long.pres", "x1 x2 |\nx1^100000,\nx1^100000,\n  x1^100000\n")
+    assert main(["mihailova", pres, "x1", "--budget", "1"]) == 2
+    assert f"file expands to more than {MAX_FILE_LETTERS} letters (line 4, column 3)" in (
+        capsys.readouterr().err
+    )
+
+
+def test_brute_force_balls_are_capped_in_size(tmp_path, diag, swap, capsys):
+    # the --declare audit of an identity of rank 20 would walk 2.4M words
+    rank = 20
+    gens = [f"a{i}" for i in range(1, rank + 1)]
+    lines = [f"hom {rank} {rank} a a"] + [f"{g} -> {g}" for g in gens]
+    hom = _write(tmp_path, "id20.hom", "\n".join(lines) + "\n")
+    basis = _write(tmp_path, "id20.basis", "\n".join(gens) + "\n")
+    started = time.perf_counter()
+    assert main(["fix", str(DATA / "diag.endo"), "--declare", hom, basis]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "ball of radius 4 holds 2435201 elements, more than 1000000" in capsys.readouterr().err
+    # rank 3 at radius 8: 5,917,969 pairs; rank 2 at radius 8 (139,969 pairs) still runs
+    e3 = TypeVI(identity_hom(Alphabet(3, "a")), identity_hom(Alphabet(3, "b"))).as_endo()
+    rank3 = _write(tmp_path, "id3.endo", render_endo_text(e3))
+    assert main(["oracle", "--radius", "8", rank3, rank3]) == 2
+    assert "product ball of radius 8" in capsys.readouterr().err
+    assert main(["oracle", "--radius", "8", diag, swap]) == 1
+    assert "common fixed points with |x| + |y| <= 8" in capsys.readouterr().out
+
+
 def test_presentation_errors_name_line_and_column(tmp_path, capsys):
     pres = _write(tmp_path, "bad.pres", "x1 x2 |\n  x1^2, x2 q\n")
     assert main(["mihailova", pres, "x1"]) == 2

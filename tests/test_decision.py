@@ -217,11 +217,15 @@ def test_witness_constructor_rejects_bad_witnesses():
 
 
 def test_witness_check_survives_optimized_mode():
+    # under -O the curated verdicts read as in a normal run, and a witness
+    # that is not fixed is still refused
     script = """
 import sys
 from fixfnm import Alphabet, CertificateError, ProductElement, Verdict, Word
-from fixfnm import TypeVI, inner_hom, parse_word
+from fixfnm import TypeVI, curated_cases, decide, inner_hom, parse_word
 assert False, "asserts must be off"
+for case in curated_cases():
+    print(decide(case.phi, case.psi, case.oracle()).describe())
 A, B = Alphabet(2, "a"), Alphabet(2, "b")
 phi = TypeVI(inner_hom(parse_word("a1", A)), inner_hom(parse_word("b1", B))).as_endo()
 try:
@@ -238,6 +242,9 @@ sys.exit(1)
         text=True,
     )
     assert done.returncode == 0, done.stderr
+    expected = [decide(c.phi, c.psi, c.oracle()).describe() for c in curated_cases()]
+    assert len(expected) == 36
+    assert done.stdout.splitlines() == expected
 
 
 def test_verdict_describe():

@@ -108,16 +108,18 @@ def test_declared_endo_support():
         DeclaredEndo(identity_hom(A), (wa("a1"),), audit_radius=2)
     with pytest.raises(ValueError):
         DeclaredEndo(RELAB_AB, ())  # not an endomorphism
+    with pytest.raises(ValueError, match="is not a word over"):
+        DeclaredEndo(identity_hom(A), (Word(A3, (3,)),))
 
 
 def test_audit_radius_beyond_the_ball_cap_is_refused(monkeypatch):
     # refused before any word is applied, not after walking a radius-9 ball
-    def no_apply(self, w):
+    def no_map(self, letters):
         raise AssertionError("the audit walked the ball")
 
     retract = FreeHom(A, A, (wa("a1"), Word(A)))
     basis = (wa("a1"),)
-    monkeypatch.setattr(FreeHom, "apply", no_apply)
+    monkeypatch.setattr(FreeHom, "image_letters", no_map)
     with pytest.raises(ValueError, match="radius must lie in"):
         DeclaredEndo(retract, (), audit_radius=9)
     with pytest.raises(ValueError, match="radius must lie in"):

@@ -2,12 +2,14 @@
 
 import pytest
 
+import fixfnm.oracle as oracle_module
 from fixfnm import (
     Alphabet,
     BallSpec,
     ProductElement,
     TypeVI,
     TypeVII,
+    ball_size,
     bounded_equalizer,
     common_fixed_points,
     enumerate_product_ball,
@@ -111,3 +113,21 @@ def test_common_fixed_points():
 
 def test_radius_zero_is_empty():
     assert fixed_points(identity_endo(2, 2), BallSpec(0)) == []
+
+
+@pytest.mark.parametrize("ranks, radius", [((2, 2), 3), ((2, 3), 4), ((3, 2), 2)])
+def test_ball_cap_counts_the_ball_exactly(monkeypatch, ranks, radius):
+    n, m = ranks
+    phi = identity_endo(n, m)
+    pairs = len(list(enumerate_product_ball(phi.first_alphabet, phi.second_alphabet, radius)))
+    words = ball_size(n, radius)
+    monkeypatch.setattr(oracle_module, "MAX_BALL_ELEMENTS", words)
+    assert len(fixed_words(identity_hom(phi.first_alphabet), BallSpec(radius))) == words - 1
+    monkeypatch.setattr(oracle_module, "MAX_BALL_ELEMENTS", pairs)
+    assert len(fixed_points(phi, BallSpec(radius))) == pairs - 1
+    monkeypatch.setattr(oracle_module, "MAX_BALL_ELEMENTS", pairs - 1)
+    with pytest.raises(ValueError, match=f"product ball of radius {radius} holds {pairs} elements"):
+        fixed_points(phi, BallSpec(radius))
+    monkeypatch.setattr(oracle_module, "MAX_BALL_ELEMENTS", words - 1)
+    with pytest.raises(ValueError, match=f"ball of radius {radius} holds {words} elements"):
+        fixed_words(identity_hom(phi.first_alphabet), BallSpec(radius))

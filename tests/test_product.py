@@ -21,6 +21,8 @@ from fixfnm import (
     UnclassifiableEndo,
     Word,
     classify,
+    curated_cases,
+    enumerate_product_ball,
     identity_endo,
     identity_hom,
     inner_hom,
@@ -361,3 +363,17 @@ def test_parse_surfaces_commutation_violations():
     )
     with pytest.raises(CommutationViolation):
         parse_endo_text(text)
+
+
+def test_fixes_matches_apply_on_curated_endos():
+    endos = {e for case in curated_cases() for e in (case.phi, case.psi)}
+    ball = list(enumerate_product_ball(A, B, 4))
+    assert len(ball) == 865
+    for e in endos:
+        for g in ball:
+            assert e.fixes(g) == (e.apply(g) == g), (e, g)
+    foreign = ProductElement(Word(A), Word(Alphabet(3, "b")))
+    with pytest.raises(ValueError, match="does not belong"):
+        identity_endo(2, 2).fixes(foreign)
+    with pytest.raises(ValueError, match="does not belong"):
+        identity_endo(2, 2).apply(foreign)

@@ -223,6 +223,25 @@ def test_ball_enumeration_counts():
     assert lengths == sorted(lengths)
 
 
+def _ball_by_concatenation(rank, radius):
+    """Reduced letter tuples of length <= radius, layer by layer, 1 < -1 < 2 < ..."""
+    order = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    layer, out = [()], [()]
+    for _ in range(radius):
+        layer = [w + (x,) for w in layer for x in order if not (w and w[-1] == -x)]
+        out += layer
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_ball_matches_plain_concatenation(rank):
+    alphabet = Alphabet(rank, "a")
+    for radius in range(6):
+        ball = [w.letters for w in enumerate_ball(alphabet, radius)]
+        assert ball == _ball_by_concatenation(rank, radius)
+        assert len(ball) == ball_size(rank, radius)
+
+
 def test_parse_render_round_trip():
     for text in ("a1", "a1^-2 a2", "a2^3", "1"):
         w = parse_word(text, A)
