@@ -34,6 +34,12 @@ sides.
     `src/` on the path, timing `from_generators` on (a1 a2)^2500,
     (a1 a2)^2501 (10,002 wedge edges, past the end of the
     `bench/reference.py` curve) as the best of 3, and the median.
+  - Small graphs: PAIRS pairs of one process per tree, with that tree's
+    `src/` on the path, printing the best of 5 rounds, in µs per call, of
+    `from_generators([a1 a2])`, of `intersect` of <a1 a2, a2 a1> (3
+    vertices) and <a1^2, a2> (2 vertices) with `basis` of the result (a
+    graph built afresh, so its basis is not cached), and of
+    `FixOracle().fix(inner_hom(a2 a1))`, and the median per row.
   - Tier-1: one timed run of the tier-1 suite per tree.
   - Imports: per tree, the median wall time of 7 fresh processes each for
     the bare interpreter, `import fixfnm`, `import fixfnm.cli` and
@@ -81,6 +87,25 @@ LARGE_FOLD = (
     "    F.from_generators(gens)\n"
     "    best = min(best, time.perf_counter() - started)\n"
     "print(best * 1e3)\n",
+)
+SMALL_GRAPH = (
+    "-c",
+    "import json, time, fixfnm as F\n"
+    "a1, a2 = F.Alphabet(2, 'a').generators()\n"
+    "h, k = F.from_generators([a1 * a2, a2 * a1]), F.from_generators([a1 * a1, a2])\n"
+    "inner = F.inner_hom(a2 * a1)\n"
+    "rows = {'from_generators': lambda: F.from_generators([a1 * a2]),\n"
+    "        'intersect_basis': lambda: h.intersect(k).basis(),\n"
+    "        'fix_inner': lambda: F.FixOracle().fix(inner)}\n"
+    "best = {}\n"
+    "for name, call in rows.items():\n"
+    "    best[name] = float('inf')\n"
+    "    for _ in range(5):\n"
+    "        started = time.perf_counter()\n"
+    "        for _ in range(1000):\n"
+    "            call()\n"
+    "        best[name] = min(best[name], (time.perf_counter() - started) * 1e3)\n"
+    "print(json.dumps(best))\n",
 )
 IMPORT_COMMANDS = {
     "interpreter": ("-c", "pass"),
@@ -161,6 +186,14 @@ def large_fold(tree: Path) -> float:
     proc = subprocess.run([sys.executable, *LARGE_FOLD], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
     return float(proc.stdout)
+
+
+def small_graph(tree: Path) -> dict[str, float]:
+    """Best of 5 rounds, in µs per call, of each SMALL_GRAPH row."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, *SMALL_GRAPH], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def tier1(tree: Path) -> dict:
@@ -319,6 +352,14 @@ def main() -> int:
                 "edges": 10002,
                 "runs": runs[side],
                 "median_fold_ms": statistics.median(r["fold_ms"] for r in runs[side]),
+            }
+
+        runs = pairs("small graphs", lambda tree, seed: {"us": small_graph(tree)})
+        for side in trees:
+            report[side]["small_graph"] = {
+                "runs": runs[side],
+                "median_us": {name: statistics.median(r["us"][name] for r in runs[side])
+                              for name in runs[side][0]["us"]},
             }
 
         for side, tree in in_turn(0):

@@ -55,8 +55,10 @@ from .stallings import (
 from .words import (
     Alphabet,
     Word,
-    cyclic_reduce,
+    _conjugator_length,
+    _inverse,
     exponent_of_power,
+    free_reduce,
     render_word,
     root,
     solve_power_equation,
@@ -120,29 +122,35 @@ class MissingOracle(LookupError):
 
 
 def _detect_inner(h: FreeHom) -> Word | None:
-    """The conjugator z with h = (x -> z x z^-1), if h is such a map."""
+    """The conjugator z with h = (x -> z x z^-1), if h is such a map.
+
+    Works on letter tuples and builds only the returned word. h(a1) must be
+    c a1 c^-1, which pins z down to c a1^t; t is read off h(a2) and every
+    image is then compared with z a_i z^-1.
+    """
     alph = h.source
     if alph.rank < 2:
         return None
-    gens = alph.generators()
-    first = gens[0]
-    core, conj = cyclic_reduce(h.images[0])
-    if core != first:
+    first = h.images[0].letters
+    c = _conjugator_length(first)
+    if first[c : len(first) - c] != (1,):
         return None
-    # h(a1) = c a1 c^-1 pins z down to c * a1^t; read t off h(a2).
-    probe = conj.inverse() * h.images[1] * conj
+    conj = first[:c]  # reduced first: its last letter is not a1 or a1^-1
+    probe = free_reduce(_inverse(conj) + h.images[1].letters + conj)
+    lead = probe[0] if probe and abs(probe[0]) == 1 else 0
     run = 0
-    if probe.letters and abs(probe.letters[0]) == 1:
-        lead = probe.letters[0]
-        for x in probe.letters:
-            if x != lead:
-                break
-            run += 1 if lead == 1 else -1
-    z = conj * (first ** run)
-    for g, img in zip(gens, h.images):
-        if img != g.conjugated_by(z):
+    while run < len(probe) and probe[run] == lead:
+        run += 1
+    z = conj + (lead,) * run
+    for i, img in enumerate(h.images, start=1):
+        # z a_i z^-1 reduced: the trailing powers of a_i in z commute with it
+        k = len(z)
+        while k and abs(z[k - 1]) == i:
+            k -= 1
+        stem = z[:k]
+        if img.letters != stem + (i,) + _inverse(stem):
             return None
-    return z
+    return Word._unchecked(alph, z)
 
 
 class FixOracle:
@@ -181,8 +189,8 @@ class FixOracle:
         perm = h.as_permutation()
         if perm is not None:
             # one vertex, with a loop at each fixed generator
-            row = tuple(0 if p == i else -1 for i, p in enumerate(perm, start=1))
-            return SubgroupGraph(h.source, (row,))
+            table = (tuple(0 if p == i else -1 for i, p in enumerate(perm, start=1)),)
+            return SubgroupGraph(h.source, table, table)
         z = _detect_inner(h)
         if z is not None:
             if z.is_identity():

@@ -10,10 +10,10 @@ raises ValueError on a ball of more than MAX_BALL_ELEMENTS elements.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ._value import FrozenValue, set_field
-from .homs import FreeHom, identity_hom
+from .homs import FreeHom
 from .product import ProductElement, ProductEndo
 from .words import Alphabet, Word, ball_size, enumerate_ball
 
@@ -72,13 +72,22 @@ def bounded_equalizer(f: FreeHom, g: FreeHom, spec: BallSpec) -> list[Word]:
     """Nontrivial ball words on which two homomorphisms agree."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("the two homomorphisms must share source and target")
-    _check_ball_size(ball_size(f.source.rank, spec.radius), f"the ball of radius {spec.radius}")
-    ball = islice(enumerate_ball(f.source, spec.radius), 1, None)
-    return [w for w in ball if f.image_letters(w.letters) == g.image_letters(w.letters)]
+    image, other = f.image_letters, g.image_letters
+    return _ball_words(f.source, spec, lambda letters: image(letters) == other(letters))
 
 
 def fixed_words(h: FreeHom, spec: BallSpec) -> list[Word]:
     """Nontrivial ball words fixed by a free-group endomorphism."""
     if h.source != h.target:
         raise ValueError("fixed words only make sense for endomorphisms")
-    return bounded_equalizer(h, identity_hom(h.source), spec)
+    image = h.image_letters
+    return _ball_words(h.source, spec, lambda letters: image(letters) == letters)
+
+
+def _ball_words(
+    alphabet: Alphabet, spec: BallSpec, keep: Callable[[tuple[int, ...]], bool]
+) -> list[Word]:
+    """The nontrivial ball words whose letters ``keep`` accepts, after the size check."""
+    _check_ball_size(ball_size(alphabet.rank, spec.radius), f"the ball of radius {spec.radius}")
+    ball = islice(enumerate_ball(alphabet, spec.radius), 1, None)
+    return [w for w in ball if keep(w.letters)]

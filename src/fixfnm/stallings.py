@@ -2,11 +2,11 @@
 
 The canonical form is a deterministic edge-labeled based graph: vertex 0 is
 the basepoint, `transitions[v][l-1]` is the endpoint of the l-labeled edge
-leaving v (or -1), and the cached `backward[v][l-1]` is the start of the
-l-labeled edge entering v (or -1). Every graph is folded, then trimmed of
-dangling trees and renumbered breadth-first by one routine,
-`_trim_and_number`, so two subgroups are equal iff their graphs compare
-equal.
+leaving v (or -1), and `backward[v][l-1]` is the start of the l-labeled
+edge entering v (or -1). Every graph is folded, then trimmed of dangling
+trees and renumbered breadth-first by one routine, `_trim_and_number`,
+which writes both tables in the same pass and hands them to the graph, so
+two subgroups are equal iff their graphs compare equal.
 
 Construction from generators goes through a mutable multigraph that
 attaches one base loop per generator and folds. A loop is first read
@@ -29,11 +29,12 @@ is already held goes on a work list of clashes with the holder. Each clash
 deletes one edge and merges two vertices, the one with fewer edges into the
 other (the base never merges away), and only the moved edges are seated
 again, which finds the next clashes. A fold therefore costs the edges
-moved, not a scan per clash. The folded slot rows are exported as head and
-tail tables for `_trim_and_number`, which peels vertices of degree 1 off a
+moved, not a scan per clash. The folded slot rows are exported as vertex
+rows of the same layout, the head of each out-edge and the tail of each
+in-edge, for `_trim_and_number`, which peels vertices of degree 1 off a
 queue and numbers the rest. The pullback of two folded graphs and the coset
 graph of a congruence subgroup are folded already, so `intersect` and
-`congruence_subgroup` write those tables directly and skip the builder.
+`congruence_subgroup` write those rows directly and skip the builder.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Sequence
 
 from ._value import FrozenValue, set_field
 from .homs import FreeHom
-from .words import Alphabet, Word, free_reduce, render_word, weighted_sum, word
+from .words import Alphabet, Word, _inverse, free_reduce, render_word, weighted_sum, word
 
 
 class CertificateError(RuntimeError):
@@ -252,70 +253,88 @@ class _Builder:
             self._seat(eid, t, l, h)
 
     def canonical(self) -> "SubgroupGraph":
-        """Fold, export the head and tail tables, then trim and number them."""
+        """Fold, export the slot rows as vertex rows, then trim and number them."""
         self.fold()
         r = self.rank
-        fwd, bwd = [-1] * (len(self.slot) // 2), [-1] * (len(self.slot) // 2)
+        rows = [-1] * len(self.slot)
         for edge in self.edges:
             if edge is not None:
                 t, l, h = edge
-                fwd[t * r + l - 1] = h
-                bwd[h * r + l - 1] = t
-        return SubgroupGraph(self.alphabet, _trim_and_number(r, fwd, bwd))
+                rows[2 * r * t + l - 1] = h
+                rows[2 * r * h + r + l - 1] = t
+        return SubgroupGraph(self.alphabet, *_trim_and_number(r, rows))
 
 
-def _trim_and_number(rank: int, fwd: list[int], bwd: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The canonical transition table of a folded graph given by two flat tables.
+def _trim_and_number(
+    rank: int, rows: list[int]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The canonical transition and backward tables of a folded graph given
+    by flat vertex rows.
 
-    With r the rank, ``fwd[v*r + l-1]`` is the head of the l-edge leaving v
-    and ``bwd[v*r + l-1]`` the tail of the l-edge entering v, or -1; vertex
-    0 is the base. Non-base vertices of degree 1 come off a queue (a loop
-    counts twice), their edge cut from both tables in place, so dangling
-    trees peel away; vertices of degree 0 are never reached. The base's
-    component is then numbered breadth first, out-edges by label and then
-    in-edges by label.
+    Each vertex owns 2·r entries of ``rows``, r the rank, laid out as the
+    builder's slot rows: ``rows[v*2r + l-1]`` is the head of the l-edge
+    leaving v and ``rows[v*2r + r + l-1]`` the tail of the l-edge entering
+    v, or -1; vertex 0 is the base. Non-base vertices of degree 1 come off a
+    queue (a loop counts twice), their edge cut from both ends' rows in
+    place, so dangling trees peel away; vertices of degree 0 are never
+    reached. The base's component is then numbered breadth first, out-edges
+    by label and then in-edges by label, and each vertex's row, renumbered,
+    is split into its transition row and its backward row, so the backward
+    table costs no second pass.
     """
-    r = rank
-    degree = [
-        2 * r - fwd[lo : lo + r].count(-1) - bwd[lo : lo + r].count(-1)
-        for lo in range(0, len(fwd), r)
-    ]
+    r, width = rank, 2 * rank
+    degree = [width - rows[lo : lo + width].count(-1) for lo in range(0, len(rows), width)]
     queue = [v for v in range(1, len(degree)) if degree[v] == 1]
     while queue:
         v = queue.pop()
         if degree[v] != 1:
             continue
         degree[v] = 0
-        lo = v * r
-        near, far = (fwd, bwd) if fwd[lo : lo + r].count(-1) < r else (bwd, fwd)
-        i = next(i for i in range(lo, lo + r) if near[i] != -1)
-        u, near[i] = near[i], -1
-        far[u * r + i - lo] = -1
+        i = lo = v * width
+        while rows[i] == -1:
+            i += 1
+        u, rows[i] = rows[i], -1
+        i -= lo  # the same label in the other half of u's row holds v
+        rows[u * width + (i + r if i < r else i - r)] = -1
         degree[u] -= 1
         if u != 0 and degree[u] == 1:
             queue.append(u)
     number = [-1] * (len(degree) + 1)  # the extra last entry keeps number[-1] == -1
     number[0] = 0
     at = number.__getitem__
-    seq, table = [0], []
+    seq, forward, backward = [0], [], []
     for v in seq:
-        out = fwd[v * r : v * r + r]
-        for u in out + bwd[v * r : v * r + r]:
+        row = rows[v * width : v * width + width]
+        for u in row:
             if u != -1 and number[u] == -1:
                 number[u] = len(seq)
                 seq.append(u)
-        table.append(tuple(map(at, out)))  # every neighbour of v is numbered by now
-    return tuple(table)
+        row = tuple(map(at, row))  # every neighbour of v is numbered by now
+        forward.append(row[:r])
+        backward.append(row[r:])
+    return tuple(forward), tuple(backward)
 
 
 class SubgroupGraph(FrozenValue):
-    """Canonical folded based graph; equality means equality of subgroups."""
+    """Canonical folded based graph; equality means equality of subgroups.
 
-    __slots__ = ("alphabet", "transitions", "__dict__")  # __dict__ holds the cached properties
+    ``transitions[v][l-1]`` is the end of the l-edge leaving v and
+    ``backward[v][l-1]`` the start of the l-edge entering v, or -1. Both
+    tables come from ``_trim_and_number`` (a one-vertex graph's two tables
+    are equal), so the vertices are numbered breadth first.
+    """
 
-    def __init__(self, alphabet: Alphabet, transitions: tuple[tuple[int, ...], ...]):
+    __slots__ = ("alphabet", "transitions", "backward", "__dict__")  # __dict__ holds the basis
+
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        transitions: tuple[tuple[int, ...], ...],
+        backward: tuple[tuple[int, ...], ...],
+    ):
         set_field(self, "alphabet", alphabet)
         set_field(self, "transitions", transitions)
+        set_field(self, "backward", backward)
 
     @property
     def vertex_count(self) -> int:
@@ -329,16 +348,6 @@ class SubgroupGraph(FrozenValue):
     def rank(self) -> int:
         # Euler characteristic of a connected graph.
         return self.edge_count - self.vertex_count + 1
-
-    @cached_property
-    def backward(self) -> tuple[tuple[int, ...], ...]:
-        """``backward[v][l-1]`` is the start of the l-labeled edge entering v, or -1."""
-        rows = [[-1] * self.alphabet.rank for _ in self.transitions]
-        for u, row in enumerate(self.transitions):
-            for j, h in enumerate(row):
-                if h != -1:
-                    rows[h][j] = u
-        return tuple(map(tuple, rows))
 
     def is_trivial(self) -> bool:
         return self.vertex_count == 1 and self.edge_count == 0
@@ -370,55 +379,48 @@ class SubgroupGraph(FrozenValue):
 
     @cached_property
     def _basis(self) -> tuple[Word, ...]:
-        rank, bwd = self.alphabet.rank, self.backward
-        parent: dict[int, tuple[int, int]] = {}
-        tree: set[tuple[int, int]] = set()
-        seen = {0}
-        seq = [0]
-        i = 0
-        while i < len(seq):
-            v = seq[i]
-            i += 1
-            for l in range(1, rank + 1):
-                h = self.transitions[v][l - 1]
-                if h != -1 and h not in seen:
-                    seen.add(h)
-                    parent[h] = (v, l)
-                    tree.add((v, l))
-                    seq.append(h)
-            for l in range(1, rank + 1):
-                t = bwd[v][l - 1]
-                if t != -1 and t not in seen:
-                    seen.add(t)
-                    parent[t] = (v, -l)
-                    tree.add((t, l))
-                    seq.append(t)
+        """One word per edge off the breadth-first spanning tree.
 
-        def up_from(v: int) -> list[int]:
-            # the tree path from the base to v, last step first, walked per
-            # basis word: paths stored for every vertex would hold
-            # vertices x depth letters at once
+        The vertices are numbered breadth first, out-edges by label and then
+        in-edges by label, so a scan of the rows in that order meets the
+        vertices in number order: an entry equal to the next number is the
+        step that first reached that vertex, and ``parent[v]`` records the
+        vertex and the letter of that step. A tree path, an edge off the
+        tree and a tree path back do not backtrack in a folded graph, so the
+        word they spell is reduced.
+        """
+        parent = [(0, 0)]  # the base has no parent
+        for v, (out, into) in enumerate(zip(self.transitions, self.backward)):
+            for l, h in enumerate(out, start=1):
+                if h == len(parent):
+                    parent.append((v, l))
+            for l, t in enumerate(into, start=1):
+                if t == len(parent):
+                    parent.append((v, -l))
+
+        def path_to(v: int) -> tuple[int, ...]:
+            # walked per basis word: paths stored for every vertex would
+            # hold vertices x depth letters at once
             steps = []
             while v:
-                v, step = parent[v]
-                steps.append(step)
-            return steps
+                v, x = parent[v]
+                steps.append(x)
+            return tuple(reversed(steps))
 
         gens: list[Word] = []
-        for u in range(self.vertex_count):
-            for l in range(1, rank + 1):
-                v = self.transitions[u][l - 1]
-                if v == -1 or (u, l) in tree:
+        for u, out in enumerate(self.transitions):
+            for l, v in enumerate(out, start=1):
+                if v == -1 or parent[v] == (u, l) or parent[u] == (v, -l):
                     continue
-                letters = (*reversed(up_from(u)), l, *(-x for x in up_from(v)))
-                gens.append(word(self.alphabet, letters))
+                letters = path_to(u) + (l,) + _inverse(path_to(v))
+                gens.append(Word._unchecked(self.alphabet, letters))
         return tuple(gens)
 
     def intersect(self, other: "SubgroupGraph") -> "SubgroupGraph":
         """Pullback construction: the component of the pair of basepoints.
 
-        The product of two folded graphs is folded, so its head and tail
-        tables are written straight from the factors' and go to the same
+        The product of two folded graphs is folded, so its vertex rows are
+        written straight from the factors' two tables and go to the same
         ``_trim_and_number`` as every other graph.
         """
         if self.alphabet != other.alphabet:
@@ -426,20 +428,18 @@ class SubgroupGraph(FrozenValue):
         ids: dict[tuple[int, int], int] = {(0, 0): 0}
         pairs: list[tuple[int, int]] = [(0, 0)]
         f1, f2, b1, b2 = self.transitions, other.transitions, self.backward, other.backward
-        fwd: list[int] = []
-        bwd: list[int] = []
+        rows: list[int] = []
         for s1, s2 in pairs:
-            for table, ends in ((fwd, zip(f1[s1], f2[s2])), (bwd, zip(b1[s1], b2[s2]))):
-                for key in ends:
-                    if -1 in key:
-                        table.append(-1)
-                        continue
-                    v = ids.get(key)
-                    if v is None:
-                        v = ids[key] = len(pairs)
-                        pairs.append(key)
-                    table.append(v)
-        return SubgroupGraph(self.alphabet, _trim_and_number(self.alphabet.rank, fwd, bwd))
+            for key in zip(f1[s1] + b1[s1], f2[s2] + b2[s2]):
+                if -1 in key:
+                    rows.append(-1)
+                    continue
+                v = ids.get(key)
+                if v is None:
+                    v = ids[key] = len(pairs)
+                    pairs.append(key)
+                rows.append(v)
+        return SubgroupGraph(self.alphabet, *_trim_and_number(self.alphabet.rank, rows))
 
     def __str__(self) -> str:
         if self.is_trivial():
@@ -461,11 +461,13 @@ def from_generators(gens: Sequence[Word], alphabet: Alphabet | None = None) -> S
 
 
 def trivial_subgroup(alphabet: Alphabet) -> SubgroupGraph:
-    return SubgroupGraph(alphabet, ((-1,) * alphabet.rank,))
+    table = ((-1,) * alphabet.rank,)
+    return SubgroupGraph(alphabet, table, table)
 
 
 def whole_group(alphabet: Alphabet) -> SubgroupGraph:
-    return SubgroupGraph(alphabet, ((0,) * alphabet.rank,))
+    table = ((0,) * alphabet.rank,)
+    return SubgroupGraph(alphabet, table, table)
 
 
 def image(graph: SubgroupGraph, h: FreeHom) -> SubgroupGraph:
@@ -495,9 +497,8 @@ def congruence_subgroup(alphabet: Alphabet, weights: Sequence[int], modulus: int
                 index[s] = len(seq)
                 seq.append(s)
     # each label permutes the residues, so the coset graph is folded
-    fwd = [index[(r + wj) % m] for r in seq for wj in weights]
-    bwd = [index[(r - wj) % m] for r in seq for wj in weights]
-    return SubgroupGraph(alphabet, _trim_and_number(alphabet.rank, fwd, bwd))
+    rows = [index[(r + sign * wj) % m] for r in seq for sign in (1, -1) for wj in weights]
+    return SubgroupGraph(alphabet, *_trim_and_number(alphabet.rank, rows))
 
 
 def restricted_kernel_trivial(graph: SubgroupGraph, weights: Sequence[int]) -> Word | None:
@@ -571,7 +572,3 @@ def evaluate_expression(
         return Word(alphabet)  # the empty product, also over no generators
     helper = Alphabet(len(gens), "x")
     return FreeHom(helper, alphabet, tuple(gens)).apply(word(helper, expression))
-
-
-def _inverse(name: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(name))

@@ -73,6 +73,11 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of w^-1, given the letters of w."""
+    return tuple(-x for x in reversed(letters))
+
+
 class Word(FrozenValue):
     """A freely reduced word. Construct unreduced input via `word(...)`."""
 
@@ -310,20 +315,23 @@ def ball_products(gens: Sequence[G], radius: int) -> Iterator[G]:
     ``gens``, in the order of enumerate_ball.
 
     Each product extends its prefix's, kept from the layer before, by one
-    generator or inverse, so every product costs one multiply.
+    generator or inverse, so every product costs one multiply. The last
+    layer is only yielded, never kept: at most two layers are alive, the
+    one being read and the one being built.
     """
     steps = [
         (s * i, g if s > 0 else g.inverse()) for i, g in enumerate(gens, start=1) for s in (1, -1)
     ]
     layer: list[tuple[int, G | None]] = [(0, None)]  # (last letter, product)
-    for _ in range(radius):
+    for depth in range(1, radius + 1):
         nxt = []
         for last, prefix in layer:
             for x, step in steps:
                 if x == -last:
                     continue
                 product = step if prefix is None else prefix * step
-                nxt.append((x, product))
+                if depth < radius:
+                    nxt.append((x, product))
                 yield product
         layer = nxt
 

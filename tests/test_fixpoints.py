@@ -27,6 +27,7 @@ from fixfnm import (
     Word,
     congruence_subgroup,
     curated_cases,
+    cyclic_reduce,
     decide,
     enumerate_product_ball,
     fix_product,
@@ -35,12 +36,13 @@ from fixfnm import (
     inner_hom,
     parse_word,
     permutation_hom,
+    root,
     trivial_hom,
     trivial_subgroup,
     whole_group,
 )
 from fixfnm import fixpoints
-from conftest import ALL_TAGS, RELAB_AB, RELAB_BA, random_shape_endo, rng_for
+from conftest import ALL_TAGS, RELAB_AB, RELAB_BA, random_shape_endo, random_word, rng_for
 
 A = Alphabet(2, "a")
 B = Alphabet(2, "b")
@@ -84,6 +86,62 @@ def test_basis_permutation_support():
     # conjugation by a1 fixes a1 but moves a2: an inner map, not a permutation
     assert inner_hom(wa("a1")).as_permutation() is None
     assert oracle.fix(inner_hom(wa("a1"))) == from_generators([wa("a1")])
+
+
+def _reference_conjugator(h):
+    """The z with h == inner_hom(z), or None, found by trying every candidate.
+
+    z a1 z^-1 == h(a1) leaves only z = c a1^t, for c the conjugator of
+    h(a1) = c a1 c^-1; t != 0 makes z a2 z^-1 reduced and longer than 2|t|.
+    """
+    first = h.source.generators()[0]
+    core, conj = cyclic_reduce(h.images[0])
+    if core != first:
+        return None
+    bound = len(h.images[1])
+    for t in range(-bound, bound + 1):
+        z = conj * first**t
+        if inner_hom(z) == h:
+            return z
+    return None
+
+
+def _inner_and_near_misses():
+    """Seeded (hom, z or None) pairs: conjugations by z of length 0-6 and,
+    for each, three near misses, whose answer comes from the reference."""
+    rng = rng_for("detect-inner")
+    for alphabet in (A, A3):
+        gens = alphabet.generators()
+        for length in range(7):
+            for _ in range(12):
+                z = random_word(rng, alphabet, length)
+                images = list(inner_hom(z).images)
+                yield inner_hom(z), z
+                i = rng.randrange(alphabet.rank)
+                off = images.copy()  # one image off by a letter at one end
+                step = random_word(rng, alphabet, 1)
+                off[i] = off[i] * step if rng.random() < 0.5 else step * off[i]
+                other = images.copy()  # a2 conjugated by another z than a1
+                other[1] = gens[1].conjugated_by(z * random_word(rng, alphabet, rng.randint(1, 3)))
+                inverted = images.copy()  # one generator sent to the conjugate of its inverse
+                inverted[i] = inverted[i].inverse()
+                for near in (off, other, inverted):
+                    h = FreeHom(alphabet, alphabet, tuple(near))
+                    yield h, _reference_conjugator(h)
+
+
+def test_detect_inner_matches_the_reference():
+    counts = {"inner": 0, "not inner": 0}
+    for h, z in _inner_and_near_misses():
+        assert fixpoints._detect_inner(h) == z, h
+        if z is None:
+            counts["not inner"] += 1
+            continue
+        counts["inner"] += 1
+        assert h == inner_hom(z)
+        if not z.is_identity():
+            assert FixOracle().fix(h) == from_generators([root(z).base])
+    assert counts["inner"] >= 168 and counts["not inner"] >= 400, counts
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])

@@ -368,6 +368,35 @@ def test_intersection_matches_reference_pullback():
     assert count == 150
 
 
+def _reference_backward(graph):
+    """The backward table recomputed from the transitions: each edge's end row gets its start."""
+    rows = [[-1] * graph.alphabet.rank for _ in graph.transitions]
+    for u, row in enumerate(graph.transitions):
+        for j, h in enumerate(row):
+            if h != -1:
+                rows[h][j] = u
+    return tuple(map(tuple, rows))
+
+
+def test_backward_table_matches_the_transitions():
+    graphs = [g for g1, g2 in _meet_pairs() for g in (g1, g2, g1.intersect(g2))]
+    rng = rng_for("stallings-backward")
+    for rank in (1, 2, 3):
+        alphabet = Alphabet(rank, "a")
+        for _ in range(10):
+            weights = [rng.randint(-3, 3) for _ in range(rank)]
+            graphs.append(congruence_subgroup(alphabet, weights, rng.randint(1, 6)))
+    graphs += [from_generators(gens) for gens in _read_path_families()]
+    assert len(graphs) == 3 * 150 + 30 + 150
+    for graph in graphs:
+        assert graph.backward == _reference_backward(graph), graph
+        _assert_backward_inverts(graph)
+        # the basis words skip the reducing check: rebuilding them must pass it
+        basis = [Word(graph.alphabet, g.letters) for g in graph.basis()]
+        assert len(basis) == graph.rank
+        assert from_generators(basis, graph.alphabet) == graph
+
+
 def test_intersection_rejects_mixed_alphabets():
     with pytest.raises(ValueError):
         whole_group(A).intersect(whole_group(B))

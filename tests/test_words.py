@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +21,7 @@ from fixfnm import (
     weighted_sum,
     word,
 )
-from fixfnm.words import MAX_WORD_LETTERS
+from fixfnm.words import MAX_WORD_LETTERS, ball_products
 
 A = Alphabet(2, "a")
 a1, a2 = generator(A, 1), generator(A, 2)
@@ -240,6 +242,24 @@ def test_ball_matches_plain_concatenation(rank):
         ball = [w.letters for w in enumerate_ball(alphabet, radius)]
         assert ball == _ball_by_concatenation(rank, radius)
         assert len(ball) == ball_size(rank, radius)
+
+
+def test_ball_walk_keeps_no_last_layer():
+    gens = Alphabet(3, "a").generators()
+    tracemalloc.start()
+    try:
+        layer = [w for w in ball_products(gens, 6) if len(w) == 6]  # 6 * 5^5 words
+        layer_bytes = tracemalloc.get_traced_memory()[0]
+        del layer
+        tracemalloc.reset_peak()
+        floor = tracemalloc.get_traced_memory()[0]
+        for _ in ball_products(gens, 6):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - floor
+    finally:
+        tracemalloc.stop()
+    # the walk holds the radius-5 layer, a fifth as many words, not the radius-6 one
+    assert peak < layer_bytes / 2, (peak, layer_bytes)
 
 
 def test_parse_render_round_trip():
