@@ -42,9 +42,12 @@ sides.
     `FixOracle().fix(inner_hom(a2 a1))`, and the median per row.
   - Tier-1: one timed run of the tier-1 suite per tree.
   - Imports: per tree, the median wall time of 7 fresh processes each for
-    the bare interpreter, `import fixfnm`, `import fixfnm.cli` and
-    `fixfnm intersect --json`, and the median `-X importtime` cumulative
-    time of every fixfnm module that `intersect` loads.
+    the bare interpreter, `import fixfnm`, the Stallings imports (`from
+    fixfnm import from_generators, express_in_generators`), `import
+    fixfnm.cli` and `fixfnm intersect --json`; the fixfnm modules that
+    each of these loads, read from one `-X importtime` run; and the median
+    `-X importtime` cumulative time of every fixfnm module that
+    `intersect` loads.
 
 Everything is written to one JSON file, named relative to the repository
 root, with the host it was measured on.
@@ -110,6 +113,7 @@ SMALL_GRAPH = (
 IMPORT_COMMANDS = {
     "interpreter": ("-c", "pass"),
     "import_fixfnm": ("-c", "import fixfnm"),
+    "import_stallings": ("-c", "from fixfnm import from_generators, express_in_generators"),
     "import_fixfnm_cli": ("-c", "import fixfnm.cli"),
     "intersect_json": INTERSECT,
 }
@@ -211,8 +215,22 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def fixfnm_importtime(stderr: str) -> dict[str, float]:
+    """Cumulative ms of each fixfnm module in the `-X importtime` rows of ``stderr``."""
+    rows = {}
+    # rows read `import time: self [us] | cumulative | name`
+    for line in stderr.splitlines():
+        if line.startswith("import time:") and "|" in line:
+            _, total, module = line.split("|")
+            module = module.strip()
+            if module == "fixfnm" or module.startswith("fixfnm."):
+                rows[module] = int(total) / 1e3
+    return rows
+
+
 def import_block(tree: Path) -> dict:
-    """Process wall times and fixfnm's `-X importtime` rows, medians of IMPORT_RUNS."""
+    """Process wall times and fixfnm's `-X importtime` rows, medians of IMPORT_RUNS,
+    and the fixfnm modules that each IMPORT_COMMANDS row loads."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
 
     def run(*args: str) -> subprocess.CompletedProcess:
@@ -230,16 +248,13 @@ def import_block(tree: Path) -> dict:
             started = time.perf_counter()
             run(*args)
             wall[name].append(time.perf_counter() - started)
-        # rows read `import time: self [us] | cumulative | name`
-        for line in run("-X", "importtime", *INTERSECT).stderr.splitlines():
-            if line.startswith("import time:") and "|" in line:
-                _, total, module = line.split("|")
-                module = module.strip()
-                if module == "fixfnm" or module.startswith("fixfnm."):
-                    cumulative[module].append(int(total) / 1e3)
+        for module, total in fixfnm_importtime(run("-X", "importtime", *INTERSECT).stderr).items():
+            cumulative[module].append(total)
     return {
         "runs": IMPORT_RUNS,
         "wall_ms": {name: statistics.median(ts) * 1e3 for name, ts in wall.items()},
+        "loaded": {name: sorted(fixfnm_importtime(run("-X", "importtime", *args).stderr))
+                   for name, args in IMPORT_COMMANDS.items()},
         "importtime_cumulative_ms": {
             module: statistics.median(ts) for module, ts in sorted(cumulative.items())
         },

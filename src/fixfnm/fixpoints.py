@@ -1,10 +1,12 @@
 """Fixed subgroups: free-factor oracles and product fix descriptors.
 
-Fixed subgroups of free-group endomorphisms are not computable by any known
-uniform procedure, so we keep an oracle: a table of endomorphisms with known
-fixed subgroups. A few families are recognized automatically (identity,
-trivial, conjugations, basis permutations); anything else must be declared,
-and declarations are checked for soundness and optionally audited on a ball.
+The free-factor oracle computes the fixed subgroup of a component map for
+the identity, the trivial map, basis permutations and conjugations. Any
+other map must be declared with a basis of its fixed subgroup; a
+declaration is checked for soundness and, with an audit radius, against
+every fixed word of a ball. An undeclared map outside those four families
+raises MissingOracle: the general algorithm for automorphisms (Bogopolski
+and Maslakova, IJAC 26, 2016) is not implemented.
 
 For endomorphisms of the product the fixed subgroup is described
 structurally, one descriptor class per shape of answer: TrivialFix,
@@ -25,7 +27,7 @@ from typing import Union
 
 from ._value import FrozenValue, set_field
 from .homs import FreeHom
-from .lattices import IntLattice2
+from .lattices import IntLattice2, solve_power_equation
 from .oracle import BallSpec, fixed_words
 from .product import (
     EndoType,
@@ -61,7 +63,6 @@ from .words import (
     free_reduce,
     render_word,
     root,
-    solve_power_equation,
     weighted_sum,
 )
 

@@ -2,7 +2,8 @@
 
 Sublattices of Z^2 are stored with a canonical row-style Hermite basis, so
 equality of lattices is plain tuple equality and every operation is exact
-(Python integers, no floating point anywhere).
+(Python integers, no floating point anywhere). `solve_power_equation`
+gives the lattice of exponent pairs (m, k) with v**m == w**k in a free group.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from ._value import FrozenValue, set_field
+from .words import Word, root
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -182,3 +184,25 @@ class IntLattice2(FrozenValue):
         if not self.basis:
             return "<0>"
         return "<" + ", ".join(f"({a}, {b})" for a, b in self.basis) + ">"
+
+
+def solve_power_equation(v: Word, w: Word) -> IntLattice2:
+    """The lattice of all (m, k) in Z^2 with v**m == w**k.
+
+    Nontrivial v and w commute iff their primitive roots agree up to
+    inversion. If they do not, only (0, 0) solves. If they do, v = rho^c
+    and w = rho^d for the root rho of v, and the solutions form the line
+    spanned by (d/g, c/g), g = gcd(c, d).
+    """
+    if v.is_identity() and w.is_identity():
+        return IntLattice2.full()
+    if v.is_identity():
+        return IntLattice2.line((1, 0))
+    if w.is_identity():
+        return IntLattice2.line((0, 1))
+    rv = root(v)
+    c, d = rv.exponent, root(w).power_of(rv.base)
+    if d is None:
+        return IntLattice2.zero()
+    g = gcd(c, d)
+    return IntLattice2.line((d // g, c // g))

@@ -10,11 +10,9 @@ the one walker of reduced-word balls, behind `enumerate_ball` as well.
 from __future__ import annotations
 
 import re
-from math import gcd
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from ._value import FrozenValue, set_field
-from .lattices import IntLattice2
 
 _LETTER_NAMES = ("a", "b", "x")
 G = TypeVar("G")  # a group element: anything with `*` and `inverse()`
@@ -253,28 +251,6 @@ def exponent_of_power(x: Word, u: Word) -> int | None:
     if m is None or m % ru.exponent:
         return None
     return m // ru.exponent
-
-
-def solve_power_equation(v: Word, w: Word) -> IntLattice2:
-    """The lattice of all (m, k) in Z^2 with v**m == w**k.
-
-    Nontrivial v and w commute iff their primitive roots agree up to
-    inversion. If they do not, only (0, 0) solves. If they do, v = rho^c
-    and w = rho^d for the root rho of v, and the solutions form the line
-    spanned by (d/g, c/g), g = gcd(c, d).
-    """
-    if v.is_identity() and w.is_identity():
-        return IntLattice2.full()
-    if v.is_identity():
-        return IntLattice2.line((1, 0))
-    if w.is_identity():
-        return IntLattice2.line((0, 1))
-    rv = root(v)
-    c, d = rv.exponent, root(w).power_of(rv.base)
-    if d is None:
-        return IntLattice2.zero()
-    g = gcd(c, d)
-    return IntLattice2.line((d // g, c // g))
 
 
 def weighted_sum(w: Word, weights: Sequence[int]) -> int:

@@ -1,10 +1,13 @@
-"""What `fixfnm intersect` loads, and the names the package exports."""
+"""What `import fixfnm`, the Stallings imports and `fixfnm intersect` load,
+and the names the package exports."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fixfnm
 
@@ -83,3 +86,48 @@ def test_lazy_names_resolve():
     from fixfnm import MihailovaInstance, Presentation
 
     assert MihailovaInstance.__module__ == Presentation.__module__ == "fixfnm.suite"
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that finds fixfnm under src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+LOADED = "*sorted(m for m in sys.modules if m.startswith('fixfnm.'))"
+
+
+def test_import_loads_no_submodule():
+    proc = run_fresh(f"import sys, fixfnm; print({LOADED})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_stallings_names_load_only_the_layers_below():
+    proc = run_fresh(
+        "import sys; "
+        "from fixfnm import Word, FreeHom, from_generators, express_in_generators; "
+        f"print({LOADED})"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fixfnm._value", "fixfnm.homs", "fixfnm.stallings", "fixfnm.words"]
+
+
+def test_names_resolve_to_their_home_objects_and_stay():
+    check = (
+        "import sys, types, fixfnm\n"
+        "for name in fixfnm.__all__:\n"
+        "    value = getattr(fixfnm, name)\n"
+        "    assert vars(fixfnm)[name] is value, name\n"
+        "    home = sys.modules['fixfnm.' + fixfnm._HOMES[name]]\n"
+        "    assert value is (home if home.__name__ == 'fixfnm.' + name else vars(home)[name]), name\n"
+        "    if isinstance(value, (type, types.FunctionType)):\n"
+        "        assert value.__module__ == home.__name__, name\n"
+    )
+    proc = run_fresh(check)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(fixfnm, "no_such_name")
