@@ -17,15 +17,12 @@ from pathlib import Path
 from typing import Optional
 
 from .decision import UnsupportedShape, decide
-from .fixpoints import DeclaredEndo, FixOracle, MissingOracle, fix_product
+from .fixpoints import AUDIT_RADIUS, DeclaredEndo, FixOracle, MissingOracle, fix_product
 from .homs import _content_lines, parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
 from .product import UnclassifiableEndo, classify, identity_endo, parse_endo_text
 from .stallings import CertificateError
 from .words import LetterTally, ParseError, parse_word, render_word
-
-# every --declare is audited on the ball of this radius before it is trusted
-_AUDIT_RADIUS = 4
 
 
 def _add_declare(sp: argparse.ArgumentParser) -> None:
@@ -37,7 +34,7 @@ def _add_declare(sp: argparse.ArgumentParser) -> None:
         metavar=("HOM_FILE", "BASIS_FILE"),
         help="declare the fixed subgroup of a component endomorphism: a hom "
         "file and a file with one basis word per line (repeatable); every "
-        f"fixed word of length <= {_AUDIT_RADIUS} must lie in the declared subgroup",
+        f"fixed word of length <= {AUDIT_RADIUS} must lie in the declared subgroup",
     )
 
 
@@ -110,7 +107,7 @@ def _load_declarations(pairs: list[list[str]]) -> tuple[DeclaredEndo, ...]:
             parse_word(line, h.source, line=lineno, tally=tally)
             for lineno, line in _content_lines(Path(basis_file).read_text())
         ]
-        out.append(DeclaredEndo(h, tuple(basis), audit_radius=_AUDIT_RADIUS))
+        out.append(DeclaredEndo(h, tuple(basis), audit_radius=AUDIT_RADIUS))
     return tuple(out)
 
 

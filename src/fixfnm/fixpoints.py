@@ -68,6 +68,9 @@ from .words import (
 
 # --- fixed subgroups of free-group endomorphisms ---------------------------
 
+# the ball radius on which the CLI and the curated cases audit each declaration
+AUDIT_RADIUS = 4
+
 
 class DeclaredEndo(FrozenValue):
     """An endomorphism with its fixed subgroup supplied by the caller.
@@ -386,24 +389,24 @@ class PairedPowers(FrozenValue):
 class HomGraph(FrozenValue):
     """The graph of a hom on the fixed subgroup of one factor's endomorphism.
 
-    side == "first_from_second": elements (h(y), y) for y in Fix(domain_endo).
-    side == "second_from_first": elements (x, h(x)) for x in Fix(domain_endo).
+    A hom from the b-factor gives elements (h(y), y) for y in Fix(domain_endo);
+    one from the a-factor gives elements (x, h(x)) for x in Fix(domain_endo).
     """
 
-    __slots__ = ("domain_endo", "hom", "side")
+    __slots__ = ("domain_endo", "hom")
 
-    def __init__(self, domain_endo: FreeHom, hom: FreeHom, side: str):
+    def __init__(self, domain_endo: FreeHom, hom: FreeHom):
         set_field(self, "domain_endo", domain_endo)
         set_field(self, "hom", hom)
-        set_field(self, "side", side)
+
+    def _from_second(self) -> bool:
+        return self.hom.source.letter == "b"
 
     def _pair(self, x: Word, hx: Word) -> ProductElement:
-        if self.side == "first_from_second":
-            return ProductElement(hx, x)
-        return ProductElement(x, hx)
+        return ProductElement(hx, x) if self._from_second() else ProductElement(x, hx)
 
     def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
-        x, hx = (g.second, g.first) if self.side == "first_from_second" else (g.first, g.second)
+        x, hx = (g.second, g.first) if self._from_second() else (g.first, g.second)
         return oracle.fix(self.domain_endo).contains(x) and self.hom.apply(x) == hx
 
     def _through(self, k: SubgroupGraph, fixed: SubgroupGraph) -> ProductElement | None:
@@ -417,7 +420,7 @@ class HomGraph(FrozenValue):
         diagonal's fixed subgroup on the same factor, and its image must be
         fixed on the other factor: a ``_meet_through`` K.
         """
-        if self.side == "first_from_second":
+        if self._from_second():
             near, far = vi.second, vi.first
         else:
             near, far = vi.first, vi.second
@@ -435,7 +438,7 @@ class HomGraph(FrozenValue):
         meet Fix(h then back), and h(x) in the round trip's fixed
         subgroup. A member dies with its image, since x = back(h(x)).
         """
-        if self.side == "first_from_second":
+        if self._from_second():
             back, forth = vii.second_from_first, vii.first_from_second
         else:
             back, forth = vii.first_from_second, vii.second_from_first
@@ -444,7 +447,7 @@ class HomGraph(FrozenValue):
 
     def describe(self, oracle: FixOracle) -> str:
         domain = oracle.fix(self.domain_endo)
-        if self.side == "first_from_second":
+        if self._from_second():
             return f"pairs (h(y), y) for y in {domain}, h = {self.hom}"
         return f"pairs (x, h(x)) for x in {domain}, h = {self.hom}"
 
@@ -452,7 +455,7 @@ class HomGraph(FrozenValue):
 def _swap_graph(vii: TypeVII) -> HomGraph:
     """Fix of a swapping map: (x, to_second(x)) with x fixed by the round trip."""
     loop = vii.second_from_first.then(vii.first_from_second)
-    return HomGraph(loop, vii.second_from_first, "second_from_first")
+    return HomGraph(loop, vii.second_from_first)
 
 
 class PowerGraph(FrozenValue):
@@ -564,7 +567,7 @@ def fix_product(e: ProductEndo, shape: EndoType | None = None) -> FixDescriptor:
         drag = 1 - shape.self_weight()
         return PowerGraph(shape.first_base, shape.first_b_weights, drag, shape.second_from_second)
     if isinstance(shape, TypeIV):
-        return HomGraph(shape.second_from_second, shape.first_from_second, "first_from_second")
+        return HomGraph(shape.second_from_second, shape.first_from_second)
     if isinstance(shape, TypeV):
         if weighted_sum(shape.second_base, shape.second_b_weights) != 1:
             return TrivialFix(a, b)

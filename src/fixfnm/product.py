@@ -77,8 +77,33 @@ class ProductElement(FrozenValue):
         return f"({render_word(self.first)}, {render_word(self.second)})"
 
 
+def _first_clash(rows: Sequence[Word], columns: Sequence[Word]) -> tuple[int, int] | None:
+    """The first (i, j), 1-based and rows first, with rows[i] and columns[j] not commuting.
+
+    Centralizers in free groups are cyclic, so nontrivial words commute iff
+    their primitive roots agree up to inversion; each word is rooted once.
+    """
+    rooted = [(j, root(v)) for j, v in enumerate(columns, start=1) if not v.is_identity()]
+    if not rooted:
+        return None
+    first, base = rooted[0][0], rooted[0][1].base
+    other = next((j for j, r in rooted if r.power_of(base) is None), None)
+    for i, u in enumerate(rows, start=1):
+        if u.is_identity():
+            continue
+        if root(u).power_of(base) is None:
+            return i, first
+        if other is not None:
+            return i, other
+    return None
+
+
 class ProductEndo(FrozenValue):
-    """Endomorphism of F_n x F_m in block form; validated on construction."""
+    """Endomorphism of F_n x F_m in block form; validated on construction.
+
+    Commutation is tested per coordinate by ``_first_clash``, with one
+    primitive root per nontrivial image instead of n * m word products.
+    """
 
     __slots__ = ("first_from_first", "first_from_second", "second_from_first", "second_from_second")
 
@@ -104,14 +129,13 @@ class ProductEndo(FrozenValue):
         for hom, src, tgt in shapes:
             if hom.source != src or hom.target != tgt:
                 raise ValueError(f"block {hom} should map {src} to {tgt}")
-        for i, first_a in enumerate(first_from_first.images, start=1):
-            for j, first_b in enumerate(first_from_second.images, start=1):
-                if first_a * first_b != first_b * first_a:
-                    raise CommutationViolation(i, j, "first")
-        for i, second_a in enumerate(second_from_first.images, start=1):
-            for j, second_b in enumerate(second_from_second.images, start=1):
-                if second_a * second_b != second_b * second_a:
-                    raise CommutationViolation(i, j, "second")
+        for component, rows, columns in (
+            ("first", first_from_first.images, first_from_second.images),
+            ("second", second_from_first.images, second_from_second.images),
+        ):
+            clash = _first_clash(rows, columns)
+            if clash is not None:
+                raise CommutationViolation(*clash, component)
         set_field(self, "first_from_first", first_from_first)
         set_field(self, "first_from_second", first_from_second)
         set_field(self, "second_from_first", second_from_first)
@@ -131,40 +155,6 @@ class ProductEndo(FrozenValue):
         return ProductElement(
             self.first_from_first.apply(g.first) * self.first_from_second.apply(g.second),
             self.second_from_first.apply(g.first) * self.second_from_second.apply(g.second),
-        )
-
-    def then(self, other: "ProductEndo") -> "ProductEndo":
-        """Composite mapping g to other(self(g))."""
-        if (
-            self.first_alphabet != other.first_alphabet
-            or self.second_alphabet != other.second_alphabet
-        ):
-            raise ValueError("cannot compose endomorphisms of different products")
-        a, b = self.first_alphabet, self.second_alphabet
-        one_a, one_b = Word(a), Word(b)
-        ff, sf = [], []
-        for g in a.generators():
-            img = other.apply(self.apply(ProductElement(g, one_b)))
-            ff.append(img.first)
-            sf.append(img.second)
-        fs, ss = [], []
-        for g in b.generators():
-            img = other.apply(self.apply(ProductElement(one_a, g)))
-            fs.append(img.first)
-            ss.append(img.second)
-        return ProductEndo(
-            FreeHom(a, a, tuple(ff)),
-            FreeHom(b, a, tuple(fs)),
-            FreeHom(a, b, tuple(sf)),
-            FreeHom(b, b, tuple(ss)),
-        )
-
-    def is_identity(self) -> bool:
-        return (
-            self.first_from_first.is_identity()
-            and self.second_from_second.is_identity()
-            and self.first_from_second.is_trivial()
-            and self.second_from_first.is_trivial()
         )
 
     def fixes(self, g: ProductElement) -> bool:
@@ -419,17 +409,20 @@ class TypeVII(FrozenValue):
 EndoType = Union[TypeI, TypeII, TypeIII, TypeIV, TypeV, TypeVI, TypeVII]
 
 
-def _power_family(blocks: Sequence[Word]) -> tuple[Word, list[int]] | None:
-    """Common primitive root (sign-normalized) and exponents, if one exists.
+Family = tuple[Word, tuple[int, ...], tuple[int, ...]]  # base, weights, weights
 
-    The exponent of a trivial word is 0. Each nontrivial block is rooted
-    once: rho is the sign-normalized root of the first, and ``Root.power_of``
-    reads each block's exponent over rho.
-    Returns None when some word is not such a power, or all are trivial.
+
+def _power_family(from_first: tuple[Word, ...], from_second: tuple[Word, ...]) -> Family | None:
+    """One coordinate's blocks as powers of a common primitive root, if they are.
+
+    Returns the sign-normalized root of the first nontrivial image and each
+    block's exponents over it (0 for a trivial image), read by
+    ``Root.power_of`` with one ``root`` per nontrivial image; None when some
+    image is not such a power, or all are trivial.
     """
     rho = None
     exps: list[int] = []
-    for w in blocks:
+    for w in from_first + from_second:
         if w.is_identity():
             exps.append(0)
             continue
@@ -440,16 +433,19 @@ def _power_family(blocks: Sequence[Word]) -> tuple[Word, list[int]] | None:
         if exponent is None:
             return None
         exps.append(exponent)
-    return None if rho is None else (rho, exps)
+    if rho is None:
+        return None
+    n = len(from_first)
+    return rho, tuple(exps[:n]), tuple(exps[n:])
 
 
-def _forced_family(blocks: Sequence[Word]) -> tuple[Word, list[int]]:
-    """The power family that commutation forces on these blocks.
+def _forced_family(from_first: tuple[Word, ...], from_second: tuple[Word, ...]) -> Family:
+    """The power family that commutation forces on one coordinate's blocks.
 
     A valid endomorphism always has one here; its absence is a fault in
     this library, so a plain check raises rather than an assert.
     """
-    fam = _power_family(blocks)
+    fam = _power_family(from_first, from_second)
     if fam is None:
         raise CertificateError("commutation forces a common root here, but the blocks have none")
     return fam
@@ -458,6 +454,9 @@ def _forced_family(blocks: Sequence[Word]) -> tuple[Word, list[int]]:
 def classify(e: ProductEndo) -> EndoType:
     """Sort a valid endomorphism into one of the seven shapes.
 
+    The zero blocks pick the shape. A coordinate fed by both factors is a
+    power family, as its blocks commute; ``_power_family`` reads it.
+
     Raises UnclassifiableEndo for the valid block patterns that fit none of
     them: the mirrors of shapes II, III, IV and V under the factor swap,
     where a coordinate that should be a power family is unconstrained
@@ -465,7 +464,6 @@ def classify(e: ProductEndo) -> EndoType:
     all 16 zero patterns this refuses about a quarter (154 of 640, all in
     those four patterns); ROADMAP item 1 classifies them through the mirror.
     """
-    n, m = e.first_alphabet.rank, e.second_alphabet.rank
     z1 = e.first_from_first.is_trivial()
     z2 = e.second_from_first.is_trivial()
     z3 = e.first_from_second.is_trivial()
@@ -476,40 +474,31 @@ def classify(e: ProductEndo) -> EndoType:
         return TypeVII(e.first_from_second, e.second_from_first)
     if z1 and z2:
         return TypeIV(e.first_from_second, e.second_from_second)
+    second = (e.second_from_first.images, e.second_from_second.images)
     if z1 and z3:
-        base, exps = _forced_family(e.second_from_first.images + e.second_from_second.images)
-        return TypeV(base, tuple(exps[:n]), tuple(exps[n:]), n)
+        return TypeV(*_forced_family(*second), e.first_alphabet.rank)
     if z1:
-        base, exps = _forced_family(e.second_from_first.images + e.second_from_second.images)
-        return TypeII(e.first_from_second, base, tuple(exps[:n]), tuple(exps[n:]))
+        return TypeII(e.first_from_second, *_forced_family(*second))
+    first = (e.first_from_first.images, e.first_from_second.images)
     if z2:
         if z4:
             raise UnclassifiableEndo(
                 "first coordinate is a power family fed by both factors but "
                 "the second coordinate collapses; no shape covers this"
             )
-        base, exps = _forced_family(e.first_from_first.images + e.first_from_second.images)
-        return TypeIII(base, tuple(exps[:n]), tuple(exps[n:]), e.second_from_second)
-    first_fam = _power_family(e.first_from_first.images + e.first_from_second.images)
+        return TypeIII(*_forced_family(*first), e.second_from_second)
+    first_fam = _power_family(*first)
     if first_fam is None:
         raise UnclassifiableEndo(
             "first-coordinate blocks are not powers of a common word"
         )
-    second_fam = _power_family(e.second_from_first.images + e.second_from_second.images)
+    second_fam = _power_family(*second)
     if second_fam is None:
         raise UnclassifiableEndo(
             "second-coordinate blocks are not powers of a common word"
         )
-    first_base, first_exps = first_fam
-    second_base, second_exps = second_fam
-    return TypeI(
-        first_base,
-        second_base,
-        tuple(first_exps[:n]),
-        tuple(first_exps[n:]),
-        tuple(second_exps[:n]),
-        tuple(second_exps[n:]),
-    )
+    (first_base, *first_weights), (second_base, *second_weights) = first_fam, second_fam
+    return TypeI(first_base, second_base, *first_weights, *second_weights)
 
 
 # --- endo file format ------------------------------------------------------

@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Optional
 
 from ._value import FrozenValue, set_field
-from .fixpoints import DeclaredEndo, FixDescriptor, FixOracle, fix_product
+from .fixpoints import AUDIT_RADIUS, DeclaredEndo, FixDescriptor, FixOracle, fix_product
 from .homs import FreeHom, identity_hom, inner_hom, permutation_hom
 from .product import (
     ProductElement,
@@ -462,7 +462,7 @@ def curated_cases() -> tuple[CuratedCase, ...]:
             TypeVI(retract_a, id_b).as_endo(),
             plain_diag,
             expected_trivial=False,
-            declarations=(DeclaredEndo(retract_a, (a1,), audit_radius=4),),
+            declarations=(DeclaredEndo(retract_a, (a1,), audit_radius=AUDIT_RADIUS),),
         ),
         CuratedCase(
             "1.8",

@@ -184,6 +184,46 @@ def test_huge_header_ranks_fail_fast(tmp_path, capsys):
         assert f"missing image for {named}" in err
 
 
+def _rank_file(tmp_path, name, rank, first_images):
+    """`endo rank rank` with the given first-coordinate images, else the diagonal's."""
+    lines = [f"endo {rank} {rank}"]
+    for letter in "ab":
+        for i in range(1, rank + 1):
+            first, second = first_images.get(f"{letter}{i}", ("1", "1"))
+            lines.append(f"{letter}{i} -> ( {first} , {second} )")
+    return _write(tmp_path, name, "\n".join(lines) + "\n")
+
+
+def test_high_rank_files_take_linear_work(tmp_path, capsys):
+    # validation roots each image once instead of multiplying all n * m pairs
+    n = 3000
+    trivial = _rank_file(tmp_path, "trivial.endo", n, {})
+    identity = {f"a{i}": (f"a{i}", "1") for i in range(1, n + 1)}
+    identity.update({f"b{j}": ("1", f"b{j}") for j in range(1, n + 1)})
+    diagonal = _rank_file(tmp_path, "diagonal.endo", n, identity)
+    clash = _rank_file(tmp_path, "clash.endo", n, {f"a{n}": ("a1", "1"), f"b{n}": ("a2", "1")})
+    cases = [
+        (trivial, (0, 0, 0), "VI", "trivial: yes", "TRIVIAL"),
+        (diagonal, (0, 0, 1), "VI", "trivial: no", "NONTRIVIAL (a1, 1)"),
+    ]
+    for path, codes, label, fixed, verdict in cases:
+        for args, code, expected in zip(
+            (["classify", path], ["fix", path], ["intersect", path, path]),
+            codes,
+            (label, fixed, verdict),
+        ):
+            started = time.perf_counter()
+            assert main(args) == code
+            assert time.perf_counter() - started < 10.0, args[0]
+            assert expected in capsys.readouterr().out
+    for args in (["classify", clash], ["fix", clash], ["intersect", trivial, clash]):
+        started = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - started < 10.0, args[0]
+        err = capsys.readouterr().err
+        assert f"images of a{n} and b{n} have non-commuting first components" in err
+
+
 def test_intersect_nontrivial(diag, swap, capsys):
     assert main(["intersect", diag, swap]) == 1
     out = capsys.readouterr().out

@@ -282,7 +282,7 @@ def test_paired_powers_descriptor():
 
 def test_hom_graph_descriptor():
     # Fix(conjugation by b1) = <b1>
-    fd = HomGraph(inner_hom(wb("b1")), RELAB_BA, "first_from_second")
+    fd = HomGraph(inner_hom(wb("b1")), RELAB_BA)
     oracle = FixOracle()
     assert fd.contains(pe("a1", "b1"), oracle)
     assert fd.contains(pe("a1^-2", "b1^-2"), oracle)
@@ -291,7 +291,7 @@ def test_hom_graph_descriptor():
     w = fd.meet_diagonal(IDENTITY, oracle)
     assert fd.contains(w, oracle) and not w.is_identity()
 
-    other = HomGraph(identity_hom(A), RELAB_AB, "second_from_first")
+    other = HomGraph(identity_hom(A), RELAB_AB)
     assert other.contains(pe("a1 a2", "b1 b2"), oracle)
     assert not other.contains(pe("a1", "b2"), oracle)
 
@@ -378,7 +378,7 @@ def test_fix_product_type_iv():
     theta = FreeHom(B, A, (wa("a1"), wa("a2")))
     fd = fix_product(TypeIV(theta, inner_hom(wb("b1 b2"))).as_endo())
     oracle = FixOracle()
-    assert fd == HomGraph(inner_hom(wb("b1 b2")), theta, "first_from_second")
+    assert fd == HomGraph(inner_hom(wb("b1 b2")), theta)
     assert fd.contains(pe("a1 a2", "b1 b2"), oracle)
     assert not fd.contains(pe("a1", "b1"), oracle)
 
@@ -406,7 +406,7 @@ def test_fix_product_type_vii():
     fd = fix_product(TypeVII(RELAB_BA, RELAB_AB).as_endo())
     oracle = FixOracle()
     assert isinstance(fd, HomGraph)
-    assert fd.side == "second_from_first"
+    assert fd.hom == RELAB_AB  # pairs (x, h(x)) with h from the first factor
     assert fd.domain_endo == RELAB_AB.then(RELAB_BA)
     assert fd.contains(pe("a1 a2^-1", "b1 b2^-1"), oracle)
     assert not fd.contains(pe("a1", "b2"), oracle)
@@ -416,7 +416,7 @@ def test_fix_product_consults_the_oracle():
     stretch = FreeHom(B, B, (wb("b1 b2"), wb("b2")))
     e = TypeIV(RELAB_BA, stretch).as_endo()
     fd = fix_product(e)  # names stretch; asks for Fix(stretch) only when used
-    assert fd == HomGraph(stretch, RELAB_BA, "first_from_second")
+    assert fd == HomGraph(stretch, RELAB_BA)
     with pytest.raises(MissingOracle):
         fd.describe(FixOracle())
     with pytest.raises(MissingOracle):

@@ -38,7 +38,6 @@ from conftest import (
     ALL_TAGS,
     RELAB_AB,
     RELAB_BA,
-    random_shape_endo,
     random_shape_payload,
     rng_for,
 )
@@ -72,7 +71,6 @@ def test_product_element_basics():
 
 def test_identity_endo():
     e = identity_endo(2, 2)
-    assert e.is_identity()
     g = pe("a1 a2", "b2^3")
     assert e.apply(g) == g
     assert e.fixes(g)
@@ -111,6 +109,64 @@ def test_commutation_violation_reported_with_location():
     assert exc.value.component == "second"
 
 
+# primitive roots of distinct commutation classes: conjugates, and a word
+# and its cyclic rotation, are different classes
+ROOT_CLASSES = ("x1", "x2", "x1 x2", "x2 x1", "x2 x1 x2^-1", "x1 x2^-1 x1 x2 x2")
+
+
+def _pairwise_clash(coordinates):
+    """The reference: multiply every pair, first coordinate, then rows first."""
+    for component, rows, columns in coordinates:
+        for i, u in enumerate(rows, start=1):
+            for j, v in enumerate(columns, start=1):
+                if u * v != v * u:
+                    return i, j, component
+    return None
+
+
+def test_commutation_test_agrees_with_the_pairwise_scan():
+    rng = rng_for("product-commutation-sweep")
+    powers = {}  # (alphabet, root class) -> the nonzero powers drawn from
+
+    def images(alphabet, count, classes):
+        out = []
+        for _ in range(count):
+            if rng.random() < 0.3:
+                out.append(Word(alphabet))
+                continue
+            cls = rng.choice(classes)
+            if (alphabet, cls) not in powers:
+                base = parse_word(cls.replace("x", alphabet.letter), alphabet)
+                powers[alphabet, cls] = [base**k for k in (-3, -2, -1, 1, 2, 3)]
+            out.append(rng.choice(powers[alphabet, cls]))
+        return tuple(out)
+
+    accepted = checked = 0  # endos accepted, block pairs that reach the check
+    for _ in range(13_000):
+        a = Alphabet(rng.randint(2, 5), "a")
+        b = Alphabet(rng.randint(2, 5), "b")
+        coordinates = []
+        for component, target in (("first", a), ("second", b)):
+            # one class per coordinate half of the time, so both verdicts are common
+            classes = rng.sample(ROOT_CLASSES, rng.choice((1, 1, 2, 6)))
+            rows = images(target, a.rank, classes)
+            columns = images(target, b.rank, classes)
+            coordinates.append((component, rows, columns))
+        (_, ff, fs), (_, sf, ss) = coordinates
+        blocks = (FreeHom(a, a, ff), FreeHom(b, a, fs), FreeHom(a, b, sf), FreeHom(b, b, ss))
+        expected = _pairwise_clash(coordinates)
+        checked += 1 if expected is not None and expected[2] == "first" else 2
+        if expected is None:
+            ProductEndo(*blocks)
+            accepted += 1
+            continue
+        with pytest.raises(CommutationViolation) as exc:
+            ProductEndo(*blocks)
+        assert (exc.value.a_index, exc.value.b_index, exc.value.component) == expected
+    assert checked >= 20_000
+    assert 2_000 < accepted < 11_000
+
+
 def test_block_shape_validation():
     with pytest.raises(ValueError):
         ProductEndo(
@@ -121,20 +177,6 @@ def test_block_shape_validation():
         )
     with pytest.raises(ValueError):
         identity_endo(1, 2)  # rank 1 factors are out of scope
-
-
-def test_then_matches_pointwise_composition():
-    rng = rng_for("product-then")
-    for _ in range(20):
-        e1 = random_shape_endo(rng, rng.choice(ALL_TAGS))
-        e2 = random_shape_endo(rng, rng.choice(ALL_TAGS))
-        comp = e1.then(e2)
-        for _ in range(5):
-            g = ProductElement(
-                wa(" ".join(rng.choice(["a1", "a2", "a1^-1"]) for _ in range(3))),
-                wb(" ".join(rng.choice(["b1", "b2", "b2^-1"]) for _ in range(3))),
-            )
-            assert comp.apply(g) == e2.apply(e1.apply(g))
 
 
 def test_type_i_exponent_matrix():
@@ -248,7 +290,7 @@ def test_unclassifiable_unconstrained_first_coordinate():
 def test_missing_forced_root_is_a_certificate_error(monkeypatch, payload):
     # commutation forces a common root on these blocks; were it ever missed,
     # a plain check (not an assert, so also under python -O) must say so
-    monkeypatch.setattr(product_module, "_power_family", lambda blocks: None)
+    monkeypatch.setattr(product_module, "_power_family", lambda from_first, from_second: None)
     with pytest.raises(CertificateError, match="commutation forces a common root"):
         classify(payload.as_endo())
 

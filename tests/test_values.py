@@ -83,7 +83,7 @@ FACTORIES = {
     TrivialFix: lambda: TrivialFix(A, B),
     FactorProduct: lambda: FactorProduct(inner_hom(A1), inner_hom(B1)),
     PairedPowers: lambda: PairedPowers(A1, B1, IntLattice2.full()),
-    HomGraph: lambda: HomGraph(inner_hom(B1), RELAB_BA, "first_from_second"),
+    HomGraph: lambda: HomGraph(inner_hom(B1), RELAB_BA),
     PowerGraph: lambda: PowerGraph(A1, (1, 0), 2, inner_hom(B1)),
     Verdict: lambda: Verdict(False, ProductElement(A1, B1), ("1.8",)),
     BallSpec: lambda: BallSpec(4),
