@@ -37,9 +37,14 @@ sides.
   - Small graphs: PAIRS pairs of one process per tree, with that tree's
     `src/` on the path, printing the best of 5 rounds, in µs per call, of
     `from_generators([a1 a2])`, of `intersect` of <a1 a2, a2 a1> (3
-    vertices) and <a1^2, a2> (2 vertices) with `basis` of the result (a
-    graph built afresh, so its basis is not cached), and of
-    `FixOracle().fix(inner_hom(a2 a1))`, and the median per row.
+    vertices) and <a1^2, a2> (2 vertices) with `basis` of the result, and
+    of `FixOracle().fix(inner_hom(a2 a1))`, and the median per row.
+  - Drag curve: PAIRS pairs of one process per tree per point, with that
+    tree's `src/` on the path, running `fixfnm intersect` of the identity
+    diagonal with the shape III drag file `a1 -> (a1^N, 1)`,
+    `a2 -> (1, 1)`, `b1 -> (a1, b1)`, `b2 -> (1, b2)` (label 1.3) at
+    N = 1,250, 2,500, 5,000 and 10,000, and the median wall time and
+    child `ru_maxrss` per N.
   - Tier-1: one timed run of the tier-1 suite per tree.
   - Imports: per tree, the median wall time of 7 fresh processes each for
     the bare interpreter, `import fixfnm`, the Stallings imports (`from
@@ -110,6 +115,9 @@ SMALL_GRAPH = (
     "        best[name] = min(best[name], (time.perf_counter() - started) * 1e3)\n"
     "print(json.dumps(best))\n",
 )
+DRAG_SIZES = (1250, 2500, 5000, 10000)
+IDENTITY_ENDO = "endo 2 2\na1 -> ( a1 , 1 )\na2 -> ( a2 , 1 )\nb1 -> ( 1 , b1 )\nb2 -> ( 1 , b2 )\n"
+DRAG_ENDO = "endo 2 2\na1 -> ( a1^{n} , 1 )\na2 -> ( 1 , 1 )\nb1 -> ( a1 , b1 )\nb2 -> ( 1 , b2 )\n"
 IMPORT_COMMANDS = {
     "interpreter": ("-c", "pass"),
     "import_fixfnm": ("-c", "import fixfnm"),
@@ -198,6 +206,29 @@ def small_graph(tree: Path) -> dict[str, float]:
     proc = subprocess.run([sys.executable, *SMALL_GRAPH], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def write_drag_files(into: Path) -> None:
+    """The identity diagonal and one drag file per DRAG_SIZES entry, under ``into``."""
+    (into / "identity.endo").write_text(IDENTITY_ENDO)
+    for n in DRAG_SIZES:
+        (into / f"drag{n}.endo").write_text(DRAG_ENDO.format(n=n))
+
+
+def drag_point(tree: Path, files: Path, n: int) -> dict[str, float]:
+    """Wall time and maximum RSS of one `fixfnm intersect` process on the drag file at N = n."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "fixfnm", "intersect",
+           str(files / "identity.endo"), str(files / f"drag{n}.endo")]
+    started = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=tree, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+    wall = time.perf_counter() - started
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 1:  # label 1.3 is nontrivial
+        raise RuntimeError(f"intersect on drag{n}.endo exited {proc.returncode}")
+    return {"wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024}
 
 
 def tier1(tree: Path) -> dict:
@@ -375,6 +406,19 @@ def main() -> int:
                 "runs": runs[side],
                 "median_us": {name: statistics.median(r["us"][name] for r in runs[side])
                               for name in runs[side][0]["us"]},
+            }
+
+        files = Path(tmp) / "drag"
+        files.mkdir()
+        write_drag_files(files)
+        runs = pairs("drag curve", lambda tree, seed: {
+            "points": {n: drag_point(tree, files, n) for n in DRAG_SIZES}})
+        for side in trees:
+            median = {n: {key: statistics.median(r["points"][n][key] for r in runs[side])
+                          for key in ("wall_s", "maxrss_mb")} for n in DRAG_SIZES}
+            report[side]["drag_curve"] = {
+                "runs": runs[side],
+                "median": [{"N": n, **median[n]} for n in DRAG_SIZES],
             }
 
         for side, tree in in_turn(0):

@@ -14,10 +14,11 @@ FactorProduct (shape VI), PairedPowers (shapes I, II and V), HomGraph
 (shapes IV and VII) and PowerGraph (shape III). A descriptor holds
 the words, weights and free-group homs of its formula, not subgroup graphs:
 it asks the oracle for the fixed subgroups of those homs only when a
-membership test, a description or a meet needs them. Every descriptor
-decides membership and meets itself exactly with the fixed subgroup of a
-diagonal (shape VI) or swapping (shape VII) endomorphism, returning a
-nontrivial common element or None; the decision engine is those two meets.
+description or a meet needs them. Every descriptor decides membership by
+word equality, with no oracle, and meets itself exactly with the fixed
+subgroup of a diagonal (shape VI) or swapping (shape VII) endomorphism,
+returning a nontrivial common element or None; the decision engine is
+those two meets.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ from .product import (
 )
 from .stallings import (
     CertificateError,
+    Preimage,
     SubgroupGraph,
     congruence_subgroup,
-    evaluate_expression,
-    express_in_generators,
     from_generators,
-    image,
     restricted_kernel_trivial,
     trivial_subgroup,
     whole_group,
@@ -215,51 +214,6 @@ def _is_fixed(h: FreeHom, w: Word) -> bool:
     return h.image_letters(w.letters) == w.letters
 
 
-def _pull_back(domain: SubgroupGraph, h: FreeHom, target: Word) -> Word:
-    """Some member of ``domain`` mapping onto ``target`` under ``h``.
-
-    ``target`` must lie in the image of the restriction; it is then
-    expressed over the images of the domain basis and the expression is
-    replayed over the basis itself.
-    """
-    gens = domain.basis()
-    expression = express_in_generators([h.apply(g) for g in gens], target)
-    if expression is None:
-        raise CertificateError(f"{target} is not in the image of the restriction")
-    out = evaluate_expression(gens, expression, domain.alphabet)
-    if h.apply(out) != target:
-        raise CertificateError(f"pulled-back {out} does not map onto {target}")
-    return out
-
-
-def _meet_through(
-    k: SubgroupGraph, h: FreeHom, fixed: SubgroupGraph
-) -> tuple[Word, Word] | None:
-    """Some x != 1 in ``k`` with h(x) in ``fixed``, as (x, h(x)), or None.
-
-    A nontrivial meet of h(k) with ``fixed`` is pulled back.  Otherwise
-    only the kernel of h on k is left.  If h keeps the rank of k it is
-    injective there (free groups are Hopfian).  If the rank drops, the
-    lifts of a basis of h(k) span less than k, so some basis word g of k
-    differs from the lift of h(g), and g times that lift's inverse is
-    killed by h (Stallings 1983; Kapovich-Myasnikov 2002).
-    """
-    img = image(k, h)
-    j = img.intersect(fixed)
-    if not j.is_trivial():
-        target = j.basis()[0]
-        return _pull_back(k, h, target), target
-    if img.rank == k.rank:
-        return None
-    lifts = [_pull_back(k, h, w) for w in img.basis()]
-    for g in k.basis():
-        expression = express_in_generators(img.basis(), h.apply(g))
-        y = g * evaluate_expression(lifts, expression, k.alphabet).inverse()
-        if not y.is_identity():
-            return y, h.apply(y)
-    raise CertificateError("fewer lifts than rank(k) cannot generate k")
-
-
 def _power_witness(u: Word, v: Word, exponents: IntLattice2) -> ProductElement | None:
     """The first basis pair (p, q) of the lattice with (u^p, v^q) != 1."""
     for p, q in exponents.basis:
@@ -299,9 +253,7 @@ class FactorProduct(FrozenValue):
         set_field(self, "second", second)
 
     def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
-        return oracle.fix(self.first).contains(g.first) and oracle.fix(self.second).contains(
-            g.second
-        )
+        return _is_fixed(self.first, g.first) and _is_fixed(self.second, g.second)
 
     def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
         """Branch 1.7: the product of the two factorwise meets.
@@ -310,10 +262,10 @@ class FactorProduct(FrozenValue):
         """
         first_meet = oracle.fix(vi.first).intersect(oracle.fix(self.first))
         if not first_meet.is_trivial():
-            return ProductElement(first_meet.basis()[0], Word(vi.second.source))
+            return ProductElement(next(first_meet.basis_words()), Word(vi.second.source))
         second_meet = oracle.fix(vi.second).intersect(oracle.fix(self.second))
         if not second_meet.is_trivial():
-            return ProductElement(Word(vi.first.source), second_meet.basis()[0])
+            return ProductElement(Word(vi.first.source), next(second_meet.basis_words()))
         return None
 
     def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
@@ -407,11 +359,37 @@ class HomGraph(FrozenValue):
 
     def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
         x, hx = (g.second, g.first) if self._from_second() else (g.first, g.second)
-        return oracle.fix(self.domain_endo).contains(x) and self.hom.apply(x) == hx
+        return _is_fixed(self.domain_endo, x) and self.hom.apply(x) == hx
 
-    def _through(self, k: SubgroupGraph, fixed: SubgroupGraph) -> ProductElement | None:
-        found = _meet_through(k, self.hom, fixed)
-        return None if found is None else self._pair(*found)
+    def _meet_through(self, k: SubgroupGraph, fixed: SubgroupGraph) -> ProductElement | None:
+        """The member (x, h(x)) for some x != 1 in ``k`` with h(x) in ``fixed``, or None.
+
+        One named fold, ``Preimage(k, h)``, gives the image h(k) and the lift
+        from h(k) back into k. A nontrivial meet of h(k) with ``fixed`` is
+        lifted. Otherwise only the kernel of h on k is left. If h keeps the
+        rank of k it is injective there (free groups are Hopfian). If the rank
+        drops, the lift, a homomorphism that h undoes, is not onto k, so some
+        basis word g of k differs from the lift of h(g), and g times that
+        lift's inverse is killed by h (Stallings 1983; Kapovich-Myasnikov 2002).
+        """
+        h = self.hom
+        pre = Preimage(k, h)
+        img = pre.image()
+        j = img.intersect(fixed)
+        if not j.is_trivial():
+            target = next(j.basis_words())
+            x = pre.lift(target)
+            if x is not None:
+                return self._pair(x, target)
+        elif img.rank == k.rank:
+            return None
+        else:
+            for g in k.basis_words():
+                back = pre.lift(h.apply(g))
+                if back is not None and back != g:
+                    y = g * back.inverse()
+                    return self._pair(y, h.apply(y))
+        raise CertificateError(f"no lift through {h} where one must exist")
 
     def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
         """Branches 1.5 (shape IV) and 1.8 (shape VII).
@@ -425,7 +403,7 @@ class HomGraph(FrozenValue):
         else:
             near, far = vi.first, vi.second
         k = oracle.fix(self.domain_endo).intersect(oracle.fix(near))
-        return self._through(k, oracle.fix(far))
+        return self._meet_through(k, oracle.fix(far))
 
     def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
         """Branches 2.5 (shape IV) and 2.8 (shape VII).
@@ -443,7 +421,7 @@ class HomGraph(FrozenValue):
         else:
             back, forth = vii.first_from_second, vii.second_from_first
         k = oracle.fix(self.domain_endo).intersect(oracle.fix(self.hom.then(back)))
-        return self._through(k, oracle.fix(back.then(forth)))
+        return self._meet_through(k, oracle.fix(back.then(forth)))
 
     def describe(self, oracle: FixOracle) -> str:
         domain = oracle.fix(self.domain_endo)
@@ -475,14 +453,6 @@ class PowerGraph(FrozenValue):
         set_field(self, "drag", drag)
         set_field(self, "theta", theta)
 
-    def _domain(self, oracle: FixOracle) -> SubgroupGraph:
-        """Fix(theta), cut down to drag | w(y) by a congruence subgroup if drag != 0."""
-        fixed = oracle.fix(self.theta)
-        if self.drag == 0:
-            return fixed
-        window = congruence_subgroup(self.theta.source, self.second_weights, abs(self.drag))
-        return fixed.intersect(window)
-
     def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
         total = weighted_sum(g.second, self.second_weights)
         u, drag = self.first_base, self.drag
@@ -490,25 +460,29 @@ class PowerGraph(FrozenValue):
             first_ok = total == 0 and exponent_of_power(g.first, u) is not None
         else:
             first_ok = total % drag == 0 and g.first == u ** (total // drag)
-        return first_ok and oracle.fix(self.theta).contains(g.second)
+        return first_ok and _is_fixed(self.theta, g.second)
 
     def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
         """Branches 1.3 (drag != 0) and 1.4 (drag == 0).
 
         (u, 1) is a member if drag == 0 and the diagonal fixes u != 1.
-        Otherwise y lies in K = domain meet the diagonal's second fixed
-        subgroup. If drag != 0 and the diagonal fixes u (or u = 1), any
-        y != 1 in K gives a member; else the first coordinate must vanish,
-        which leaves the zero-weight part of K.
+        Otherwise y lies in K = Fix(theta), cut down to drag | w(y) if
+        drag != 0, meet the diagonal's second fixed subgroup. If drag != 0
+        and the diagonal fixes u (or u = 1), any y != 1 in K gives a member;
+        else the first coordinate must vanish, which leaves the zero-weight
+        part of K.
         """
         u = self.first_base
         if self.drag == 0 and not u.is_identity() and _is_fixed(vi.first, u):
             return ProductElement(u, Word(vi.second.source))
-        k = self._domain(oracle).intersect(oracle.fix(vi.second))
+        k = oracle.fix(self.theta)
+        if self.drag != 0:
+            k = k.intersect(congruence_subgroup(self.theta.source, self.second_weights, self.drag))
+        k = k.intersect(oracle.fix(vi.second))
         if k.is_trivial():
             return None
         if self.drag != 0 and (u.is_identity() or _is_fixed(vi.first, u)):
-            y = k.basis()[0]
+            y = next(k.basis_words())
             return ProductElement(u ** (weighted_sum(y, self.second_weights) // self.drag), y)
         y = restricted_kernel_trivial(k, self.second_weights)
         return None if y is None else ProductElement(Word(u.alphabet), y)
@@ -538,8 +512,8 @@ class PowerGraph(FrozenValue):
                 f"with zero weight {weights}"
             )
         return (
-            f"pairs (({u})^(w(y)/{self.drag}), y) for y in {self._domain(oracle)}, "
-            f"w = weight {weights}"
+            f"pairs (({u})^(w(y)/{self.drag}), y) for y in {oracle.fix(self.theta)} "
+            f"with {self.drag} | w(y), w = weight {weights}"
         )
 
 

@@ -14,13 +14,13 @@ through the graph from both ends: the prefix that the graph already reads
 from the base and the suffix it reads into the base cost no edges, and only
 the middle between them is added, in one pass, so the fold settles clashes
 at the two ends of each middle rather than undoing whole copies of letters
-the graph already has. Every edge carries a name, a freely reduced word
-over the generators x1, x2, ...: on any base loop the product of the names,
-read over the generators, spells the loop's label. Attaching a loop and
-folding keep this true (Kapovich-Myasnikov, J. Algebra 248, 2002), so
-reading a member word through the folded graph writes it as a product of
-the generators. Only express_in_generators names edges; the other
-constructions fold unnamed edges and never rewrite a name.
+the graph already has. An edge may carry a name, a freely reduced word in
+a second free group; for a homomorphism h from that group, the names along
+any base loop multiply to a word that h maps onto the loop's label.
+Attaching loops so named and folding keep this true (Kapovich-Myasnikov,
+J. Algebra 248, 2002), so reading a member word through the folded graph
+spells a preimage of it. ``Preimage`` names the loop h(g) by g, and
+express_in_generators the loop of gens[i-1] by i; nothing else names edges.
 
 Folding follows Touikan (IJAC 16(6), 2006) and never rescans the graph.
 Storage is flat: each vertex owns a slot row of 2·rank entries in one list,
@@ -39,12 +39,12 @@ graph of a congruence subgroup are folded already, so `intersect` and
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from ._value import FrozenValue, set_field
 from .homs import FreeHom
-from .words import Alphabet, Word, _inverse, free_reduce, render_word, weighted_sum, word
+from .words import Alphabet, Word, _inverse, free_reduce, render_word, weighted_sum
 
 
 class CertificateError(RuntimeError):
@@ -152,6 +152,23 @@ class _Builder:
             cur = nxt
             read += 1
         return read, cur, product
+
+    def names_along(self, letters: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The reduced product of the names on the base loop spelling
+        ``letters``, or None when the folded graph reads no such loop."""
+        slot, edges, names, r = self.slot, self.edges, self.names, self.rank
+        cur = self.base
+        product: list[int] = []
+        for x in letters:
+            eid = slot[2 * r * cur + (x - 1 if x > 0 else r - x - 1)]
+            if eid == -1:
+                return None
+            t, _, h = edges[eid]
+            cur = h if x > 0 else t
+            name = names.get(eid)  # None for the empty name
+            if name:
+                product.extend(name if x > 0 else _inverse(name))
+        return free_reduce(product) if cur == self.base else None
 
     def _seat(self, eid: int, tail: int, label: int, head: int) -> None:
         """Put an edge in both its slots; a slot held by another edge queues a clash."""
@@ -324,7 +341,7 @@ class SubgroupGraph(FrozenValue):
     are equal), so the vertices are numbered breadth first.
     """
 
-    __slots__ = ("alphabet", "transitions", "backward", "__dict__")  # __dict__ holds the basis
+    __slots__ = ("alphabet", "transitions", "backward")
 
     def __init__(
         self,
@@ -375,11 +392,10 @@ class SubgroupGraph(FrozenValue):
         return v == 0
 
     def basis(self) -> tuple[Word, ...]:
-        return self._basis
+        return tuple(self.basis_words())
 
-    @cached_property
-    def _basis(self) -> tuple[Word, ...]:
-        """One word per edge off the breadth-first spanning tree.
+    def basis_words(self) -> Iterator[Word]:
+        """The basis words in turn, one per edge off the breadth-first spanning tree.
 
         The vertices are numbered breadth first, out-edges by label and then
         in-edges by label, so a scan of the rows in that order meets the
@@ -387,7 +403,8 @@ class SubgroupGraph(FrozenValue):
         step that first reached that vertex, and ``parent[v]`` records the
         vertex and the letter of that step. A tree path, an edge off the
         tree and a tree path back do not backtrack in a folded graph, so the
-        word they spell is reduced.
+        word they spell is reduced. A caller that stops early pays only for
+        the words it took.
         """
         parent = [(0, 0)]  # the base has no parent
         for v, (out, into) in enumerate(zip(self.transitions, self.backward)):
@@ -407,14 +424,12 @@ class SubgroupGraph(FrozenValue):
                 steps.append(x)
             return tuple(reversed(steps))
 
-        gens: list[Word] = []
         for u, out in enumerate(self.transitions):
             for l, v in enumerate(out, start=1):
                 if v == -1 or parent[v] == (u, l) or parent[u] == (v, -l):
                     continue
                 letters = path_to(u) + (l,) + _inverse(path_to(v))
-                gens.append(Word._unchecked(self.alphabet, letters))
-        return tuple(gens)
+                yield Word._unchecked(self.alphabet, letters)
 
     def intersect(self, other: "SubgroupGraph") -> "SubgroupGraph":
         """Pullback construction: the component of the pair of basepoints.
@@ -444,7 +459,7 @@ class SubgroupGraph(FrozenValue):
     def __str__(self) -> str:
         if self.is_trivial():
             return "<1>"
-        return "<" + ", ".join(render_word(g) for g in self.basis()) + ">"
+        return "<" + ", ".join(render_word(g) for g in self.basis_words()) + ">"
 
 
 def from_generators(gens: Sequence[Word], alphabet: Alphabet | None = None) -> SubgroupGraph:
@@ -470,11 +485,45 @@ def whole_group(alphabet: Alphabet) -> SubgroupGraph:
     return SubgroupGraph(alphabet, table, table)
 
 
+class Preimage:
+    """h on a subgroup K, folded once: the image h(K) and a way back into K.
+
+    The loop h(g) of each basis word g of K is named by the letters of g, so
+    the names along a base loop multiply to a word of K that h maps onto its
+    label. Reading is a homomorphism from h(K) to K, a right inverse of h.
+    """
+
+    __slots__ = ("k", "h", "_fold", "_image")
+
+    def __init__(self, k: SubgroupGraph, h: FreeHom):
+        if k.alphabet != h.source:
+            raise ValueError(f"graph is over {k.alphabet}, hom expects {h.source}")
+        fold = _Builder(h.target)
+        for g in k.basis_words():
+            fold.add_loop(h.apply(g), g.letters)
+        self.k, self.h, self._fold = k, h, fold
+        self._image = fold.canonical()
+
+    def image(self) -> SubgroupGraph:
+        """The canonical graph of h(K)."""
+        return self._image
+
+    def lift(self, target: Word) -> Word | None:
+        """A word of K that h maps onto ``target``, or None when target is not in h(K)."""
+        if target.alphabet != self.h.target:
+            raise ValueError(f"{target} is not a word over {self.h.target}")
+        letters = self._fold.names_along(target.letters)
+        if letters is None:
+            return None
+        out = Word._unchecked(self.k.alphabet, letters)
+        if self.h.image_letters(letters) != target.letters or not self.k.contains(out):
+            raise CertificateError(f"lift {render_word(out)} of {render_word(target)} is not in K")
+        return out
+
+
 def image(graph: SubgroupGraph, h: FreeHom) -> SubgroupGraph:
     """Graph of h(H) for H given by its graph over the source group."""
-    if graph.alphabet != h.source:
-        raise ValueError(f"graph is over {graph.alphabet}, hom expects {h.source}")
-    return from_generators([h.apply(g) for g in graph.basis()], h.target)
+    return Preimage(graph, h).image()
 
 
 def congruence_subgroup(alphabet: Alphabet, weights: Sequence[int], modulus: int) -> SubgroupGraph:
@@ -508,7 +557,7 @@ def restricted_kernel_trivial(graph: SubgroupGraph, weights: Sequence[int]) -> W
     meets the kernel nontrivially; rank 1 does iff its generator has
     weight zero.
     """
-    pair = graph.basis()[:2]
+    pair = list(islice(graph.basis_words(), 2))
     sums = [weighted_sum(g, weights) for g in pair]
     for g, c in zip(pair, sums):
         if c == 0:
@@ -526,7 +575,7 @@ def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | Non
     gens[|ik|-1]**sign(ik) equals target, or None when target is not in
     the subgroup the generators span. The expression is freely reduced.
 
-    Method: attach the loop of each generator g_i with the name x_i, so
+    Method: attach the loop of each generator g_i with the name i, so
     that only the part the graph does not already read gets new edges, one
     of them named; fold, carrying the names, then read target through the
     folded graph. The reduced product of the names met on the way is the
@@ -539,36 +588,12 @@ def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | Non
             raise ValueError(f"{g} is not a word over {alphabet}")
         b.add_loop(g, (i,))
     b.fold()
-    slot, edges, names, r = b.slot, b.edges, b.names, b.rank
-    cur = b.base
-    letters: list[int] = []
-    for x in target.letters:
-        eid = slot[2 * r * cur + (x - 1 if x > 0 else r - x - 1)]
-        if eid == -1:
-            return None
-        t, _, h = edges[eid]
-        name = names.get(eid)  # None for the empty name
-        if x > 0:
-            cur = h
-            if name:
-                letters.extend(name)
-        else:
-            cur = t
-            if name:
-                letters.extend(_inverse(name))
-    if cur != b.base:
+    expr = b.names_along(target.letters)
+    if expr is None:
         return None
-    expr = list(free_reduce(letters))
-    if evaluate_expression(gens, expr, alphabet) != target:
-        raise CertificateError(f"expression {expr} does not replay to {render_word(target)}")
-    return expr
-
-
-def evaluate_expression(
-    gens: Sequence[Word], expression: Sequence[int], alphabet: Alphabet
-) -> Word:
-    """Replay an expression from express_in_generators over ``gens``."""
-    if not expression:
-        return Word(alphabet)  # the empty product, also over no generators
-    helper = Alphabet(len(gens), "x")
-    return FreeHom(helper, alphabet, tuple(gens)).apply(word(helper, expression))
+    replay = ()  # the empty product, also over no generators
+    if expr:
+        replay = FreeHom(Alphabet(len(gens), "x"), alphabet, tuple(gens)).image_letters(expr)
+    if replay != target.letters:
+        raise CertificateError(f"expression {list(expr)} does not replay to {render_word(target)}")
+    return list(expr)

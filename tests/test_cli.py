@@ -224,6 +224,29 @@ def test_high_rank_files_take_linear_work(tmp_path, capsys):
         assert f"images of a{n} and b{n} have non-commuting first components" in err
 
 
+def test_shape_iii_drag_file_takes_bounded_work(tmp_path, capsys):
+    # K, the identity's Fix cut down to N - 1 | w(y), has index N - 1 and a
+    # basis of about N words of total length of order N^2; branch 1.3 spells
+    # only the first word, and `fix` prints the formula, not that basis
+    n = 20000
+    drag = _write(
+        tmp_path,
+        "drag.endo",
+        f"endo 2 2\na1 -> ( a1^{n} , 1 )\na2 -> ( 1 , 1 )\nb1 -> ( a1 , b1 )\nb2 -> ( 1 , b2 )\n",
+    )
+    diagonal = TypeVI(identity_hom(A), identity_hom(B)).as_endo()
+    identity = _write(tmp_path, "identity.endo", render_endo_text(diagonal))
+    started = time.perf_counter()
+    assert main(["intersect", identity, drag]) == 1
+    assert time.perf_counter() - started < 10.0
+    out = capsys.readouterr().out
+    assert out.startswith("NONTRIVIAL (1, b2)") and "trace: 1.3" in out
+    started = time.perf_counter()
+    assert main(["fix", drag]) == 0
+    assert time.perf_counter() - started < 10.0
+    assert f"with {1 - n} | w(y)" in capsys.readouterr().out
+
+
 def test_intersect_nontrivial(diag, swap, capsys):
     assert main(["intersect", diag, swap]) == 1
     out = capsys.readouterr().out

@@ -20,8 +20,9 @@ from fixfnm import (
     trivial_subgroup,
     weighted_sum,
     whole_group,
+    word,
 )
-from fixfnm.stallings import _Builder, evaluate_expression
+from fixfnm.stallings import Preimage, _Builder
 from conftest import random_word, rng_for
 
 A = Alphabet(2, "a")
@@ -217,7 +218,8 @@ def test_read_paths_match_quadratic_reference():
             expr = express_in_generators(gens, target)
             assert expr is not None, (gens, target)
             _assert_reduced(expr)
-            assert evaluate_expression(gens, expr, alphabet) == target
+            helper = Alphabet(len(gens), "x")
+            assert FreeHom(helper, alphabet, tuple(gens)).apply(word(helper, expr)) == target
         count += 1
     assert count == 150
 
@@ -420,6 +422,42 @@ def test_image():
         image(whole_group(B), cross)
 
 
+def test_lift_is_a_right_inverse_into_k():
+    # seeded K and h, rank-dropping h included: every word of h(K) lifts to
+    # a word of K that h maps onto it, and a word outside h(K) lifts to None
+    rng = rng_for("stallings-lift")
+    C = Alphabet(3, "a")
+    drops = outside = 0
+    for _ in range(120):
+        source = rng.choice((A, C))
+        k = from_generators(
+            [random_word(rng, source, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+        )
+        # short images, some trivial or repeated, so h often kills part of K
+        images = [random_word(rng, B, rng.randint(0, 2)) for _ in range(source.rank)]
+        if rng.random() < 0.3:
+            images[-1] = rng.choice(images[:-1])
+        h = FreeHom(source, B, tuple(images))
+        pre = Preimage(k, h)
+        img = pre.image()
+        assert img == image(k, h)
+        drops += img.rank < k.rank
+        basis = k.basis()
+        for _ in range(4):
+            x = Word(source)
+            for _ in range(rng.randint(0, 4)):
+                g = rng.choice(basis) if basis else Word(source)
+                x = x * (g if rng.random() < 0.5 else g.inverse())
+            target = h.apply(x)
+            lifted = pre.lift(target)
+            assert lifted is not None and k.contains(lifted) and h.apply(lifted) == target
+        for w in enumerate_ball(B, 2):
+            if not img.contains(w):
+                outside += 1
+                assert pre.lift(w) is None
+    assert drops >= 20 and outside >= 100
+
+
 def test_restricted_kernel():
     # rank 1, nonzero weight: only the identity has weight 0
     assert restricted_kernel_trivial(from_generators([wa("a1")]), (1, 0)) is None
@@ -518,7 +556,8 @@ def test_express_in_generators_dependent_sets():
             expr = express_in_generators(gens, target)
             assert expr is not None
             _assert_reduced(expr)
-            assert evaluate_expression(gens, expr, alphabet) == target
+            helper = Alphabet(len(gens), "x")
+            assert FreeHom(helper, alphabet, tuple(gens)).apply(word(helper, expr)) == target
 
 
 def test_express_in_generators_collapsing_wedge():
