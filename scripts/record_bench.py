@@ -39,6 +39,16 @@ sides.
     `from_generators([a1 a2])`, of `intersect` of <a1 a2, a2 a1> (3
     vertices) and <a1^2, a2> (2 vertices) with `basis` of the result, and
     of `FixOracle().fix(inner_hom(a2 a1))`, and the median per row.
+  - Classify curve: PAIRS pairs of one process per tree, with that
+    tree's `src/` on the path, timing `classify` on the shape I map with
+    bases a1 a2 and b1 b2^-1 b1 whose eight block images are rho^k for
+    their coordinate's base rho, at k = 1,260, 2,520, 5,040 and 10,080,
+    as the best of 5 rounds of 10 calls, and the median per k.
+  - Lattice calls: PAIRS pairs of one process per tree, with that tree's
+    `src/` on the path, printing the best of 5 rounds, in µs per call, of
+    `TypeI.fixed_exponents` on a shape I map whose exponent matrix is
+    singular, and of `IntLattice2.intersect` of <(2, 1), (0, 6)> and
+    <(3, 2), (0, 4)>, and the median per row.
   - Drag curve: PAIRS pairs of one process per tree per point, with that
     tree's `src/` on the path, running `fixfnm intersect` of the identity
     diagonal with the shape III drag file `a1 -> (a1^N, 1)`,
@@ -52,7 +62,8 @@ sides.
     fixfnm.cli` and `fixfnm intersect --json`; the fixfnm modules that
     each of these loads, read from one `-X importtime` run; and the median
     `-X importtime` cumulative time of every fixfnm module that
-    `intersect` loads.
+    `intersect` loads. The 7 rounds alternate between the trees like the
+    pairs above, so drift of the host hits both alike.
 
 Everything is written to one JSON file, named relative to the repository
 root, with the host it was measured on.
@@ -105,6 +116,42 @@ SMALL_GRAPH = (
     "rows = {'from_generators': lambda: F.from_generators([a1 * a2]),\n"
     "        'intersect_basis': lambda: h.intersect(k).basis(),\n"
     "        'fix_inner': lambda: F.FixOracle().fix(inner)}\n"
+    "best = {}\n"
+    "for name, call in rows.items():\n"
+    "    best[name] = float('inf')\n"
+    "    for _ in range(5):\n"
+    "        started = time.perf_counter()\n"
+    "        for _ in range(1000):\n"
+    "            call()\n"
+    "        best[name] = min(best[name], (time.perf_counter() - started) * 1e3)\n"
+    "print(json.dumps(best))\n",
+)
+CLASSIFY_POWERS = (1260, 2520, 5040, 10080)
+CLASSIFY_CURVE = (
+    "-c",
+    "import json, time, fixfnm as F\n"
+    "a, b = F.Alphabet(2, 'a'), F.Alphabet(2, 'b')\n"
+    "u, v = F.parse_word('a1 a2', a), F.parse_word('b1 b2^-1 b1', b)\n"
+    "best = {}\n"
+    f"for k in {CLASSIFY_POWERS}:\n"
+    "    e = F.TypeI(u, v, (k, k), (k, k), (k, k), (k, k)).as_endo()\n"
+    "    best[k] = float('inf')\n"
+    "    for _ in range(5):\n"
+    "        started = time.perf_counter()\n"
+    "        for _ in range(10):\n"
+    "            F.classify(e)\n"
+    "        best[k] = min(best[k], (time.perf_counter() - started) * 1e2)\n"
+    "print(json.dumps(best))\n",
+)
+LATTICE_CALLS = (
+    "-c",
+    "import json, time, fixfnm as F\n"
+    "a, b = F.Alphabet(2, 'a'), F.Alphabet(2, 'b')\n"
+    "shape = F.TypeI(F.parse_word('a1', a), F.parse_word('b1', b), (2, 0), (1, 0), (1, 0), (2, 0))\n"
+    "first = F.IntLattice2.from_rows([(2, 1), (0, 6)])\n"
+    "second = F.IntLattice2.from_rows([(3, 2), (0, 4)])\n"
+    "rows = {'fixed_exponents': shape.fixed_exponents,\n"
+    "        'intersect': lambda: first.intersect(second)}\n"
     "best = {}\n"
     "for name, call in rows.items():\n"
     "    best[name] = float('inf')\n"
@@ -192,18 +239,10 @@ def reference_tables(tree: Path) -> dict[str, list[dict]]:
     return tables
 
 
-def large_fold(tree: Path) -> float:
-    """Best of 3 `from_generators` times, in ms, on the 10,002-edge wedge."""
+def snippet(tree: Path, code: tuple[str, ...]):
+    """The JSON that one of the timing snippets above prints, run with ``tree``'s `src/`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, *LARGE_FOLD], cwd=tree, env=env,
-                          capture_output=True, text=True, check=True)
-    return float(proc.stdout)
-
-
-def small_graph(tree: Path) -> dict[str, float]:
-    """Best of 5 rounds, in µs per call, of each SMALL_GRAPH row."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, *SMALL_GRAPH], cwd=tree, env=env,
+    proc = subprocess.run([sys.executable, *code], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -259,12 +298,19 @@ def fixfnm_importtime(stderr: str) -> dict[str, float]:
     return rows
 
 
-def import_block(tree: Path) -> dict:
-    """Process wall times and fixfnm's `-X importtime` rows, medians of IMPORT_RUNS,
-    and the fixfnm modules that each IMPORT_COMMANDS row loads."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def in_turn(trees: dict[str, Path], k: int) -> list[tuple[str, Path]]:
+    """The trees in the order of round ``k``: as given in even rounds, reversed in odd ones."""
+    order = list(trees.items())
+    return order if k % 2 == 0 else order[::-1]
 
-    def run(*args: str) -> subprocess.CompletedProcess:
+
+def import_block(trees: dict[str, Path]) -> dict[str, dict]:
+    """Per tree: process wall times and fixfnm's `-X importtime` rows, medians of
+    IMPORT_RUNS rounds that alternate between the trees, and the fixfnm modules
+    that each IMPORT_COMMANDS row loads."""
+
+    def run(tree: Path, *args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         proc = subprocess.run(
             [sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True
         )
@@ -272,23 +318,29 @@ def import_block(tree: Path) -> dict:
             raise RuntimeError(f"{args} exited {proc.returncode}: {proc.stderr}")
         return proc
 
-    wall: dict[str, list[float]] = defaultdict(list)
-    cumulative: dict[str, list[float]] = defaultdict(list)
-    for _ in range(IMPORT_RUNS):
-        for name, args in IMPORT_COMMANDS.items():  # interleaved, so drift hits every row
-            started = time.perf_counter()
-            run(*args)
-            wall[name].append(time.perf_counter() - started)
-        for module, total in fixfnm_importtime(run("-X", "importtime", *INTERSECT).stderr).items():
-            cumulative[module].append(total)
+    wall = {side: defaultdict(list) for side in trees}
+    cumulative = {side: defaultdict(list) for side in trees}
+    for k in range(IMPORT_RUNS):
+        for side, tree in in_turn(trees, k):
+            print(f"round {k + 1}/{IMPORT_RUNS} {side}: import block", file=sys.stderr)
+            for name, args in IMPORT_COMMANDS.items():  # interleaved, so drift hits every row
+                started = time.perf_counter()
+                run(tree, *args)
+                wall[side][name].append(time.perf_counter() - started)
+            importtime = fixfnm_importtime(run(tree, "-X", "importtime", *INTERSECT).stderr)
+            for module, total in importtime.items():
+                cumulative[side][module].append(total)
     return {
-        "runs": IMPORT_RUNS,
-        "wall_ms": {name: statistics.median(ts) * 1e3 for name, ts in wall.items()},
-        "loaded": {name: sorted(fixfnm_importtime(run("-X", "importtime", *args).stderr))
-                   for name, args in IMPORT_COMMANDS.items()},
-        "importtime_cumulative_ms": {
-            module: statistics.median(ts) for module, ts in sorted(cumulative.items())
-        },
+        side: {
+            "runs": IMPORT_RUNS,
+            "wall_ms": {name: statistics.median(ts) * 1e3 for name, ts in wall[side].items()},
+            "loaded": {name: sorted(fixfnm_importtime(run(tree, "-X", "importtime", *args).stderr))
+                       for name, args in IMPORT_COMMANDS.items()},
+            "importtime_cumulative_ms": {
+                module: statistics.median(ts) for module, ts in sorted(cumulative[side].items())
+            },
+        }
+        for side, tree in trees.items()
     }
 
 
@@ -326,15 +378,10 @@ def main() -> int:
         export(parent_sha, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
 
-        def in_turn(k: int):
-            """The two trees, the parent first in even pairs and last in odd ones."""
-            order = list(trees.items())
-            return order if k % 2 == 0 else order[::-1]
-
         def pairs(what: str, measure) -> dict[str, list]:
             runs: dict[str, list] = {"parent": [], "change": []}
             for k in range(PAIRS):
-                for place, (side, tree) in enumerate(in_turn(k)):
+                for place, (side, tree) in enumerate(in_turn(trees, k)):
                     print(f"pair {k + 1}/{PAIRS} {side}: {what}", file=sys.stderr)
                     row = measure(tree, args.seed + k)
                     runs[side].append(dict(row, seed=args.seed + k, first=place == 0))
@@ -392,7 +439,7 @@ def main() -> int:
                                for n, cols in sorted(by_size.items())],
                 }
 
-        runs = pairs("10,002-edge fold", lambda tree, seed: {"fold_ms": large_fold(tree)})
+        runs = pairs("10,002-edge fold", lambda tree, seed: {"fold_ms": snippet(tree, LARGE_FOLD)})
         for side in trees:
             report[side]["large_fold"] = {
                 "edges": 10002,
@@ -400,9 +447,25 @@ def main() -> int:
                 "median_fold_ms": statistics.median(r["fold_ms"] for r in runs[side]),
             }
 
-        runs = pairs("small graphs", lambda tree, seed: {"us": small_graph(tree)})
+        runs = pairs("small graphs", lambda tree, seed: {"us": snippet(tree, SMALL_GRAPH)})
         for side in trees:
             report[side]["small_graph"] = {
+                "runs": runs[side],
+                "median_us": {name: statistics.median(r["us"][name] for r in runs[side])
+                              for name in runs[side][0]["us"]},
+            }
+
+        runs = pairs("classify curve", lambda tree, seed: {"ms": snippet(tree, CLASSIFY_CURVE)})
+        for side in trees:
+            report[side]["classify_curve"] = {
+                "runs": runs[side],
+                "median_ms": [{"k": k, "ms": statistics.median(r["ms"][str(k)] for r in runs[side])}
+                              for k in CLASSIFY_POWERS],
+            }
+
+        runs = pairs("lattice calls", lambda tree, seed: {"us": snippet(tree, LATTICE_CALLS)})
+        for side in trees:
+            report[side]["lattice_calls"] = {
                 "runs": runs[side],
                 "median_us": {name: statistics.median(r["us"][name] for r in runs[side])
                               for name in runs[side][0]["us"]},
@@ -421,12 +484,11 @@ def main() -> int:
                 "median": [{"N": n, **median[n]} for n in DRAG_SIZES],
             }
 
-        for side, tree in in_turn(0):
+        for side, tree in in_turn(trees, 0):
             print(f"{side}: tier-1", file=sys.stderr)
             report[side]["tier1"] = tier1(tree)
-        for side, tree in in_turn(1):
-            print(f"{side}: import block", file=sys.stderr)
-            report[side]["imports"] = import_block(tree)
+        for side, block in import_block(trees).items():
+            report[side]["imports"] = block
     out = ROOT / args.out
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -57,7 +57,7 @@ class FreeHom(FrozenValue):
         return FreeHom(self.source, other.target, tuple(other.apply(i) for i in self.images))
 
     def is_trivial(self) -> bool:
-        return all(img.is_identity() for img in self.images)
+        return not any(img.letters for img in self.images)
 
     def is_identity(self) -> bool:
         return self.source == self.target and all(

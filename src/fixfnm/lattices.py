@@ -1,9 +1,10 @@
 """Exact integer lattice arithmetic in rank two.
 
-Sublattices of Z^2 are stored with a canonical row-style Hermite basis, so
-equality of lattices is plain tuple equality and every operation is exact
-(Python integers, no floating point anywhere). `solve_power_equation`
-gives the lattice of exponent pairs (m, k) with v**m == w**k in a free group.
+Every lattice is a sublattice of Z^2 with its canonical row-style Hermite
+basis ((a, b), (0, c)), so equality of lattices is plain tuple equality.
+The arithmetic is by gcds in closed form, exact in Python integers: no
+n-column elimination is needed in rank two. `solve_power_equation` gives
+the lattice of exponent pairs (m, k) with v**m == w**k in a free group.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from ._value import FrozenValue, set_field
-from .words import Word, root
+from .words import Word, exponent_of_power, root
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -30,36 +31,21 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _pivot(row: Sequence[int]) -> int:
-    for j, entry in enumerate(row):
-        if entry != 0:
-            return j
-    return -1
+def _check_two_columns(rows: Sequence[Sequence[int]], ncols: int) -> None:
+    if ncols != 2:
+        raise ValueError(f"lattices here live in Z^2, not Z^{ncols}")
+    for row in rows:
+        if len(row) != 2:
+            raise ValueError(f"expected rows of length 2, got {len(row)}")
 
 
-def _insert_row(basis: list[list[int]], row: Sequence[int], ncols: int) -> None:
-    # Echelon insertion: combine with existing pivot rows using unimodular
-    # 2x2 transformations until the new row is zero or claims a fresh pivot.
-    r = list(row)
-    while True:
-        p = _pivot(r)
-        if p < 0:
-            return
-        holder = None
-        for b in basis:
-            if _pivot(b) == p:
-                holder = b
-                break
-        if holder is None:
-            basis.append(r)
-            basis.sort(key=_pivot)
-            return
-        g, x, y = _xgcd(holder[p], r[p])
-        qh, qr = holder[p] // g, r[p] // g
-        combined = [x * holder[j] + y * r[j] for j in range(ncols)]
-        leftover = [qh * r[j] - qr * holder[j] for j in range(ncols)]
-        holder[:] = combined
-        r = leftover
+def _hermite(a: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
+    """The canonical rows of the lattice spanned by (a, b) and (0, c), for
+    a >= 0 and c >= 0: pivots positive, b reduced into [0, c) when c > 0,
+    zero rows dropped."""
+    if c:
+        return ((a, b % c), (0, c)) if a else ((0, c),)
+    return ((a, b),) if a else ()
 
 
 def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
@@ -67,40 +53,50 @@ def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> tuple[tuple[int, ...]
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     and rows are ordered by pivot column. Zero rows are dropped.
+
+    The running basis is ((a, b), (0, c)). A row (x, y) with x != 0 merges
+    into the first row by one extended gcd g = s a + t x: the unimodular
+    change (s, t; -x/g, a/g) turns the two rows into (g, s b + t y) and
+    (0, (x/g) b - (a/g) y), and the second joins c by a gcd. Only ncols 2
+    is accepted; other widths raise ValueError.
     """
-    basis: list[list[int]] = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"expected rows of length {ncols}, got {len(row)}")
-        _insert_row(basis, row, ncols)
-    for b in basis:
-        if b[_pivot(b)] < 0:
-            b[:] = [-e for e in b]
-    # Reduce entries above each pivot.
-    for j in range(len(basis)):
-        pj = _pivot(basis[j])
-        for i in range(j):
-            q = basis[i][pj] // basis[j][pj]
-            if q:
-                basis[i] = [basis[i][k] - q * basis[j][k] for k in range(ncols)]
-    return tuple(tuple(b) for b in basis)
+    rows = list(rows)
+    _check_two_columns(rows, ncols)
+    a = b = c = 0
+    for x, y in rows:
+        if x == 0:
+            c = gcd(c, y)
+        elif a == 0:
+            a, b = x, y
+        else:
+            g, s, t = _xgcd(a, x)
+            a, b, c = g, s * b + t * y, gcd(c, (x // g) * b - (a // g) * y)
+    if a < 0:
+        a, b = -a, -b
+    return _hermite(a, b, c)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of {x in Z^ncols : M x = 0} for an integer matrix M.
+    """Basis of {v in Z^2 : M v = 0} for an integer matrix M with two columns.
 
-    Row-reduces the transposed matrix augmented with an identity block; the
-    augmented parts of rows whose matrix part vanished generate the kernel.
+    Three answers: all of Z^2 when M = 0 (or has no rows); nothing when two
+    rows are independent; otherwise the primitive line orthogonal to the
+    first nonzero row (p, q), spanned by (q, -p) / gcd(p, q). The basis
+    is in the canonical form of ``hnf_rows``. Only ncols 2 is accepted;
+    other widths raise ValueError.
     """
-    nrows = len(matrix)
-    ext = []
-    for j in range(ncols):
-        row = [matrix[i][j] for i in range(nrows)]
-        row.extend(1 if k == j else 0 for k in range(ncols))
-        ext.append(row)
-    reduced = hnf_rows(ext, nrows + ncols)
-    kernel = [row[nrows:] for row in reduced if not any(row[:nrows])]
-    return hnf_rows(kernel, ncols)
+    _check_two_columns(matrix, ncols)
+    nonzero = [(p, q) for p, q in matrix if p or q]
+    if not nonzero:
+        return ((1, 0), (0, 1))
+    p, q = nonzero[0]
+    if any(p * s - q * r for r, s in nonzero[1:]):
+        return ()
+    g = gcd(p, q)
+    x, y = q // g, -p // g
+    if x < 0 or (x == 0 and y < 0):
+        x, y = -x, -y
+    return ((x, y),)
 
 
 class IntLattice2(FrozenValue):
@@ -135,50 +131,54 @@ class IntLattice2(FrozenValue):
         return not self.basis
 
     def contains(self, vector: Sequence[int]) -> bool:
-        x = [vector[0], vector[1]]
-        for row in self.basis:
-            p = 0 if row[0] != 0 else 1
-            if x[p] == 0:
-                continue
-            q, rem = divmod(x[p], row[p])
-            if rem:
+        """(x, y) is in iff a | x (x == 0 when a == 0) and c | y - (x/a) b."""
+        (a, b, c), (x, y) = self._abc(), vector
+        if a:
+            if x % a:
                 return False
-            x = [x[0] - q * row[0], x[1] - q * row[1]]
-        return x == [0, 0]
+            y -= x // a * b
+        elif x:
+            return False
+        return y % c == 0 if c else y == 0
 
     def intersect(self, other: "IntLattice2") -> "IntLattice2":
-        """Intersection, via the kernel of the stacked-basis relation map."""
-        if self.is_trivial() or other.is_trivial():
-            return IntLattice2.zero()
-        r1, r2 = self.rank, other.rank
-        # Columns of the relation matrix: basis rows of self, then negated
-        # basis rows of other; kernel vectors (y, z) satisfy y*B1 = z*B2.
-        matrix = [
-            [self.basis[t][c] for t in range(r1)] + [-other.basis[s][c] for s in range(r2)]
-            for c in range(2)
-        ]
-        kern = kernel_basis(matrix, r1 + r2)
-        gens = []
-        for vec in kern:
-            y = vec[:r1]
-            gens.append(
-                (
-                    sum(y[t] * self.basis[t][0] for t in range(r1)),
-                    sum(y[t] * self.basis[t][1] for t in range(r1)),
-                )
-            )
-        return IntLattice2.from_rows(gens)
+        """Intersection, read off the two Hermite bases ((a_i, b_i), (0, c_i)).
+
+        The meet's row (0, c) has c = lcm(c1, c2). Its row (t A, y) has
+        A = lcm(a1, a2), t the least t > 0 with t (beta1 - beta2) == 0 mod
+        gcd(c1, c2) for beta_i = (A/a_i) b_i, and y == t beta_i mod c_i by
+        the Chinese remainder theorem. A missing row reads as a zero entry.
+        """
+        (a1, b1, c1), (a2, b2, c2) = self._abc(), other._abc()
+        c = c1 * c2 // gcd(c1, c2) if c1 and c2 else 0
+        if not (a1 and a2):
+            return IntLattice2(_hermite(0, 0, c))
+        big_a = a1 * a2 // gcd(a1, a2)
+        beta1, beta2 = big_a // a1 * b1, big_a // a2 * b2
+        g = gcd(c1, c2)
+        if g == 0:
+            return IntLattice2(_hermite(big_a, beta1, 0) if beta1 == beta2 else ())
+        t = g // gcd(g, beta1 - beta2)
+        if not (c1 and c2):  # one congruence is an equation
+            y = t * (beta2 if c1 else beta1)
+        else:  # y = t beta1 + c1 s with c1 s == t (beta2 - beta1) mod c2
+            m = c2 // g
+            y = t * beta1 + c1 * (t * (beta2 - beta1) // g * pow(c1 // g, -1, m) % m)
+        return IntLattice2(_hermite(t * big_a, y, c))
+
+    def _abc(self) -> tuple[int, int, int]:
+        """The (a, b, c) of this lattice's basis ((a, b), (0, c)), zeros for missing rows."""
+        a = b = c = 0
+        for x, y in self.basis:
+            if x:
+                a, b = x, y
+            else:
+                c = y
+        return a, b, c
 
     def swapped(self) -> "IntLattice2":
         """The image under (a, b) -> (b, a)."""
         return IntLattice2.from_rows([(b, a) for a, b in self.basis])
-
-    def project(self, coordinate: int) -> int:
-        """Nonnegative generator of the projection to one coordinate."""
-        g = 0
-        for row in self.basis:
-            g = gcd(g, row[coordinate])
-        return abs(g)
 
     def __str__(self) -> str:
         if not self.basis:
@@ -189,10 +189,11 @@ class IntLattice2(FrozenValue):
 def solve_power_equation(v: Word, w: Word) -> IntLattice2:
     """The lattice of all (m, k) in Z^2 with v**m == w**k.
 
-    Nontrivial v and w commute iff their primitive roots agree up to
-    inversion. If they do not, only (0, 0) solves. If they do, v = rho^c
-    and w = rho^d for the root rho of v, and the solutions form the line
-    spanned by (d/g, c/g), g = gcd(c, d).
+    Nontrivial v and w commute iff they are powers of one primitive root.
+    If they are not, only (0, 0) solves. If they are, v = rho^c for the
+    root rho of v, w = rho^d with d read by ``exponent_of_power`` (w is
+    not rooted), and the solutions form the line spanned by (d/g, c/g),
+    g = gcd(c, d).
     """
     if v.is_identity() and w.is_identity():
         return IntLattice2.full()
@@ -201,7 +202,7 @@ def solve_power_equation(v: Word, w: Word) -> IntLattice2:
     if w.is_identity():
         return IntLattice2.line((0, 1))
     rv = root(v)
-    c, d = rv.exponent, root(w).power_of(rv.base)
+    c, d = rv.exponent, exponent_of_power(w, rv.base)
     if d is None:
         return IntLattice2.zero()
     g = gcd(c, d)

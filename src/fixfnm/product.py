@@ -29,6 +29,7 @@ from .words import (
     LetterTally,
     ParseError,
     Word,
+    exponent_of_power,
     free_reduce,
     parse_word,
     render_word,
@@ -81,17 +82,19 @@ def _first_clash(rows: Sequence[Word], columns: Sequence[Word]) -> tuple[int, in
     """The first (i, j), 1-based and rows first, with rows[i] and columns[j] not commuting.
 
     Centralizers in free groups are cyclic, so nontrivial words commute iff
-    their primitive roots agree up to inversion; each word is rooted once.
+    they are powers of one primitive root. Only the first nontrivial
+    column is rooted; every other image is held against that root by
+    ``exponent_of_power``, one tuple comparison each.
     """
-    rooted = [(j, root(v)) for j, v in enumerate(columns, start=1) if not v.is_identity()]
-    if not rooted:
+    nontrivial = [(j, v) for j, v in enumerate(columns, start=1) if v.letters]
+    if not nontrivial:
         return None
-    first, base = rooted[0][0], rooted[0][1].base
-    other = next((j for j, r in rooted if r.power_of(base) is None), None)
+    first, base = nontrivial[0][0], root(nontrivial[0][1]).base
+    other = next((j for j, v in nontrivial if exponent_of_power(v, base) is None), None)
     for i, u in enumerate(rows, start=1):
-        if u.is_identity():
+        if not u.letters:
             continue
-        if root(u).power_of(base) is None:
+        if exponent_of_power(u, base) is None:
             return i, first
         if other is not None:
             return i, other
@@ -102,7 +105,8 @@ class ProductEndo(FrozenValue):
     """Endomorphism of F_n x F_m in block form; validated on construction.
 
     Commutation is tested per coordinate by ``_first_clash``, with one
-    primitive root per nontrivial image instead of n * m word products.
+    primitive root per coordinate and one power test per image instead of
+    n * m word products.
     """
 
     __slots__ = ("first_from_first", "first_from_second", "second_from_first", "second_from_second")
@@ -230,7 +234,7 @@ class TypeI(FrozenValue):
 
     def fixed_exponents(self) -> IntLattice2:
         """The pairs (p, q) with (first_base**p, second_base**q) fixed."""
-        return IntLattice2.from_rows(kernel_basis(self.exponent_matrix(), 2))
+        return IntLattice2(kernel_basis(self.exponent_matrix(), 2))
 
     def as_endo(self) -> ProductEndo:
         a = self.first_base.alphabet
@@ -417,24 +421,20 @@ def _power_family(from_first: tuple[Word, ...], from_second: tuple[Word, ...]) -
 
     Returns the sign-normalized root of the first nontrivial image and each
     block's exponents over it (0 for a trivial image), read by
-    ``Root.power_of`` with one ``root`` per nontrivial image; None when some
-    image is not such a power, or all are trivial.
+    ``exponent_of_power`` with one ``root`` for the whole coordinate; None
+    when some image is not such a power, or all are trivial.
     """
-    rho = None
-    exps: list[int] = []
-    for w in from_first + from_second:
-        if w.is_identity():
-            exps.append(0)
-            continue
-        r = root(w)
-        if rho is None:
-            rho = sign_normalized(r.base)
-        exponent = r.power_of(rho)
+    images = from_first + from_second
+    head = next((w for w in images if w.letters), None)
+    if head is None:
+        return None
+    rho = sign_normalized(root(head).base)
+    exps = []
+    for w in images:
+        exponent = exponent_of_power(w, rho)
         if exponent is None:
             return None
         exps.append(exponent)
-    if rho is None:
-        return None
     n = len(from_first)
     return rho, tuple(exps[:n]), tuple(exps[n:])
 
@@ -454,8 +454,10 @@ def _forced_family(from_first: tuple[Word, ...], from_second: tuple[Word, ...]) 
 def classify(e: ProductEndo) -> EndoType:
     """Sort a valid endomorphism into one of the seven shapes.
 
-    The zero blocks pick the shape. A coordinate fed by both factors is a
-    power family, as its blocks commute; ``_power_family`` reads it.
+    The zero blocks pick the shape, each tested only when a branch needs
+    it. A coordinate fed by both factors is a power family, as its blocks
+    commute; ``_power_family`` reads it with one primitive root for the
+    coordinate and one power test per image.
 
     Raises UnclassifiableEndo for the valid block patterns that fit none of
     them: the mirrors of shapes II, III, IV and V under the factor swap,
@@ -464,24 +466,22 @@ def classify(e: ProductEndo) -> EndoType:
     all 16 zero patterns this refuses about a quarter (154 of 640, all in
     those four patterns); ROADMAP item 1 classifies them through the mirror.
     """
-    z1 = e.first_from_first.is_trivial()
     z2 = e.second_from_first.is_trivial()
     z3 = e.first_from_second.is_trivial()
-    z4 = e.second_from_second.is_trivial()
     if z2 and z3:
         return TypeVI(e.first_from_first, e.second_from_second)
-    if z1 and z4:
-        return TypeVII(e.first_from_second, e.second_from_first)
-    if z1 and z2:
-        return TypeIV(e.first_from_second, e.second_from_second)
     second = (e.second_from_first.images, e.second_from_second.images)
-    if z1 and z3:
-        return TypeV(*_forced_family(*second), e.first_alphabet.rank)
-    if z1:
+    if e.first_from_first.is_trivial():
+        if e.second_from_second.is_trivial():
+            return TypeVII(e.first_from_second, e.second_from_first)
+        if z2:
+            return TypeIV(e.first_from_second, e.second_from_second)
+        if z3:
+            return TypeV(*_forced_family(*second), e.first_alphabet.rank)
         return TypeII(e.first_from_second, *_forced_family(*second))
     first = (e.first_from_first.images, e.first_from_second.images)
     if z2:
-        if z4:
+        if e.second_from_second.is_trivial():
             raise UnclassifiableEndo(
                 "first coordinate is a power family fed by both factors but "
                 "the second coordinate collapses; no shape covers this"

@@ -5,6 +5,7 @@ for the i-th generator, -i for its inverse. Alphabets carry a display letter
 ('a' and 'b' for the two direct factors, 'x' for presentation alphabets) so
 elements of different groups cannot be mixed up silently. `ball_products` is
 the one walker of reduced-word balls, behind `enumerate_ball` as well.
+`exponent_of_power` is the one power test; it roots neither of its words.
 """
 
 from __future__ import annotations
@@ -193,18 +194,6 @@ class Root(FrozenValue):
         set_field(self, "base", base)
         set_field(self, "exponent", exponent)
 
-    def power_of(self, rho: Word) -> int | None:
-        """The m with rho**m == base**exponent, for a primitive rho != 1, or None.
-
-        Roots are unique, so m is +-exponent when base is rho or rho^-1 and
-        there is none otherwise. rho^-1 is only built when base is not rho.
-        """
-        if self.base == rho:
-            return self.exponent
-        if self.base == rho.inverse():
-            return -self.exponent
-        return None
-
 
 def root(w: Word) -> Root:
     """Primitive root decomposition. root(1) = (1, 0), else exponent >= 1.
@@ -241,16 +230,29 @@ def exponent_of_power(x: Word, u: Word) -> int | None:
 
     When u == 1 != x there is no k; when x == 1 the answer is 0 (for u == 1
     as well, by convention the smallest choice).
+
+    Method: with u = c core c^-1 and core cyclically reduced, u**k reduces
+    to c core^k c^-1 for k > 0 and to c (core^-1)^-k c^-1 for k < 0. So
+    the length of x fixes |k|, its letter after c the sign (core[0] is not
+    the first letter of core^-1), and one tuple comparison settles it, in
+    O(|x| + |u|) with no root taken.
     """
-    if x.is_identity():
+    xs, us = x.letters, u.letters
+    if not xs:
         return 0
-    if u.is_identity():
+    c = _conjugator_length(us)
+    p = len(us) - 2 * c
+    n = len(xs) - 2 * c
+    if p == 0 or n <= 0 or n % p:
         return None
-    ru = root(u)
-    m = root(x).power_of(ru.base)
-    if m is None or m % ru.exponent:
+    core = us[c : c + p]
+    if xs[c] == core[0]:
+        k = n // p
+    elif xs[c] == -core[-1]:
+        k, core = -(n // p), _inverse(core)
+    else:
         return None
-    return m // ru.exponent
+    return k if xs == us[:c] + core * abs(k) + us[c + p :] else None
 
 
 def weighted_sum(w: Word, weights: Sequence[int]) -> int:
@@ -264,15 +266,17 @@ def weighted_sum(w: Word, weights: Sequence[int]) -> int:
     return sum((weights[x - 1] if x > 0 else -weights[-x - 1]) for x in w.letters)
 
 
-def shortlex_key(w: Word) -> tuple:
-    """Total order key: length first, then a1 < a1^-1 < a2 < a2^-1 < ..."""
-    return (len(w.letters), tuple((abs(x), 0 if x > 0 else 1) for x in w.letters))
-
-
 def sign_normalized(w: Word) -> Word:
-    """The shortlex-smaller of w and its inverse."""
-    inv = w.inverse()
-    return w if shortlex_key(w) <= shortlex_key(inv) else inv
+    """The shortlex-smaller of w and its inverse.
+
+    The first letter where w and w^-1 differ decides, in the order
+    a1 < a1^-1 < a2 < a2^-1 < ...; w^-1 is read off w from the back.
+    """
+    ls = w.letters
+    for x, y in zip(ls, reversed(ls)):
+        if x != -y:
+            return w if (abs(x), x < 0) < (abs(y), y > 0) else w.inverse()
+    return w
 
 
 def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:

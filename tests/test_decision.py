@@ -1,5 +1,6 @@
 """The decision procedure: curated behavior, guards, verdict plumbing."""
 
+import json
 import os
 import subprocess
 import sys
@@ -217,15 +218,18 @@ def test_witness_constructor_rejects_bad_witnesses():
 
 
 def test_witness_check_survives_optimized_mode():
-    # under -O the curated verdicts read as in a normal run, and a witness
+    # under -O the curated verdicts and two seeded random pairs per label
+    # (given on stdin as endo files) read as in a normal run, and a witness
     # that is not fixed is still refused
     script = """
-import sys
+import json, sys
 from fixfnm import Alphabet, CertificateError, ProductElement, Verdict, Word
-from fixfnm import TypeVI, curated_cases, decide, inner_hom, parse_word
+from fixfnm import TypeVI, curated_cases, decide, inner_hom, parse_endo_text, parse_word
 assert False, "asserts must be off"
 for case in curated_cases():
     print(decide(case.phi, case.psi, case.oracle()).describe())
+for phi, psi in json.load(sys.stdin):
+    print(decide(parse_endo_text(phi), parse_endo_text(psi)).describe())
 A, B = Alphabet(2, "a"), Alphabet(2, "b")
 phi = TypeVI(inner_hom(parse_word("a1", A)), inner_hom(parse_word("b1", B))).as_endo()
 try:
@@ -234,9 +238,16 @@ except CertificateError:
     sys.exit(0)
 sys.exit(1)
 """
+    rng = rng_for("optimized-mode")
+    pairs = [
+        tuple(shape.as_endo() for shape in _labelled_pair(rng, label))
+        for label in ALL_LABELS
+        for _ in range(2)
+    ]
     src = str(Path(fixfnm.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
+        input=json.dumps([[render_endo_text(e) for e in pair] for pair in pairs]),
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -244,6 +255,9 @@ sys.exit(1)
     assert done.returncode == 0, done.stderr
     expected = [decide(c.phi, c.psi, c.oracle()).describe() for c in curated_cases()]
     assert len(expected) == 36
+    random_verdicts = [decide(phi, psi) for phi, psi in pairs]
+    assert [v.trace[0] for v in random_verdicts] == [l for l in ALL_LABELS for _ in range(2)]
+    expected += [v.describe() for v in random_verdicts]
     assert done.stdout.splitlines() == expected
 
 

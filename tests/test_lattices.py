@@ -1,5 +1,7 @@
 import random
+from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 from fixfnm import IntLattice2, hnf_rows, kernel_basis
@@ -95,10 +97,107 @@ def test_hnf_membership_stable(rows):
     assert IntLattice2.from_rows(list(rows) * 2).basis == lat.basis
 
 
-def test_swap_and_project():
+def test_swapped():
     lat = IntLattice2.from_rows([(2, 3)])
     assert lat.swapped().basis == ((3, 2),)
-    assert lat.project(0) == 2
-    assert lat.project(1) == 3
-    assert IntLattice2.zero().project(0) == 0
-    assert IntLattice2.full().project(1) == 1
+    assert IntLattice2.full().swapped() == IntLattice2.full()
+
+
+BOX = range(-12, 13)
+
+
+def _in_hermite(basis, x, y):
+    """Membership in the lattice of a basis ((a, b), (0, c)) in canonical form, by hand."""
+    a = b = c = 0
+    for p, q in basis:
+        if p:
+            a, b = p, q
+        else:
+            c = q
+    if a:
+        if x % a:
+            return False
+        y -= x // a * b
+    elif x:
+        return False
+    return y % c == 0 if c else y == 0
+
+
+def _span_in_box(rows, reach=36):
+    """Points of |x|, |y| <= reach that ±rows reach from 0 without leaving
+    that box: all of them lie in the lattice the rows generate."""
+    steps = [r for r in rows if r != (0, 0)]
+    steps += [(-x, -y) for x, y in steps]
+    seen, todo = {(0, 0)}, [(0, 0)]
+    while todo:
+        x, y = todo.pop()
+        for dx, dy in steps:
+            p = (x + dx, y + dy)
+            if p not in seen and abs(p[0]) <= reach and abs(p[1]) <= reach:
+                seen.add(p)
+                todo.append(p)
+    return seen
+
+
+def _random_rows(rng, count):
+    # a third of the rows on the vertical axis, to reach the rank-one cases
+    return [
+        (0 if rng.random() < 0.3 else rng.randint(-5, 5), rng.randint(-5, 5))
+        for _ in range(count)
+    ]
+
+
+def test_hermite_basis_spans_exactly_the_rows_lattice():
+    rng = random.Random("fixfnm:hnf-box")
+    for _ in range(60):
+        rows = _random_rows(rng, rng.randint(0, 3))
+        basis = hnf_rows(rows, 2)
+        for i, (p, q) in enumerate(basis):
+            pivot = p if p else q
+            assert pivot > 0 and (p == 0 or i == 0), basis
+            assert len(basis) == 1 or 0 <= basis[0][1] < basis[1][1], basis
+        reached = _span_in_box(rows)
+        for x in BOX:
+            for y in BOX:
+                assert ((x, y) in reached) == _in_hermite(basis, x, y), (rows, basis, x, y)
+
+
+def test_kernel_vectors_are_primitive_and_complete():
+    rng = random.Random("fixfnm:kernel-box")
+    for _ in range(150):
+        m = _random_rows(rng, rng.randint(0, 3))
+        if rng.random() < 0.3 and m:  # a dependent second row
+            k = rng.choice((-2, -1, 2, 3))
+            m.append((k * m[0][0], k * m[0][1]))
+        kern = kernel_basis(m, 2)
+        for v in kern:
+            assert all(p * v[0] + q * v[1] == 0 for p, q in m), (m, v)
+            assert gcd(*v) == 1, (m, v)
+        for x in BOX:
+            for y in BOX:
+                killed = all(p * x + q * y == 0 for p, q in m)
+                assert killed == _in_hermite(kern, x, y), (m, kern, x, y)
+
+
+def test_intersection_is_exact_on_a_box():
+    rng = random.Random("fixfnm:intersect-box")
+    for _ in range(150):
+        first = IntLattice2.from_rows(_random_rows(rng, rng.randint(0, 2)))
+        second = IntLattice2.from_rows(_random_rows(rng, rng.randint(0, 2)))
+        both = first.intersect(second)
+        assert both == second.intersect(first)
+        assert both.basis == hnf_rows(both.basis, 2)  # canonical
+        for x in BOX:
+            for y in BOX:
+                expected = _in_hermite(first.basis, x, y) and _in_hermite(second.basis, x, y)
+                assert _in_hermite(both.basis, x, y) == expected, (first, second, both, x, y)
+
+
+@pytest.mark.parametrize("ncols", [1, 3])
+def test_only_two_columns_are_accepted(ncols):
+    with pytest.raises(ValueError):
+        hnf_rows([(1,) * ncols], ncols)
+    with pytest.raises(ValueError):
+        kernel_basis([(1,) * ncols], ncols)
+    with pytest.raises(ValueError):
+        hnf_rows([(1, 2, 3)], 2)

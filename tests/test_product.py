@@ -31,6 +31,8 @@ from fixfnm import (
     permutation_hom,
     product_identity,
     render_endo_text,
+    root,
+    sign_normalized,
     trivial_hom,
 )
 from fixfnm.words import MAX_FILE_LETTERS
@@ -219,6 +221,49 @@ def test_shape_round_trip(payload):
     back = classify(payload.as_endo())
     assert back == payload
     assert back.label == payload.label
+
+
+def _negated(weights):
+    return tuple(-w for w in weights)
+
+
+# conjugated primitive bases, each the shortlex-smaller of itself and its inverse
+CONJUGATED_A = parse_word("a2 a1 a2 a1^-1 a2^-1", A)
+CONJUGATED_B = parse_word("b1^2 b2 b1^-2", B)
+SWAP_BLOCK = FreeHom(B, A, (wa("a1"), wa("a2 a1")))
+
+
+@pytest.mark.parametrize(
+    "payload, expected",
+    [
+        (
+            TypeI(U.inverse(), V, (1, -2), (0, 3), (2, 0), (0, -1)),
+            TypeI(U, V, (-1, 2), (0, -3), (2, 0), (0, -1)),
+        ),
+        (
+            TypeI(CONJUGATED_A, CONJUGATED_B.inverse(), (0, 2), (1, 0), (0, -3), (2, 1)),
+            TypeI(CONJUGATED_A, CONJUGATED_B, (0, 2), (1, 0), (0, 3), (-2, -1)),
+        ),
+        (
+            TypeII(SWAP_BLOCK, CONJUGATED_B.inverse(), (0, -1), (-3, 2)),
+            TypeII(SWAP_BLOCK, CONJUGATED_B, (0, 1), (3, -2)),
+        ),
+        (
+            TypeIII(CONJUGATED_A.inverse(), (2, 1), (1, 0), inner_hom(wb("b1"))),
+            TypeIII(CONJUGATED_A, (-2, -1), (-1, 0), inner_hom(wb("b1"))),
+        ),
+        (
+            TypeV(V.inverse(), (0, -3), (1, 0), 2),
+            TypeV(V, (0, 3), (-1, 0), 2),
+        ),
+    ],
+)
+def test_inverted_bases_come_back_sign_normalized(payload, expected):
+    for base in (U, V, CONJUGATED_A, CONJUGATED_B):
+        assert sign_normalized(base) == base and root(base).exponent == 1
+    back = classify(payload.as_endo())
+    assert back == expected
+    assert back.as_endo() == payload.as_endo()
 
 
 def test_type_iii_subcase_labels():

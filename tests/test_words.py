@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from fixfnm import (
     parse_word,
     render_word,
     root,
+    sign_normalized,
     solve_power_equation,
     weighted_sum,
     word,
@@ -154,12 +156,92 @@ def test_exponent_of_power():
     assert exponent_of_power(u, Word(A)) is None
 
 
-def test_root_power_of():
+def _power_by_root(x, u):
+    """The k with x == u**k read from primitive roots, or None: roots are
+    unique, so x is a power of u iff their roots agree up to inversion."""
+    if x.is_identity():
+        return 0
+    if u.is_identity():
+        return None
+    rx, ru = root(x), root(u)
+    if rx.base == ru.base:
+        m = rx.exponent
+    elif rx.base == ru.base.inverse():
+        m = -rx.exponent
+    else:
+        return None
+    return m // ru.exponent if m % ru.exponent == 0 else None
+
+
+def _near_misses(rng, target):
+    """Reduced words that share target's length with its first and last
+    letters, its length and first letter only, or its letters but one more."""
+    ls = list(target.letters)
+    alphabet = target.alphabet
+    letters = [x for i in range(1, alphabet.rank + 1) for x in (i, -i)]
+    out = []
+    for lo, hi in ((1, len(ls) - 1), (len(ls) - 1, len(ls))):
+        if lo >= hi:
+            continue
+        i = rng.randrange(lo, hi)
+        neighbours = {ls[i], -ls[i - 1]} | ({-ls[i + 1]} if i + 1 < len(ls) else set())
+        changed = ls[:i] + [rng.choice([x for x in letters if x not in neighbours])] + ls[i + 1:]
+        out.append(Word(alphabet, tuple(changed)))
+    out.append(word(alphabet, ls + [rng.choice(letters)]))
+    return out
+
+
+def test_power_test_matches_root_based_powers():
     u = wparse("a2 a1 a2^-1")  # primitive
-    assert root(u**4).power_of(u) == 4
-    assert root(u**-2).power_of(u) == -2
-    assert root(u**3).power_of(u.inverse()) == -3
-    assert root(a1 * a2).power_of(u) is None
+    assert exponent_of_power(u**4, u) == 4
+    assert exponent_of_power(u**-2, u) == -2
+    assert exponent_of_power(u**3, u.inverse()) == -3
+    assert exponent_of_power(a1 * a2, u) is None
+    # w = 1 is u**0 for every u, the identity included
+    assert exponent_of_power(Word(A), u) == 0
+    assert exponent_of_power(Word(A), Word(A)) == 0
+
+    A3 = Alphabet(3, "a")
+    rng = random.Random("fixfnm:power-test")
+    seen = {"conjugated": 0, "negative": 0, "near_miss": 0, "identity": 0}
+
+    def rand(n):
+        return word(A3, [rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(n)])
+
+    for _ in range(3000):
+        u = rand(rng.randint(1, 4)) ** rng.randint(1, 3)
+        c = rand(rng.randint(1, 3))
+        u = u.conjugated_by(c)
+        if u.is_identity():
+            continue
+        if cyclic_reduce(u)[1].letters:
+            seen["conjugated"] += 1
+        k = rng.randint(-6, 6)
+        for x in (root(u).base ** k, u**k, rand(rng.randint(0, 9))):
+            assert exponent_of_power(x, u) == _power_by_root(x, u), (x, u)
+            seen["negative"] += (exponent_of_power(x, u) or 0) < 0
+            seen["identity"] += x.is_identity()
+        if k:
+            for x in _near_misses(rng, u**k):
+                assert exponent_of_power(x, u) == _power_by_root(x, u), (x, u)
+                seen["near_miss"] += _power_by_root(x, u) is None
+    assert min(seen.values()) > 100, seen
+
+
+def _shortlex_key(w):
+    """Length first, then a1 < a1^-1 < a2 < a2^-1 < ... letter by letter."""
+    return (len(w.letters), tuple((abs(x), 0 if x > 0 else 1) for x in w.letters))
+
+
+def test_sign_normalized_is_the_shortlex_smaller():
+    rng = random.Random("fixfnm:sign-normalized")
+    ball = list(enumerate_ball(A, 5))
+    longer = [word(A, [rng.choice((1, -1, 2, -2)) for _ in range(20)]) for _ in range(300)]
+    for w in ball + longer + [v * v.inverse().conjugated_by(a1) for v in ball[:50]]:
+        smaller = min(w, w.inverse(), key=_shortlex_key)
+        assert sign_normalized(w) == smaller, w
+        assert sign_normalized(w.inverse()) == smaller, w
+
 
 def test_commute_iff_common_root():
     u = wparse("a1 a2")
