@@ -27,7 +27,6 @@ _EXPORTS = {
         "MissingOracle",
         "PairedPowers",
         "PowerGraph",
-        "TrivialFix",
         "fix_product",
     ),
     "homs": (
@@ -96,7 +95,6 @@ _EXPORTS = {
         "Root",
         "Word",
         "ball_size",
-        "commute",
         "cyclic_reduce",
         "enumerate_ball",
         "exponent_of_power",

@@ -1,17 +1,19 @@
 """Fixed subgroups: free-factor oracles and product fix descriptors.
 
-The free-factor oracle computes the fixed subgroup of a component map for
-the identity, the trivial map, basis permutations and conjugations. Any
-other map must be declared with a basis of its fixed subgroup; a
-declaration is checked for soundness and, with an audit radius, against
-every fixed word of a ball. An undeclared map outside those four families
-raises MissingOracle: the general algorithm for automorphisms (Bogopolski
-and Maslakova, IJAC 26, 2016) is not implemented.
+The free-factor oracle answers from two sources, in this order: the
+declarations it was given, then the recognized families, which are the
+trivial map, basis permutations (the identity among them) and
+conjugations. A declaration names a basis of the map's fixed subgroup; it
+is checked for soundness and, with an audit radius, against every fixed
+word of a ball. Any other map raises MissingOracle: the general algorithm
+for automorphisms (Bogopolski and Maslakova, IJAC 26, 2016) is not
+implemented.
 
 For endomorphisms of the product the fixed subgroup is described
-structurally, one descriptor class per shape of answer: TrivialFix,
-FactorProduct (shape VI), PairedPowers (shapes I, II and V), HomGraph
-(shapes IV and VII) and PowerGraph (shape III). A descriptor holds
+structurally, one descriptor class per shape of answer: FactorProduct
+(shape VI), PairedPowers (shapes I, II and V; a zero lattice of exponents
+is the trivial answer), HomGraph (shapes IV and VII) and PowerGraph
+(shape III). A descriptor holds
 the words, weights and free-group homs of its formula, not subgroup graphs:
 it asks the oracle for the fixed subgroups of those homs only when a
 description or a meet needs them. Every descriptor decides membership by
@@ -51,10 +53,8 @@ from .stallings import (
     from_generators,
     restricted_kernel_trivial,
     trivial_subgroup,
-    whole_group,
 )
 from .words import (
-    Alphabet,
     Word,
     _conjugator_length,
     _inverse,
@@ -69,6 +69,10 @@ from .words import (
 
 # the ball radius on which the CLI and the curated cases audit each declaration
 AUDIT_RADIUS = 4
+
+
+def _is_fixed(h: FreeHom, w: Word) -> bool:
+    return h.image_letters(w.letters) == w.letters
 
 
 class DeclaredEndo(FrozenValue):
@@ -89,7 +93,7 @@ class DeclaredEndo(FrozenValue):
         for w in fix_basis:
             if w.alphabet != endo.source:
                 raise ValueError(f"declared basis word {w} is not a word over {endo.source}")
-            if endo.image_letters(w.letters) != w.letters:
+            if not _is_fixed(endo, w):
                 raise ValueError(f"declared basis word {render_word(w)} is not fixed")
         set_field(self, "endo", endo)
         set_field(self, "fix_basis", fix_basis)
@@ -157,36 +161,34 @@ def _detect_inner(h: FreeHom) -> Word | None:
 
 
 class FixOracle:
-    """Table of free-group endomorphisms with known fixed subgroups.
+    """The fixed subgroups of free-group endomorphisms, from two sources.
 
-    Query with fix(h). Identity, trivial, basis-permutation and inner
-    endomorphisms are recognized without declaration.
+    fix(h) is the declared subgroup if h was declared, else the one
+    recognized for the trivial map, a basis permutation (the identity is
+    the one that moves nothing) or a conjugation, else MissingOracle.
+    Nothing is memoised: a query hashes h once.
     """
 
     def __init__(self, declared: tuple[DeclaredEndo, ...] | list[DeclaredEndo] = ()):
-        self._known: dict[FreeHom, SubgroupGraph] = {}
+        self._declared: dict[FreeHom, SubgroupGraph] = {}
         for d in declared:
             self.declare(d)
 
     def declare(self, declared: DeclaredEndo) -> None:
-        self._known[declared.endo] = declared.fix_graph()
+        self._declared[declared.endo] = declared.fix_graph()
 
     def fix(self, h: FreeHom) -> SubgroupGraph:
         if h.source != h.target:
             raise ValueError("fixed subgroups are only defined for endomorphisms")
-        hit = self._known.get(h)
-        if hit is not None:
-            return hit
-        found = self._recognize(h)
+        found = self._declared.get(h)
         if found is None:
-            raise MissingOracle(h)
-        self._known[h] = found
+            found = self._recognize(h)
+            if found is None:
+                raise MissingOracle(h)
         return found
 
     @staticmethod
     def _recognize(h: FreeHom) -> SubgroupGraph | None:
-        if h.is_identity():
-            return whole_group(h.source)
         if h.is_trivial():
             return trivial_subgroup(h.source)
         perm = h.as_permutation()
@@ -194,12 +196,8 @@ class FixOracle:
             # one vertex, with a loop at each fixed generator
             table = (tuple(0 if p == i else -1 for i, p in enumerate(perm, start=1)),)
             return SubgroupGraph(h.source, table, table)
-        z = _detect_inner(h)
-        if z is not None:
-            if z.is_identity():
-                return whole_group(h.source)
-            return from_generators([root(z).base])
-        return None
+        z = _detect_inner(h)  # never 1 here: the identity is a permutation
+        return None if z is None else from_generators([root(z).base])
 
 
 # --- fixed subgroups of product endomorphisms -------------------------------
@@ -208,10 +206,6 @@ class FixOracle:
 # meet_diagonal, branches 1.x) or a swapping phi (shape VII, meet_swap,
 # branches 2.x), where phi's blocks are called to_first: F_m -> F_n and
 # to_second: F_n -> F_m.
-
-
-def _is_fixed(h: FreeHom, w: Word) -> bool:
-    return h.image_letters(w.letters) == w.letters
 
 
 def _power_witness(u: Word, v: Word, exponents: IntLattice2) -> ProductElement | None:
@@ -223,26 +217,6 @@ def _power_witness(u: Word, v: Word, exponents: IntLattice2) -> ProductElement |
     return None
 
 
-class TrivialFix(FrozenValue):
-    __slots__ = ("first_alphabet", "second_alphabet")
-
-    def __init__(self, first_alphabet: Alphabet, second_alphabet: Alphabet):
-        set_field(self, "first_alphabet", first_alphabet)
-        set_field(self, "second_alphabet", second_alphabet)
-
-    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
-        return g.is_identity()
-
-    def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
-        return None
-
-    def meet_swap(self, vii: TypeVII, oracle: FixOracle) -> ProductElement | None:
-        return None
-
-    def describe(self, oracle: FixOracle) -> str:
-        return "trivial"
-
-
 class FactorProduct(FrozenValue):
     """Fix(first) x Fix(second), for endomorphisms first and second of the factors."""
 
@@ -252,7 +226,7 @@ class FactorProduct(FrozenValue):
         set_field(self, "first", first)
         set_field(self, "second", second)
 
-    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
+    def contains(self, g: ProductElement) -> bool:
         return _is_fixed(self.first, g.first) and _is_fixed(self.second, g.second)
 
     def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
@@ -286,7 +260,7 @@ class PairedPowers(FrozenValue):
         set_field(self, "second_base", second_base)
         set_field(self, "exponents", exponents)
 
-    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
+    def contains(self, g: ProductElement) -> bool:
         # a trivial base leaves its exponent free: widen the lattice along it
         lattice, point = self.exponents, []
         bases = ((g.first, self.first_base, (1, 0)), (g.second, self.second_base, (0, 1)))
@@ -334,6 +308,8 @@ class PairedPowers(FrozenValue):
         return _power_witness(u, v, lattice)
 
     def describe(self, oracle: FixOracle) -> str:
+        if self.exponents.is_trivial():
+            return "trivial"
         u, v = render_word(self.first_base), render_word(self.second_base)
         return f"powers (({u})^p, ({v})^q) with (p, q) in {self.exponents}"
 
@@ -357,7 +333,7 @@ class HomGraph(FrozenValue):
     def _pair(self, x: Word, hx: Word) -> ProductElement:
         return ProductElement(hx, x) if self._from_second() else ProductElement(x, hx)
 
-    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
+    def contains(self, g: ProductElement) -> bool:
         x, hx = (g.second, g.first) if self._from_second() else (g.first, g.second)
         return _is_fixed(self.domain_endo, x) and self.hom.apply(x) == hx
 
@@ -453,7 +429,7 @@ class PowerGraph(FrozenValue):
         set_field(self, "drag", drag)
         set_field(self, "theta", theta)
 
-    def contains(self, g: ProductElement, oracle: FixOracle) -> bool:
+    def contains(self, g: ProductElement) -> bool:
         total = weighted_sum(g.second, self.second_weights)
         u, drag = self.first_base, self.drag
         if drag == 0:
@@ -517,7 +493,7 @@ class PowerGraph(FrozenValue):
         )
 
 
-FixDescriptor = Union[TrivialFix, FactorProduct, PairedPowers, HomGraph, PowerGraph]
+FixDescriptor = Union[FactorProduct, PairedPowers, HomGraph, PowerGraph]
 
 
 def fix_product(e: ProductEndo, shape: EndoType | None = None) -> FixDescriptor:
@@ -533,7 +509,7 @@ def fix_product(e: ProductEndo, shape: EndoType | None = None) -> FixDescriptor:
         return PairedPowers(shape.first_base, shape.second_base, shape.fixed_exponents())
     if isinstance(shape, TypeII):
         if shape.gain() != 1:
-            return TrivialFix(a, b)
+            return PairedPowers(Word(a), Word(b), IntLattice2.zero())
         # (h(v)^k, v^k) = (r^(ek), v^k) for h(v) = r^e with r primitive
         r = root(shape.first_from_second.apply(shape.second_base))
         return PairedPowers(r.base, shape.second_base, IntLattice2.line((r.exponent, 1)))
@@ -544,7 +520,7 @@ def fix_product(e: ProductEndo, shape: EndoType | None = None) -> FixDescriptor:
         return HomGraph(shape.second_from_second, shape.first_from_second)
     if isinstance(shape, TypeV):
         if weighted_sum(shape.second_base, shape.second_b_weights) != 1:
-            return TrivialFix(a, b)
+            return PairedPowers(Word(a), Word(b), IntLattice2.zero())
         return PairedPowers(Word(a), shape.second_base, IntLattice2.line((0, 1)))
     if isinstance(shape, TypeVI):
         return FactorProduct(shape.first, shape.second)

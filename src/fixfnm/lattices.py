@@ -31,9 +31,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _check_two_columns(rows: Sequence[Sequence[int]], ncols: int) -> None:
-    if ncols != 2:
-        raise ValueError(f"lattices here live in Z^2, not Z^{ncols}")
+def _check_two_columns(rows: Sequence[Sequence[int]]) -> None:
     for row in rows:
         if len(row) != 2:
             raise ValueError(f"expected rows of length 2, got {len(row)}")
@@ -48,7 +46,7 @@ def _hermite(a: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
     return ((a, b),) if a else ()
 
 
-def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
+def hnf_rows(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Canonical Hermite basis (as rows) of the lattice the rows generate.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
@@ -57,11 +55,11 @@ def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> tuple[tuple[int, ...]
     The running basis is ((a, b), (0, c)). A row (x, y) with x != 0 merges
     into the first row by one extended gcd g = s a + t x: the unimodular
     change (s, t; -x/g, a/g) turns the two rows into (g, s b + t y) and
-    (0, (x/g) b - (a/g) y), and the second joins c by a gcd. Only ncols 2
-    is accepted; other widths raise ValueError.
+    (0, (x/g) b - (a/g) y), and the second joins c by a gcd. A row whose
+    length is not 2 raises ValueError.
     """
     rows = list(rows)
-    _check_two_columns(rows, ncols)
+    _check_two_columns(rows)
     a = b = c = 0
     for x, y in rows:
         if x == 0:
@@ -76,16 +74,16 @@ def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> tuple[tuple[int, ...]
     return _hermite(a, b, c)
 
 
-def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
+def kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Basis of {v in Z^2 : M v = 0} for an integer matrix M with two columns.
 
     Three answers: all of Z^2 when M = 0 (or has no rows); nothing when two
     rows are independent; otherwise the primitive line orthogonal to the
     first nonzero row (p, q), spanned by (q, -p) / gcd(p, q). The basis
-    is in the canonical form of ``hnf_rows``. Only ncols 2 is accepted;
-    other widths raise ValueError.
+    is in the canonical form of ``hnf_rows``. A row whose length is not 2
+    raises ValueError.
     """
-    _check_two_columns(matrix, ncols)
+    _check_two_columns(matrix)
     nonzero = [(p, q) for p, q in matrix if p or q]
     if not nonzero:
         return ((1, 0), (0, 1))
@@ -109,7 +107,7 @@ class IntLattice2(FrozenValue):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntLattice2":
-        return cls(tuple((r[0], r[1]) for r in hnf_rows(rows, 2)))
+        return cls(tuple((r[0], r[1]) for r in hnf_rows(rows)))
 
     @classmethod
     def zero(cls) -> "IntLattice2":

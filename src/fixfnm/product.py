@@ -234,7 +234,7 @@ class TypeI(FrozenValue):
 
     def fixed_exponents(self) -> IntLattice2:
         """The pairs (p, q) with (first_base**p, second_base**q) fixed."""
-        return IntLattice2(kernel_basis(self.exponent_matrix(), 2))
+        return IntLattice2(kernel_basis(self.exponent_matrix()))
 
     def as_endo(self) -> ProductEndo:
         a = self.first_base.alphabet

@@ -34,6 +34,7 @@ from .product import (
     TypeV,
     TypeVI,
     TypeVII,
+    classify,
 )
 from .stallings import SubgroupGraph
 from .words import (
@@ -153,11 +154,10 @@ class MihailovaInstance(FrozenValue):
         whether the cap falls short of the budget); a hit certifies
         nontriviality, a miss proves nothing.
         """
-        oracle = FixOracle()
         for candidate in islice(ball_products(self.subgroup_generators, budget), SEARCH_CAP):
             if candidate.is_identity():
                 continue
-            if self.fix.contains(candidate, oracle):
+            if self.fix.contains(candidate):
                 return candidate
         return None
 
@@ -245,8 +245,6 @@ def reduce_pair_to_equalizer(
     the two first blocks; restricting f and g to a basis of K makes that an
     equalizer question over a free group of rank rank(K).
     """
-    from .product import classify
-
     if oracle is None:
         oracle = FixOracle()
     shape_phi = classify(phi)

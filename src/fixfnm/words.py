@@ -221,10 +221,6 @@ def root(w: Word) -> Root:
     raise AssertionError("unreachable: full length always a period")
 
 
-def commute(u: Word, v: Word) -> bool:
-    return u * v == v * u
-
-
 def exponent_of_power(x: Word, u: Word) -> int | None:
     """The integer k with x == u**k, or None if there is none.
 

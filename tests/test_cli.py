@@ -84,6 +84,9 @@ def test_fix_output(diag, capsys):
     out = capsys.readouterr().out
     assert "shape: VI" in out
     assert "trivial: no" in out
+    # shape I with a zero exponent lattice: the identity alone is fixed
+    assert main(["fix", str(DATA / "powerpair.endo")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["shape: I", "trivial", "trivial: yes"]
 
 
 def test_fix_needs_oracle_for_unknown_components(tmp_path, capsys):

@@ -15,17 +15,18 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "scripts" / "data"
 
 # fixfnm.__all__ before the worked instances of fixfnm.suite became lazy, less
-# FactorSubgroup, which fix_product never returned, and with PowerGraph in
-# place of the two shape III descriptors it merges
+# FactorSubgroup, which fix_product never returned, with PowerGraph in place
+# of the two shape III descriptors it merges, and less TrivialFix (now
+# PairedPowers with a zero lattice) and commute
 PUBLIC_NAMES = {
     "Alphabet", "BallSpec", "CertificateError", "CommutationViolation", "CuratedCase",
     "DeclaredEndo", "EndoType", "EqualizerReduction", "FactorProduct",
     "FixDescriptor", "FixOracle", "FreeHom", "HomGraph", "IntLattice2",
     "MihailovaInstance", "MissingOracle", "PairedPowers", "ParseError", "PowerGraph",
-    "Presentation", "ProductElement", "ProductEndo", "Root", "SubgroupGraph", "TrivialFix",
+    "Presentation", "ProductElement", "ProductEndo", "Root", "SubgroupGraph",
     "TypeI", "TypeII", "TypeIII", "TypeIV", "TypeV", "TypeVI", "TypeVII",
     "UnclassifiableEndo", "UnsupportedShape", "Verdict", "Word", "ball_size",
-    "bounded_equalizer", "classify", "common_fixed_points", "commute",
+    "bounded_equalizer", "classify", "common_fixed_points",
     "congruence_subgroup", "curated_cases", "cyclic_reduce", "decide", "decision",
     "embed_equalizer", "enumerate_ball", "enumerate_product_ball", "exponent_of_power",
     "express_in_generators", "fix_product", "fixed_points", "fixed_words", "fixpoints",

@@ -28,7 +28,6 @@ from fixfnm import (
     ProductEndo,
     Root,
     SubgroupGraph,
-    TrivialFix,
     TypeI,
     TypeII,
     TypeIII,
@@ -80,7 +79,6 @@ FACTORIES = {
     TypeVI: lambda: TypeVI(identity_hom(A), identity_hom(B)),
     TypeVII: lambda: TypeVII(RELAB_BA, RELAB_AB),
     DeclaredEndo: lambda: DeclaredEndo(identity_hom(A), (A1, A2)),
-    TrivialFix: lambda: TrivialFix(A, B),
     FactorProduct: lambda: FactorProduct(inner_hom(A1), inner_hom(B1)),
     PairedPowers: lambda: PairedPowers(A1, B1, IntLattice2.full()),
     HomGraph: lambda: HomGraph(inner_hom(B1), RELAB_BA),
@@ -100,15 +98,17 @@ FACTORIES = {
 }
 RECORDS = sorted(FACTORIES, key=lambda cls: cls.__name__)
 
-# PowerGraph is checked in both of its shapes, under the names of the two
-# records it replaced: drag 0 (a power cylinder) and drag != 0 (an exponent graph)
-POWER_SHAPES = {
-    "PowerCylinder": lambda: PowerGraph(A1, (1, 0), 0, inner_hom(B1)),
-    "ExponentGraph": FACTORIES[PowerGraph],
+# Shapes checked under the names of the records they replaced: PowerGraph at
+# drag 0 (a power cylinder) and drag != 0 (an exponent graph), and PairedPowers
+# with a zero lattice (the trivial answer)
+REPLACED = {
+    "PowerCylinder": (PowerGraph, lambda: PowerGraph(A1, (1, 0), 0, inner_hom(B1))),
+    "ExponentGraph": (PowerGraph, FACTORIES[PowerGraph]),
+    "TrivialFix": (PairedPowers, lambda: PairedPowers(Word(A), Word(B), IntLattice2.zero())),
 }
 CASES = sorted(
     [(cls.__name__, cls, FACTORIES[cls]) for cls in RECORDS if cls is not PowerGraph]
-    + [(name, PowerGraph, make) for name, make in POWER_SHAPES.items()]
+    + [(name, cls, make) for name, (cls, make) in REPLACED.items()]
 )
 CASES = [pytest.param(cls, make, id=name) for name, cls, make in CASES]
 
@@ -118,7 +118,7 @@ def _fields(cls):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 26
 
 
 @pytest.mark.parametrize("cls, make", CASES)
