@@ -67,7 +67,6 @@ _EXPORTS = {
         "render_endo_text",
     ),
     "stallings": (
-        "CertificateError",
         "SubgroupGraph",
         "congruence_subgroup",
         "express_in_generators",
@@ -91,6 +90,7 @@ _EXPORTS = {
     ),
     "words": (
         "Alphabet",
+        "CertificateError",
         "ParseError",
         "Root",
         "Word",

@@ -21,8 +21,7 @@ from .fixpoints import AUDIT_RADIUS, DeclaredEndo, FixOracle, MissingOracle, fix
 from .homs import _content_lines, parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
 from .product import UnclassifiableEndo, classify, identity_endo, parse_endo_text
-from .stallings import CertificateError
-from .words import LetterTally, ParseError, parse_word, render_word
+from .words import CertificateError, LetterTally, ParseError, parse_word, render_word
 
 
 def _add_declare(sp: argparse.ArgumentParser) -> None:

@@ -23,7 +23,7 @@ from typing import Optional
 from ._value import FrozenValue, set_field
 from .fixpoints import FixOracle, fix_product
 from .product import ProductElement, ProductEndo, TypeVI, TypeVII, classify
-from .stallings import CertificateError
+from .words import CertificateError
 
 # second digit of the trace label, by the shape of psi
 _BRANCH = {

@@ -46,7 +46,6 @@ from .product import (
     classify,
 )
 from .stallings import (
-    CertificateError,
     Preimage,
     SubgroupGraph,
     congruence_subgroup,
@@ -55,6 +54,7 @@ from .stallings import (
     trivial_subgroup,
 )
 from .words import (
+    CertificateError,
     Word,
     _conjugator_length,
     _inverse,
@@ -170,12 +170,7 @@ class FixOracle:
     """
 
     def __init__(self, declared: tuple[DeclaredEndo, ...] | list[DeclaredEndo] = ()):
-        self._declared: dict[FreeHom, SubgroupGraph] = {}
-        for d in declared:
-            self.declare(d)
-
-    def declare(self, declared: DeclaredEndo) -> None:
-        self._declared[declared.endo] = declared.fix_graph()
+        self._declared = {d.endo: d.fix_graph() for d in declared}
 
     def fix(self, h: FreeHom) -> SubgroupGraph:
         if h.source != h.target:
@@ -340,32 +335,43 @@ class HomGraph(FrozenValue):
     def _meet_through(self, k: SubgroupGraph, fixed: SubgroupGraph) -> ProductElement | None:
         """The member (x, h(x)) for some x != 1 in ``k`` with h(x) in ``fixed``, or None.
 
-        One named fold, ``Preimage(k, h)``, gives the image h(k) and the lift
-        from h(k) back into k. A nontrivial meet of h(k) with ``fixed`` is
-        lifted. Otherwise only the kernel of h on k is left. If h keeps the
-        rank of k it is injective there (free groups are Hopfian). If the rank
-        drops, the lift, a homomorphism that h undoes, is not onto k, so some
-        basis word g of k differs from the lift of h(g), and g times that
-        lift's inverse is killed by h (Stallings 1983; Kapovich-Myasnikov 2002).
+        A trivial k meets nothing. Otherwise beta = ``k.basis_hom()`` and one
+        named fold, ``Preimage(beta.then(h))``, give the image h(k) and the
+        lift from h(k) back into k, read through beta and checked against k.
+        A nontrivial meet of h(k) with ``fixed`` is lifted. Otherwise only
+        the kernel of h on k is left. If h keeps the rank of k it is
+        injective there (free groups are Hopfian). If the rank drops, the
+        lift, a homomorphism that h undoes, is not onto k, so some basis
+        word g of k differs from the lift of h(g), and g times that lift's
+        inverse is killed by h (Stallings 1983; Kapovich-Myasnikov 2002).
         """
-        h = self.hom
-        pre = Preimage(k, h)
+        if k.is_trivial():
+            return None
+        h, beta = self.hom, k.basis_hom()
+        pre = Preimage(beta.then(h))
+
+        def lift(target: Word) -> Word:
+            # every target below lies in h(k), so a missing lift is a fault
+            x = pre.lift(target)
+            if x is not None:
+                x = beta.apply(x)
+                if k.contains(x):
+                    return x
+            raise CertificateError(f"no lift of {render_word(target)} into K through {h}")
+
         img = pre.image()
         j = img.intersect(fixed)
         if not j.is_trivial():
             target = next(j.basis_words())
-            x = pre.lift(target)
-            if x is not None:
-                return self._pair(x, target)
-        elif img.rank == k.rank:
+            return self._pair(lift(target), target)
+        if img.rank == k.rank:
             return None
-        else:
-            for g in k.basis_words():
-                back = pre.lift(h.apply(g))
-                if back is not None and back != g:
-                    y = g * back.inverse()
-                    return self._pair(y, h.apply(y))
-        raise CertificateError(f"no lift through {h} where one must exist")
+        for g, hg in zip(beta.images, pre.h.images):
+            back = lift(hg)
+            if back != g:
+                y = g * back.inverse()
+                return self._pair(y, h.apply(y))
+        raise CertificateError(f"{h} drops the rank of K but kills nothing in it")
 
     def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
         """Branches 1.5 (shape IV) and 1.8 (shape VII).

@@ -59,11 +59,6 @@ class FreeHom(FrozenValue):
     def is_trivial(self) -> bool:
         return not any(img.letters for img in self.images)
 
-    def is_identity(self) -> bool:
-        return self.source == self.target and all(
-            img.letters == (i + 1,) for i, img in enumerate(self.images)
-        )
-
     def as_permutation(self) -> tuple[int, ...] | None:
         """1-based image indices, if this permutes the basis without inverting."""
         if self.source != self.target:

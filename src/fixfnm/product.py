@@ -23,9 +23,9 @@ from typing import Sequence, Union
 from ._value import FrozenValue, set_field
 from .homs import FreeHom, _content_lines, check_images_complete, identity_hom, trivial_hom
 from .lattices import IntLattice2, kernel_basis
-from .stallings import CertificateError
 from .words import (
     Alphabet,
+    CertificateError,
     LetterTally,
     ParseError,
     Word,

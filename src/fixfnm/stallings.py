@@ -19,8 +19,9 @@ a second free group; for a homomorphism h from that group, the names along
 any base loop multiply to a word that h maps onto the loop's label.
 Attaching loops so named and folding keep this true (Kapovich-Myasnikov,
 J. Algebra 248, 2002), so reading a member word through the folded graph
-spells a preimage of it. ``Preimage`` names the loop h(g) by g, and
-express_in_generators the loop of gens[i-1] by i; nothing else names edges.
+spells a preimage of it. One thing names edges: ``Preimage`` names the loop
+h(x_i) by i. It serves ``express_in_generators`` through x_i -> gens[i-1],
+and a subgroup K through ``K.basis_hom()``.
 
 Folding follows Touikan (IJAC 16(6), 2006) and never rescans the graph.
 Storage is flat: each vertex owns a slot row of 2·rank entries in one list,
@@ -44,15 +45,7 @@ from typing import Iterator, Sequence
 
 from ._value import FrozenValue, set_field
 from .homs import FreeHom
-from .words import Alphabet, Word, _inverse, free_reduce, render_word, weighted_sum
-
-
-class CertificateError(RuntimeError):
-    """An answer failed its own exact check: a fault in this library.
-
-    Raised by plain checks rather than asserts, so it also fires under
-    ``python -O``.
-    """
+from .words import Alphabet, CertificateError, Word, _inverse, free_reduce, render_word, weighted_sum
 
 
 class _Builder:
@@ -79,10 +72,6 @@ class _Builder:
         self.slot: list[int] = [-1] * (2 * self.rank)
         self.incident: list[set[int] | None] = [set()]
         self.clashes: list[tuple[int, int]] = []
-
-    @property
-    def _next_edge(self) -> int:
-        return len(self.edges)
 
     def add_loop(self, w: Word, name: tuple[int, ...] = ()) -> None:
         """Attach a base loop spelling w whose edge names multiply to ``name``.
@@ -394,6 +383,17 @@ class SubgroupGraph(FrozenValue):
     def basis(self) -> tuple[Word, ...]:
         return tuple(self.basis_words())
 
+    def basis_hom(self) -> FreeHom:
+        """The hom x_i -> i-th basis word, from ``Alphabet(rank, "x")`` onto this subgroup.
+
+        It is injective, since the basis is free. The trivial subgroup has
+        none, as there is no alphabet of rank 0, and raises ValueError.
+        """
+        basis = self.basis()
+        if not basis:
+            raise ValueError("the trivial subgroup has no basis hom")
+        return FreeHom(Alphabet(len(basis), "x"), self.alphabet, basis)
+
     def basis_words(self) -> Iterator[Word]:
         """The basis words in turn, one per edge off the breadth-first spanning tree.
 
@@ -486,44 +486,46 @@ def whole_group(alphabet: Alphabet) -> SubgroupGraph:
 
 
 class Preimage:
-    """h on a subgroup K, folded once: the image h(K) and a way back into K.
+    """A hom h folded once: the image of h and a way back into its source.
 
-    The loop h(g) of each basis word g of K is named by the letters of g, so
-    the names along a base loop multiply to a word of K that h maps onto its
-    label. Reading is a homomorphism from h(K) to K, a right inverse of h.
+    The loop h(x_i) of each generator x_i is named (i,), so the names along
+    a base loop multiply to a source word that h maps onto its label.
+    Reading is a homomorphism from the image back to the source, a right
+    inverse of h. For h on a subgroup K, fold ``K.basis_hom().then(h)`` and
+    map each lift into K through the basis hom.
     """
 
-    __slots__ = ("k", "h", "_fold", "_image")
+    __slots__ = ("h", "_fold")
 
-    def __init__(self, k: SubgroupGraph, h: FreeHom):
-        if k.alphabet != h.source:
-            raise ValueError(f"graph is over {k.alphabet}, hom expects {h.source}")
+    def __init__(self, h: FreeHom):
         fold = _Builder(h.target)
-        for g in k.basis_words():
-            fold.add_loop(h.apply(g), g.letters)
-        self.k, self.h, self._fold = k, h, fold
-        self._image = fold.canonical()
+        for i, w in enumerate(h.images, start=1):
+            fold.add_loop(w, (i,))
+        fold.fold()
+        self.h, self._fold = h, fold
 
     def image(self) -> SubgroupGraph:
-        """The canonical graph of h(K)."""
-        return self._image
+        """The canonical graph of the image of h, computed when called."""
+        return self._fold.canonical()
 
     def lift(self, target: Word) -> Word | None:
-        """A word of K that h maps onto ``target``, or None when target is not in h(K)."""
+        """A source word that h maps onto ``target``, or None when target is not in the image."""
         if target.alphabet != self.h.target:
             raise ValueError(f"{target} is not a word over {self.h.target}")
         letters = self._fold.names_along(target.letters)
         if letters is None:
             return None
-        out = Word._unchecked(self.k.alphabet, letters)
-        if self.h.image_letters(letters) != target.letters or not self.k.contains(out):
-            raise CertificateError(f"lift {render_word(out)} of {render_word(target)} is not in K")
+        out = Word._unchecked(self.h.source, letters)
+        if self.h.image_letters(letters) != target.letters:
+            raise CertificateError(f"h({render_word(out)}) is not {render_word(target)}")
         return out
 
 
 def image(graph: SubgroupGraph, h: FreeHom) -> SubgroupGraph:
     """Graph of h(H) for H given by its graph over the source group."""
-    return Preimage(graph, h).image()
+    if graph.alphabet != h.source:
+        raise ValueError(f"graph is over {graph.alphabet}, hom expects {h.source}")
+    return from_generators([h.apply(g) for g in graph.basis_words()], h.target)
 
 
 def congruence_subgroup(alphabet: Alphabet, weights: Sequence[int], modulus: int) -> SubgroupGraph:
@@ -575,25 +577,11 @@ def express_in_generators(gens: Sequence[Word], target: Word) -> list[int] | Non
     gens[|ik|-1]**sign(ik) equals target, or None when target is not in
     the subgroup the generators span. The expression is freely reduced.
 
-    Method: attach the loop of each generator g_i with the name i, so
-    that only the part the graph does not already read gets new edges, one
-    of them named; fold, carrying the names, then read target through the
-    folded graph. The reduced product of the names met on the way is the
-    expression.
+    It is the lift of target through the ``Preimage`` of x_i -> gens[i-1].
+    With no generators only the identity is expressed, by the empty product.
     """
-    alphabet = target.alphabet
-    b = _Builder(alphabet)
-    for i, g in enumerate(gens, start=1):
-        if g.alphabet != alphabet:
-            raise ValueError(f"{g} is not a word over {alphabet}")
-        b.add_loop(g, (i,))
-    b.fold()
-    expr = b.names_along(target.letters)
-    if expr is None:
-        return None
-    replay = ()  # the empty product, also over no generators
-    if expr:
-        replay = FreeHom(Alphabet(len(gens), "x"), alphabet, tuple(gens)).image_letters(expr)
-    if replay != target.letters:
-        raise CertificateError(f"expression {list(expr)} does not replay to {render_word(target)}")
-    return list(expr)
+    if not gens:
+        return [] if target.is_identity() else None
+    h = FreeHom(Alphabet(len(gens), "x"), target.alphabet, tuple(gens))
+    lifted = Preimage(h).lift(target)
+    return None if lifted is None else list(lifted.letters)

@@ -254,20 +254,17 @@ def reduce_pair_to_equalizer(
     k = oracle.fix(shape_phi.second_from_second).intersect(
         oracle.fix(shape_psi.second_from_second)
     )
-    basis = k.basis()
-    if not basis:
+    if k.is_trivial():
         raise ValueError(
             "the common constraint subgroup is trivial, and so is the intersection"
         )
-    abstract = Alphabet(len(basis), "x")
-    target = phi.first_alphabet
-    first = FreeHom(
-        abstract, target, tuple(shape_phi.first_from_second.apply(g) for g in basis)
+    beta = k.basis_hom()
+    return EqualizerReduction(
+        domain=k,
+        basis=beta.images,
+        first=beta.then(shape_phi.first_from_second),
+        second=beta.then(shape_psi.first_from_second),
     )
-    second = FreeHom(
-        abstract, target, tuple(shape_psi.first_from_second.apply(g) for g in basis)
-    )
-    return EqualizerReduction(domain=k, basis=basis, first=first, second=second)
 
 
 def embed_equalizer(f: FreeHom, g: FreeHom) -> tuple[ProductEndo, ProductEndo]:

@@ -32,6 +32,14 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
+class CertificateError(RuntimeError):
+    """An answer failed its own exact check: a fault in this library.
+
+    Raised by plain checks rather than asserts, so it also fires under
+    ``python -O``.
+    """
+
+
 class Alphabet(FrozenValue):
     """A free basis of a given rank with a display letter."""
 

@@ -75,14 +75,14 @@ def test_then_applies_left_first():
 
 
 def test_identity_trivial_inner():
-    assert identity_hom(A).is_identity()
+    assert identity_hom(A).as_permutation() == (1, 2)
     assert not identity_hom(A).is_trivial()
     assert trivial_hom(A, B).is_trivial()
     z = wa("a1 a2")
     conj = inner_hom(z)
     # convention: x -> z x z^-1
     assert conj.apply(wa("a1")) == z * wa("a1") * z.inverse()
-    assert inner_hom(Word(A)).is_identity()
+    assert inner_hom(Word(A)) == identity_hom(A)
 
 
 @given(letters, letters)

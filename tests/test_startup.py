@@ -114,6 +114,14 @@ def test_stallings_names_load_only_the_layers_below():
     assert proc.stdout.split() == ["fixfnm._value", "fixfnm.homs", "fixfnm.stallings", "fixfnm.words"]
 
 
+def test_product_loads_no_subgroup_graphs():
+    proc = run_fresh(f"import sys, fixfnm.product; print({LOADED})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "fixfnm._value", "fixfnm.homs", "fixfnm.lattices", "fixfnm.product", "fixfnm.words"
+    ]
+
+
 def test_names_resolve_to_their_home_objects_and_stay():
     check = (
         "import sys, types, fixfnm\n"
