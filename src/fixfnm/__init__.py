@@ -71,7 +71,6 @@ _EXPORTS = {
         "congruence_subgroup",
         "express_in_generators",
         "from_generators",
-        "image",
         "restricted_kernel_trivial",
         "trivial_subgroup",
         "whole_group",

@@ -43,6 +43,7 @@ from .product import (
     TypeV,
     TypeVI,
     TypeVII,
+    check_element,
     classify,
 )
 from .stallings import (
@@ -188,9 +189,9 @@ class FixOracle:
             return trivial_subgroup(h.source)
         perm = h.as_permutation()
         if perm is not None:
-            # one vertex, with a loop at each fixed generator
-            table = (tuple(0 if p == i else -1 for i, p in enumerate(perm, start=1)),)
-            return SubgroupGraph(h.source, table, table)
+            # one vertex, with a loop at each fixed generator: its out-half and in-half
+            loops = tuple(0 if p == i else -1 for i, p in enumerate(perm, start=1))
+            return SubgroupGraph(h.source, (loops + loops,))
         z = _detect_inner(h)  # never 1 here: the identity is a permutation
         return None if z is None else from_generators([root(z).base])
 
@@ -222,6 +223,7 @@ class FactorProduct(FrozenValue):
         set_field(self, "second", second)
 
     def contains(self, g: ProductElement) -> bool:
+        check_element(g, self.first.source, self.second.source)
         return _is_fixed(self.first, g.first) and _is_fixed(self.second, g.second)
 
     def meet_diagonal(self, vi: TypeVI, oracle: FixOracle) -> ProductElement | None:
@@ -256,6 +258,7 @@ class PairedPowers(FrozenValue):
         set_field(self, "exponents", exponents)
 
     def contains(self, g: ProductElement) -> bool:
+        check_element(g, self.first_base.alphabet, self.second_base.alphabet)
         # a trivial base leaves its exponent free: widen the lattice along it
         lattice, point = self.exponents, []
         bases = ((g.first, self.first_base, (1, 0)), (g.second, self.second_base, (0, 1)))
@@ -329,7 +332,12 @@ class HomGraph(FrozenValue):
         return ProductElement(hx, x) if self._from_second() else ProductElement(x, hx)
 
     def contains(self, g: ProductElement) -> bool:
-        x, hx = (g.second, g.first) if self._from_second() else (g.first, g.second)
+        if self._from_second():
+            check_element(g, self.hom.target, self.hom.source)
+            x, hx = g.second, g.first
+        else:
+            check_element(g, self.hom.source, self.hom.target)
+            x, hx = g.first, g.second
         return _is_fixed(self.domain_endo, x) and self.hom.apply(x) == hx
 
     def _meet_through(self, k: SubgroupGraph, fixed: SubgroupGraph) -> ProductElement | None:
@@ -436,6 +444,7 @@ class PowerGraph(FrozenValue):
         set_field(self, "theta", theta)
 
     def contains(self, g: ProductElement) -> bool:
+        check_element(g, self.first_base.alphabet, self.theta.source)
         total = weighted_sum(g.second, self.second_weights)
         u, drag = self.first_base, self.drag
         if drag == 0:

@@ -9,7 +9,7 @@ fixed-point and equalizer test. Composition is written in application order:
 from __future__ import annotations
 
 from operator import neg
-from typing import Collection, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._value import FrozenValue, set_field
 from .words import (
@@ -125,43 +125,60 @@ def parse_hom_text(text: str) -> FreeHom:
         target = Alphabet(tgt_rank, fields[4])
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
-    images: dict[int, Word] = {}
+    images: dict[tuple[str, int], Word] = {}
     tally = LetterTally()
-    for lineno, line in lines[1:]:
-        lhs, arrow, rhs = line.partition("->")
-        if not arrow:
-            raise ParseError("expected `<gen> -> <word>`", lineno)
-        gen_tok = lhs.strip()
-        gen_word = parse_word(lhs, source, line=lineno, tally=tally)
-        if len(gen_word.letters) != 1 or gen_word.letters[0] < 0:
-            raise ParseError(f"left side {gen_tok!r} must be a single generator", lineno)
-        idx = gen_word.letters[0]
-        if idx in images:
-            raise ParseError(f"generator {gen_tok} listed twice", lineno)
-        images[idx] = parse_word(rhs, target, line=lineno, offset=len(lhs) + 2, tally=tally)
-    check_images_complete([(source.letter, src_rank, images.keys())])
-    return FreeHom(source, target, tuple(images[i] for i in range(1, src_rank + 1)))
+    for key, lineno, rhs, offset in image_lines(lines[1:], (source,), tally):
+        images[key] = parse_word(rhs, target, line=lineno, offset=offset, tally=tally)
+    letter = source.letter
+    return FreeHom(source, target, tuple(images[letter, i] for i in range(1, src_rank + 1)))
 
 
 MISSING_NAMED = 5  # a missing-image error names at most this many generators
 
 
-def check_images_complete(sides: Sequence[tuple[str, int, Collection[int]]]) -> None:
-    """Raise ParseError naming the generators that got no image line.
+def image_lines(
+    lines: Iterable[tuple[int, str]], sources: Sequence[Alphabet], tally: LetterTally
+) -> Iterator[tuple[tuple[str, int], int, str, int]]:
+    """Read `<gen> -> <image>` lines, one per generator of the ``sources``.
 
-    ``sides`` holds (letter, rank, indices given) per alphabet, the indices
-    within 1..rank. The first MISSING_NAMED missing generators are named and
-    the rest counted, so the work is bounded by the lines given, not by the
-    rank in the header.
+    Yields (key, line number, right side, offset) per line: key is the
+    (letter, index) of the generator on the left, and offset the number of
+    characters before the right side on its line, as parse_word takes it.
+    The left side is parsed against the source whose letter it starts with,
+    else against the first source, so that a bad token names its column;
+    it must be one generator, listed once, or ParseError names the column
+    of its first non-blank character. The caller parses the right side
+    before it asks for the next line, so ``tally`` counts the words in file
+    order. Once the lines run out, ParseError names the first MISSING_NAMED
+    generators that got no line and counts the rest, so the work is bounded
+    by the lines given, not by the ranks.
     """
+    by_letter = {s.letter: s for s in sources}
+    given: dict[str, set[int]] = {s.letter: set() for s in sources}
+    for lineno, line in lines:
+        lhs, arrow, rhs = line.partition("->")
+        if not arrow:
+            raise ParseError("expected `<gen> -> <image>`", lineno)
+        gen_tok = lhs.strip()
+        column = len(lhs) - len(lhs.lstrip()) + 1
+        source = by_letter.get(gen_tok[:1], sources[0])
+        gen_word = parse_word(lhs, source, line=lineno, tally=tally)
+        if len(gen_word.letters) != 1 or gen_word.letters[0] < 0:
+            raise ParseError(f"left side {gen_tok!r} must be a single generator", lineno, column)
+        idx, seen = gen_word.letters[0], given[source.letter]
+        if idx in seen:
+            raise ParseError(f"generator {gen_tok} listed twice", lineno, column)
+        seen.add(idx)
+        yield (source.letter, idx), lineno, rhs, len(lhs) + 2
     named: list[str] = []
     missing = 0
-    for letter, rank, given in sides:
-        missing += rank - len(given)
+    for s in sources:
+        seen = given[s.letter]
+        missing += s.rank - len(seen)
         i = 1
-        while len(named) < MISSING_NAMED and i <= rank:
-            if i not in given:
-                named.append(f"{letter}{i}")
+        while len(named) < MISSING_NAMED and i <= s.rank:
+            if i not in seen:
+                named.append(f"{s.letter}{i}")
             i += 1
     if missing:
         more = f" and {missing - len(named)} more" if missing > len(named) else ""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from ._value import FrozenValue, set_field
-from .homs import FreeHom, _content_lines, check_images_complete, identity_hom, trivial_hom
+from .homs import FreeHom, _content_lines, identity_hom, image_lines, trivial_hom
 from .lattices import IntLattice2, kernel_basis
 from .words import (
     Alphabet,
@@ -76,6 +76,13 @@ class ProductElement(FrozenValue):
 
     def __str__(self) -> str:
         return f"({render_word(self.first)}, {render_word(self.second)})"
+
+
+def check_element(g: ProductElement, first: Alphabet, second: Alphabet) -> None:
+    """Raise ValueError unless g lies in F(first) x F(second), the group that
+    an endomorphism or a fixed-subgroup descriptor acts on."""
+    if g.first.alphabet != first or g.second.alphabet != second:
+        raise ValueError("element does not belong to this endomorphism's group")
 
 
 def _first_clash(rows: Sequence[Word], columns: Sequence[Word]) -> tuple[int, int] | None:
@@ -154,8 +161,7 @@ class ProductEndo(FrozenValue):
         return self.second_from_second.source
 
     def apply(self, g: ProductElement) -> ProductElement:
-        if g.first.alphabet != self.first_alphabet or g.second.alphabet != self.second_alphabet:
-            raise ValueError("element does not belong to this endomorphism's group")
+        check_element(g, self.first_alphabet, self.second_alphabet)
         return ProductElement(
             self.first_from_first.apply(g.first) * self.first_from_second.apply(g.second),
             self.second_from_first.apply(g.first) * self.second_from_second.apply(g.second),
@@ -163,8 +169,7 @@ class ProductEndo(FrozenValue):
 
     def fixes(self, g: ProductElement) -> bool:
         """Whether g is fixed; its second coordinate is mapped only if the first is."""
-        if g.first.alphabet != self.first_alphabet or g.second.alphabet != self.second_alphabet:
-            raise ValueError("element does not belong to this endomorphism's group")
+        check_element(g, self.first_alphabet, self.second_alphabet)
         x, y = g.first.letters, g.second.letters
         first = self.first_from_first.image_letters(x) + self.first_from_second.image_letters(y)
         if free_reduce(first) != x:
@@ -529,21 +534,7 @@ def parse_endo_text(text: str) -> ProductEndo:
     first_images: dict[tuple[str, int], Word] = {}
     second_images: dict[tuple[str, int], Word] = {}
     tally = LetterTally()
-    for lineno, line in lines[1:]:
-        lhs, arrow, rhs = line.partition("->")
-        if not arrow:
-            raise ParseError("expected `<gen> -> ( <a-word> , <b-word> )`", lineno)
-        gen_tok = lhs.strip()
-        side = gen_tok[:1]
-        if side not in ("a", "b"):
-            raise ParseError(f"left side {gen_tok!r} must be a generator", lineno)
-        gen_word = parse_word(lhs, a if side == "a" else b, line=lineno, tally=tally)
-        if len(gen_word.letters) != 1 or gen_word.letters[0] < 0:
-            raise ParseError(f"left side {gen_tok!r} must be a single generator", lineno)
-        idx = gen_word.letters[0]
-        key = (side, idx)
-        if key in first_images:
-            raise ParseError(f"generator {gen_tok} listed twice", lineno)
+    for key, lineno, rhs, offset in image_lines(lines[1:], (a, b), tally):
         body = rhs.strip()
         if not body.startswith("(") or not body.endswith(")"):
             raise ParseError("image must be parenthesized: ( <a-word> , <b-word> )", lineno)
@@ -551,19 +542,13 @@ def parse_endo_text(text: str) -> ProductEndo:
         if inner.count(",") != 1:
             raise ParseError("image must contain exactly one comma", lineno)
         first_text, second_text = inner.split(",")
-        # characters before `inner` on the line: the left side, `->`, the
-        # blanks before `(`, and `(` itself
-        start = len(lhs) + 2 + len(rhs) - len(rhs.lstrip()) + 1
+        # characters before `inner` on the line: those before the right
+        # side, the blanks before `(`, and `(` itself
+        start = offset + len(rhs) - len(rhs.lstrip()) + 1
         first_images[key] = parse_word(first_text, a, line=lineno, offset=start, tally=tally)
         second_images[key] = parse_word(
             second_text, b, line=lineno, offset=start + len(first_text) + 1, tally=tally
         )
-    check_images_complete(
-        [
-            (side, rank, {i for s, i in first_images if s == side})
-            for side, rank in (("a", n), ("b", m))
-        ]
-    )
     return ProductEndo(
         FreeHom(a, a, tuple(first_images[("a", i)] for i in range(1, n + 1))),
         FreeHom(b, a, tuple(first_images[("b", j)] for j in range(1, m + 1))),

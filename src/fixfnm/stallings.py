@@ -1,12 +1,13 @@
 """Folded subgroup graphs for finitely generated subgroups of free groups.
 
-The canonical form is a deterministic edge-labeled based graph: vertex 0 is
-the basepoint, `transitions[v][l-1]` is the endpoint of the l-labeled edge
-leaving v (or -1), and `backward[v][l-1]` is the start of the l-labeled
-edge entering v (or -1). Every graph is folded, then trimmed of dangling
-trees and renumbered breadth-first by one routine, `_trim_and_number`,
-which writes both tables in the same pass and hands them to the graph, so
-two subgroups are equal iff their graphs compare equal.
+The canonical form is a deterministic edge-labeled based graph stored as
+one row table: vertex 0 is the basepoint, and ``rows[v]`` holds 2·r
+entries, r the rank, out-edges by label and then in-edges by label.
+``rows[v][l-1]`` is the end of the l-labeled edge leaving v and
+``rows[v][r+l-1]`` the start of the l-labeled edge entering v, or -1.
+Every graph is folded, then trimmed of dangling trees and renumbered
+breadth-first by one routine, `_trim_and_number`, so two subgroups are
+equal iff their graphs compare equal.
 
 Construction from generators goes through a mutable multigraph that
 attaches one base loop per generator and folds. A loop is first read
@@ -21,21 +22,22 @@ Attaching loops so named and folding keep this true (Kapovich-Myasnikov,
 J. Algebra 248, 2002), so reading a member word through the folded graph
 spells a preimage of it. One thing names edges: ``Preimage`` names the loop
 h(x_i) by i. It serves ``express_in_generators`` through x_i -> gens[i-1],
-and a subgroup K through ``K.basis_hom()``.
+and a subgroup K through ``K.basis_hom()``; its ``image`` is the one way
+to compute the image of a subgroup.
 
 Folding follows Touikan (IJAC 16(6), 2006) and never rescans the graph.
 Storage is flat: each vertex owns a slot row of 2·rank entries in one list,
-its out-edges by label and then its in-edges by label; an edge whose slot
-is already held goes on a work list of clashes with the holder. Each clash
-deletes one edge and merges two vertices, the one with fewer edges into the
-other (the base never merges away), and only the moved edges are seated
-again, which finds the next clashes. A fold therefore costs the edges
-moved, not a scan per clash. The folded slot rows are exported as vertex
-rows of the same layout, the head of each out-edge and the tail of each
-in-edge, for `_trim_and_number`, which peels vertices of degree 1 off a
-queue and numbers the rest. The pullback of two folded graphs and the coset
-graph of a congruence subgroup are folded already, so `intersect` and
-`congruence_subgroup` write those rows directly and skip the builder.
+laid out as a row of the canonical table; an edge whose slot is already
+held goes on a work list of clashes with the holder. Each clash deletes
+one edge and merges two vertices, the one with fewer edges into the other
+(the base never merges away), and only the moved edges are seated again,
+which finds the next clashes. A fold therefore costs the edges moved, not
+a scan per clash. The folded slot rows are exported as vertex rows, the
+head of each out-edge and the tail of each in-edge, for `_trim_and_number`,
+which peels vertices of degree 1 off a queue and numbers the rest. The
+pullback of two folded graphs and the coset graph of a congruence subgroup
+are folded already, so `intersect` and `congruence_subgroup` write those
+rows directly and skip the builder.
 """
 
 from __future__ import annotations
@@ -54,12 +56,11 @@ class _Builder:
     Storage is flat. ``slot`` holds a row of 2·rank entries per vertex:
     ``slot[v*2r + l-1]`` is the l-edge leaving v and ``slot[v*2r + r + l-1]``
     the l-edge entering v, or -1; out-edges by label, then in-edges by
-    label, the order in which the canonical form visits neighbours, so the
-    out half of a row is as wide as a row of the canonical table. An edge
-    that finds one of its slots taken waits in ``clashes`` beside the edge
-    holding it. ``edges[e]`` is (tail, label, head), or None once e is
-    dropped; ``incident[v]`` is the set of edges at v, or None once v has
-    merged away. ``names`` holds the nonempty edge names; an edge missing
+    label, the layout of a row of the canonical table. An edge that finds
+    one of its slots taken waits in ``clashes`` beside the edge holding it.
+    ``edges[e]`` is (tail, label, head), or None once e is dropped;
+    ``incident[v]`` is the set of edges at v, or None once v has merged
+    away. ``names`` holds the nonempty edge names; an edge missing
     from it has the empty name.
     """
 
@@ -268,14 +269,11 @@ class _Builder:
                 t, l, h = edge
                 rows[2 * r * t + l - 1] = h
                 rows[2 * r * h + r + l - 1] = t
-        return SubgroupGraph(self.alphabet, *_trim_and_number(r, rows))
+        return SubgroupGraph(self.alphabet, _trim_and_number(r, rows))
 
 
-def _trim_and_number(
-    rank: int, rows: list[int]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The canonical transition and backward tables of a folded graph given
-    by flat vertex rows.
+def _trim_and_number(rank: int, rows: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The canonical row table of a folded graph given by flat vertex rows.
 
     Each vertex owns 2·r entries of ``rows``, r the rank, laid out as the
     builder's slot rows: ``rows[v*2r + l-1]`` is the head of the l-edge
@@ -285,8 +283,7 @@ def _trim_and_number(
     place, so dangling trees peel away; vertices of degree 0 are never
     reached. The base's component is then numbered breadth first, out-edges
     by label and then in-edges by label, and each vertex's row, renumbered,
-    is split into its transition row and its backward row, so the backward
-    table costs no second pass.
+    is its row of the table.
     """
     r, width = rank, 2 * rank
     degree = [width - rows[lo : lo + width].count(-1) for lo in range(0, len(rows), width)]
@@ -308,47 +305,41 @@ def _trim_and_number(
     number = [-1] * (len(degree) + 1)  # the extra last entry keeps number[-1] == -1
     number[0] = 0
     at = number.__getitem__
-    seq, forward, backward = [0], [], []
+    seq, table = [0], []
     for v in seq:
         row = rows[v * width : v * width + width]
         for u in row:
             if u != -1 and number[u] == -1:
                 number[u] = len(seq)
                 seq.append(u)
-        row = tuple(map(at, row))  # every neighbour of v is numbered by now
-        forward.append(row[:r])
-        backward.append(row[r:])
-    return tuple(forward), tuple(backward)
+        table.append(tuple(map(at, row)))  # every neighbour of v is numbered by now
+    return tuple(table)
 
 
 class SubgroupGraph(FrozenValue):
     """Canonical folded based graph; equality means equality of subgroups.
 
-    ``transitions[v][l-1]`` is the end of the l-edge leaving v and
-    ``backward[v][l-1]`` the start of the l-edge entering v, or -1. Both
-    tables come from ``_trim_and_number`` (a one-vertex graph's two tables
-    are equal), so the vertices are numbered breadth first.
+    ``rows[v]`` holds 2·r entries, r the rank: ``rows[v][l-1]`` is the end
+    of the l-edge leaving v and ``rows[v][r+l-1]`` the start of the l-edge
+    entering v, or -1. The table comes from ``_trim_and_number``, so the
+    vertices are numbered breadth first; a one-vertex graph may be written
+    directly, its in-half equal to its out-half.
     """
 
-    __slots__ = ("alphabet", "transitions", "backward")
+    __slots__ = ("alphabet", "rows")
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        transitions: tuple[tuple[int, ...], ...],
-        backward: tuple[tuple[int, ...], ...],
-    ):
+    def __init__(self, alphabet: Alphabet, rows: tuple[tuple[int, ...], ...]):
         set_field(self, "alphabet", alphabet)
-        set_field(self, "transitions", transitions)
-        set_field(self, "backward", backward)
+        set_field(self, "rows", rows)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.transitions)
+        return len(self.rows)
 
     @property
     def edge_count(self) -> int:
-        return sum(1 for row in self.transitions for h in row if h != -1)
+        # an edge holds one entry in its tail's row and one in its head's
+        return sum(len(row) - row.count(-1) for row in self.rows) // 2
 
     @property
     def rank(self) -> int:
@@ -364,18 +355,18 @@ class SubgroupGraph(FrozenValue):
     def index(self) -> int | None:
         """Group-theoretic index, or None when it is infinite.
 
-        Finite index is equivalent to the transition table being total.
+        Finite index is equivalent to the row table being total.
         """
-        total = all(h != -1 for row in self.transitions for h in row)
+        total = not any(-1 in row for row in self.rows)
         return self.vertex_count if total else None
 
     def contains(self, w: Word) -> bool:
         if w.alphabet != self.alphabet:
             raise ValueError(f"{w} is not a word over {self.alphabet}")
-        fwd, bwd = self.transitions, self.backward
+        rows, r = self.rows, self.alphabet.rank
         v = 0
         for x in w.letters:
-            v = fwd[v][x - 1] if x > 0 else bwd[v][-x - 1]
+            v = rows[v][x - 1 if x > 0 else r - x - 1]
             if v == -1:
                 return False
         return v == 0
@@ -406,14 +397,12 @@ class SubgroupGraph(FrozenValue):
         word they spell is reduced. A caller that stops early pays only for
         the words it took.
         """
+        r = self.alphabet.rank
         parent = [(0, 0)]  # the base has no parent
-        for v, (out, into) in enumerate(zip(self.transitions, self.backward)):
-            for l, h in enumerate(out, start=1):
-                if h == len(parent):
-                    parent.append((v, l))
-            for l, t in enumerate(into, start=1):
-                if t == len(parent):
-                    parent.append((v, -l))
+        for v, row in enumerate(self.rows):
+            for i, u in enumerate(row):
+                if u == len(parent):
+                    parent.append((v, i + 1 if i < r else r - i - 1))
 
         def path_to(v: int) -> tuple[int, ...]:
             # walked per basis word: paths stored for every vertex would
@@ -424,8 +413,8 @@ class SubgroupGraph(FrozenValue):
                 steps.append(x)
             return tuple(reversed(steps))
 
-        for u, out in enumerate(self.transitions):
-            for l, v in enumerate(out, start=1):
+        for u, row in enumerate(self.rows):
+            for l, v in enumerate(islice(row, r), start=1):
                 if v == -1 or parent[v] == (u, l) or parent[u] == (v, -l):
                     continue
                 letters = path_to(u) + (l,) + _inverse(path_to(v))
@@ -435,17 +424,17 @@ class SubgroupGraph(FrozenValue):
         """Pullback construction: the component of the pair of basepoints.
 
         The product of two folded graphs is folded, so its vertex rows are
-        written straight from the factors' two tables and go to the same
-        ``_trim_and_number`` as every other graph.
+        written straight from the factors' rows, zipped entry by entry, and
+        go to the same ``_trim_and_number`` as every other graph.
         """
         if self.alphabet != other.alphabet:
             raise ValueError("cannot intersect subgroups of different groups")
         ids: dict[tuple[int, int], int] = {(0, 0): 0}
         pairs: list[tuple[int, int]] = [(0, 0)]
-        f1, f2, b1, b2 = self.transitions, other.transitions, self.backward, other.backward
+        rows1, rows2 = self.rows, other.rows
         rows: list[int] = []
         for s1, s2 in pairs:
-            for key in zip(f1[s1] + b1[s1], f2[s2] + b2[s2]):
+            for key in zip(rows1[s1], rows2[s2]):
                 if -1 in key:
                     rows.append(-1)
                     continue
@@ -454,7 +443,7 @@ class SubgroupGraph(FrozenValue):
                     v = ids[key] = len(pairs)
                     pairs.append(key)
                 rows.append(v)
-        return SubgroupGraph(self.alphabet, *_trim_and_number(self.alphabet.rank, rows))
+        return SubgroupGraph(self.alphabet, _trim_and_number(self.alphabet.rank, rows))
 
     def __str__(self) -> str:
         if self.is_trivial():
@@ -476,13 +465,11 @@ def from_generators(gens: Sequence[Word], alphabet: Alphabet | None = None) -> S
 
 
 def trivial_subgroup(alphabet: Alphabet) -> SubgroupGraph:
-    table = ((-1,) * alphabet.rank,)
-    return SubgroupGraph(alphabet, table, table)
+    return SubgroupGraph(alphabet, ((-1,) * (2 * alphabet.rank),))
 
 
 def whole_group(alphabet: Alphabet) -> SubgroupGraph:
-    table = ((0,) * alphabet.rank,)
-    return SubgroupGraph(alphabet, table, table)
+    return SubgroupGraph(alphabet, ((0,) * (2 * alphabet.rank),))
 
 
 class Preimage:
@@ -521,13 +508,6 @@ class Preimage:
         return out
 
 
-def image(graph: SubgroupGraph, h: FreeHom) -> SubgroupGraph:
-    """Graph of h(H) for H given by its graph over the source group."""
-    if graph.alphabet != h.source:
-        raise ValueError(f"graph is over {graph.alphabet}, hom expects {h.source}")
-    return from_generators([h.apply(g) for g in graph.basis_words()], h.target)
-
-
 def congruence_subgroup(alphabet: Alphabet, weights: Sequence[int], modulus: int) -> SubgroupGraph:
     """Words whose weighted letter sum vanishes modulo `modulus`.
 
@@ -549,7 +529,7 @@ def congruence_subgroup(alphabet: Alphabet, weights: Sequence[int], modulus: int
                 seq.append(s)
     # each label permutes the residues, so the coset graph is folded
     rows = [index[(r + sign * wj) % m] for r in seq for sign in (1, -1) for wj in weights]
-    return SubgroupGraph(alphabet, *_trim_and_number(alphabet.rank, rows))
+    return SubgroupGraph(alphabet, _trim_and_number(alphabet.rank, rows))
 
 
 def restricted_kernel_trivial(graph: SubgroupGraph, weights: Sequence[int]) -> Word | None:

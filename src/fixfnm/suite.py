@@ -44,7 +44,6 @@ from .words import (
     Word,
     ball_products,
     ball_size,
-    exponent_of_power,
     generator,
     parse_word,
     render_word,

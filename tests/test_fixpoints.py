@@ -30,6 +30,7 @@ from fixfnm import (
     enumerate_product_ball,
     fix_product,
     from_generators,
+    identity_endo,
     identity_hom,
     inner_hom,
     parse_word,
@@ -86,6 +87,13 @@ def test_basis_permutation_support():
     # conjugation by a1 fixes a1 but moves a2: an inner map, not a permutation
     assert inner_hom(wa("a1")).as_permutation() is None
     assert oracle.fix(inner_hom(wa("a1"))) == from_generators([wa("a1")])
+
+
+def test_recognized_permutation_is_one_row():
+    # a1 stays, a2 and a3 swap: one vertex, a loop at a1 in both halves of its row
+    found = FixOracle().fix(permutation_hom(A3, (1, 3, 2)))
+    assert found == from_generators([parse_word("a1", A3)])
+    assert found.rows == ((0, -1, -1, 0, -1, -1),)
 
 
 def _reference_conjugator(h):
@@ -349,6 +357,33 @@ def test_power_graph_descriptor_with_nonzero_drag():
     assert fd.describe(oracle).endswith("for y in <b1, b2> with 2 | w(y), w = weight [1, 0]")
     w = fd.meet_diagonal(IDENTITY, oracle)
     assert fd.contains(w) and not w.is_identity()
+
+
+def test_descriptors_refuse_elements_of_another_product():
+    # each descriptor lives in F_2 x F_2; elements of F_3 x F_2 and F_2 x F_3 are refused
+    descriptors = [
+        FactorProduct(identity_hom(A), identity_hom(B)),
+        PairedPowers(wa("a1"), wb("b1"), IntLattice2.full()),
+        HomGraph(identity_hom(B), RELAB_BA),
+        HomGraph(identity_hom(A), RELAB_AB),
+        PowerGraph(wa("a1"), (1, 0), 2, identity_hom(B)),
+    ]
+    B3 = Alphabet(3, "b")
+    strangers = [
+        ProductElement(parse_word("a3", A3), Word(B)),
+        ProductElement(parse_word("a1", A3), Word(B)),
+        ProductElement(wa("a1"), parse_word("b1", B3)),
+    ]
+    endo = identity_endo(2, 2)
+    for g in strangers:
+        for fd in descriptors:
+            with pytest.raises(ValueError, match="does not belong"):
+                fd.contains(g)
+        for use in (endo.apply, endo.fixes):
+            with pytest.raises(ValueError, match="does not belong"):
+                use(g)
+    for fd in descriptors:
+        assert fd.contains(pe("1", "1"))
 
 
 # --- fix_product across the shapes ---------------------------------------------

@@ -155,6 +155,18 @@ def test_parse_error_columns_count_from_the_line_start():
     with pytest.raises(ParseError) as exc:
         parse_hom_text("hom 2 2 a a\na1 -> a1\n   a2 ->   a2 q\n")
     assert (exc.value.line, exc.value.column) == (3, 15)
+    # a left side over the wrong letter, not one generator, or listed twice
+    # names the column of its first non-blank character
+    with pytest.raises(ParseError, match="letter 'b'") as exc:
+        parse_hom_text("hom 2 2 a a\nb1 -> a1\na2 -> a2\n")
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    for lhs in ("  a1 a2", "  a1^-1", "  1"):
+        with pytest.raises(ParseError, match="must be a single generator") as exc:
+            parse_hom_text(f"hom 2 2 a a\n{lhs} -> a1\na2 -> a2\n")
+        assert (exc.value.line, exc.value.column) == (2, 3), lhs
+    with pytest.raises(ParseError) as exc:
+        parse_hom_text("hom 2 2 a a\na1 -> a1\n a1 -> a2\na2 -> a2\n")
+    assert str(exc.value) == "generator a1 listed twice (line 3, column 2)"
 
 
 def test_hom_files_are_capped_in_total_letters():

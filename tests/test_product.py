@@ -397,6 +397,16 @@ def test_parse_error_columns_count_from_the_line_start():
     with pytest.raises(ParseError) as exc:
         parse_endo_text(text.replace("   a2 ->", "   a9 ->"))
     assert exc.value.column == 4
+    # a left side of neither factor is read as a token of the first
+    with pytest.raises(ParseError, match="bad token 'c1'") as exc:
+        parse_endo_text(text.replace("   a2 ->", "   c1 ->"))
+    assert (exc.value.line, exc.value.column) == (3, 4)
+    with pytest.raises(ParseError, match="must be a single generator") as exc:
+        parse_endo_text(text.replace("   a2 ->", "   a2 a1 ->"))
+    assert (exc.value.line, exc.value.column) == (3, 4)
+    with pytest.raises(ParseError) as exc:
+        parse_endo_text(text.replace(" b7", "").replace("   a2 ->", "   b1 ->"))
+    assert str(exc.value) == "generator b1 listed twice (line 4, column 1)"
 
 
 def test_trailing_comments_are_cut_and_keep_columns():

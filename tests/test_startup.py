@@ -17,7 +17,8 @@ DATA = ROOT / "scripts" / "data"
 # fixfnm.__all__ before the worked instances of fixfnm.suite became lazy, less
 # FactorSubgroup, which fix_product never returned, with PowerGraph in place
 # of the two shape III descriptors it merges, and less TrivialFix (now
-# PairedPowers with a zero lattice) and commute
+# PairedPowers with a zero lattice), commute and image (an image is
+# Preimage(...).image())
 PUBLIC_NAMES = {
     "Alphabet", "BallSpec", "CertificateError", "CommutationViolation", "CuratedCase",
     "DeclaredEndo", "EndoType", "EqualizerReduction", "FactorProduct",
@@ -31,7 +32,7 @@ PUBLIC_NAMES = {
     "embed_equalizer", "enumerate_ball", "enumerate_product_ball", "exponent_of_power",
     "express_in_generators", "fix_product", "fixed_points", "fixed_words", "fixpoints",
     "from_generators", "generator", "hnf_rows", "homs", "identity", "identity_endo",
-    "identity_hom", "image", "inner_hom", "kernel_basis", "lattices",
+    "identity_hom", "inner_hom", "kernel_basis", "lattices",
     "mihailova_generators", "mihailova_instance", "oracle", "parse_endo_text",
     "parse_hom_text", "parse_presentation_text", "parse_word", "permutation_hom",
     "product", "product_identity", "reduce_pair_to_equalizer", "render_endo_text",
