@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digests of what the decision engine prints, to show a refactor changes none of it.
 
-    python3 scripts/verdict_digest.py
+    python3 scripts/verdict_digest.py [--check]
 
 Prints one line per stream, `<stream> <count> <sha256>`, the sha256 taken
 over the stream's lines joined by newlines:
@@ -19,10 +19,15 @@ A last line counts the `FixOracle.fix` and `SubgroupGraph.intersect` calls
 made while deciding the seed-1 instances once. Two trees that print the
 same lines give the same verdicts, witnesses and trace labels, and ask the
 oracle as often.
+
+With `--check`, the four lines are also compared with the values pinned in
+PINNED below; each line that differs is named on stderr and the exit code
+is 1. A change that moves a line on purpose re-pins it here.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -35,11 +40,17 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2)
 COUNTED = ((F.FixOracle, "fix"), (F.SubgroupGraph, "intersect"))
+PINNED = (
+    "curated 36 9f3af8f17ba0ca467cb4845add6803c5c7730438b5f06c63cb415dcf3cf0ba76",
+    "decide-mix 3272 a08376f7d5ce7c9f613a013ebf9e8c28599a1db6cb44c95baed6c0e3277e3d9a",
+    "fix-trivial 6544 0828689c020a837bf9da716a069ebaa90f2952511009247cd54ab98aa8c3cd10",
+    "calls (seed 1) FixOracle.fix=2131 SubgroupGraph.intersect=1180",
+)
 
 
-def digest(name: str, lines: list[str]) -> None:
+def digest(name: str, lines: list[str]) -> str:
     sha = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print(f"{name} {len(lines)} {sha}")
+    return f"{name} {len(lines)} {sha}"
 
 
 def fix_is_trivial(e, oracle) -> str:
@@ -69,18 +80,31 @@ def count_calls(instances) -> dict[str, int]:
     return counts
 
 
-def main() -> int:
-    digest("curated", [F.decide(c.phi, c.psi, c.oracle()).describe() for c in F.curated_cases()])
+def lines():
+    """The four lines, each yielded as soon as it is known."""
+    yield digest("curated", [F.decide(c.phi, c.psi, c.oracle()).describe() for c in F.curated_cases()])
     mixes = {
         seed: workloads.curated_instances() + workloads.random_instances(seed, 100, "decide")
         for seed in SEEDS
     }
     mix = [inst for seed in SEEDS for inst in mixes[seed]]
-    digest("decide-mix", [F.decide(i.phi, i.psi, i.oracle()).describe() for i in mix])
-    digest("fix-trivial", [fix_is_trivial(e, i.oracle()) for i in mix for e in (i.phi, i.psi)])
+    yield digest("decide-mix", [F.decide(i.phi, i.psi, i.oracle()).describe() for i in mix])
+    yield digest("fix-trivial", [fix_is_trivial(e, i.oracle()) for i in mix for e in (i.phi, i.psi)])
     counts = count_calls(mixes[SEEDS[0]])
-    print("calls (seed 1) " + " ".join(f"{k}={v}" for k, v in counts.items()))
-    return 0
+    yield "calls (seed 1) " + " ".join(f"{k}={v}" for k, v in counts.items())
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="exit 1 unless every line is pinned")
+    args = parser.parse_args()
+    differ = 0
+    for got, pinned in zip(lines(), PINNED):
+        print(got)
+        if args.check and got != pinned:
+            print(f"differs from the pinned line: {pinned}", file=sys.stderr)
+            differ += 1
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

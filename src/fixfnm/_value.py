@@ -10,9 +10,10 @@ set_field = object.__setattr__  # the one way to fill a field, from __init__
 class FrozenValue:
     """An immutable record compared and hashed by its fields.
 
-    The fields are the names in the subclass's ``__slots__``, in order; a
-    ``"__dict__"`` entry there is not a field, it only makes room for
-    ``functools.cached_property``. The base gives:
+    The fields are the names in the subclass's ``__slots__``, in order,
+    that do not start with ``_``. A ``_``-prefixed slot holds derived state
+    that ``__init__`` (or a method, on first use) fills from the fields; it
+    is not a field, so it takes no part in what follows. The base gives:
 
     * ``==`` and ``hash`` over the field values, for objects of the same
       class only;
@@ -30,7 +31,7 @@ class FrozenValue:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # the field value, or the tuple of them when there are several
         cls._key = property(attrgetter(*cls._fields))
 

@@ -25,7 +25,6 @@ those two meets.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Union
 
 from ._value import FrozenValue, set_field
@@ -86,7 +85,7 @@ class DeclaredEndo(FrozenValue):
     declared subgroup.
     """
 
-    __slots__ = ("endo", "fix_basis", "audit_radius", "__dict__")  # __dict__ holds the graph
+    __slots__ = ("endo", "fix_basis", "audit_radius", "_graph")  # the graph, once built
 
     def __init__(self, endo: FreeHom, fix_basis: tuple[Word, ...], audit_radius: int | None = None):
         if endo.source != endo.target:
@@ -99,6 +98,7 @@ class DeclaredEndo(FrozenValue):
         set_field(self, "endo", endo)
         set_field(self, "fix_basis", fix_basis)
         set_field(self, "audit_radius", audit_radius)
+        set_field(self, "_graph", None)
         if audit_radius is not None:
             fixed = fixed_words(endo, BallSpec(audit_radius))
             graph = self.fix_graph()
@@ -111,11 +111,9 @@ class DeclaredEndo(FrozenValue):
 
     def fix_graph(self) -> SubgroupGraph:
         """The folded declared subgroup, built once and shared by every oracle."""
+        if self._graph is None:
+            set_field(self, "_graph", from_generators(self.fix_basis, self.endo.source))
         return self._graph
-
-    @cached_property
-    def _graph(self) -> SubgroupGraph:
-        return from_generators(self.fix_basis, self.endo.source)
 
 
 class MissingOracle(LookupError):

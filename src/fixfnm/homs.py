@@ -8,6 +8,7 @@ fixed-point and equalizer test. Composition is written in application order:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import neg
 from typing import Iterable, Iterator, Sequence
 
@@ -84,7 +85,9 @@ def identity_hom(alphabet: Alphabet) -> FreeHom:
     return FreeHom(alphabet, alphabet, alphabet.generators())
 
 
+@lru_cache(maxsize=64)
 def trivial_hom(source: Alphabet, target: Alphabet) -> FreeHom:
+    """The hom sending every generator to 1, shared per alphabet pair (64 kept)."""
     return FreeHom(source, target, (Word(target),) * source.rank)
 
 

@@ -85,38 +85,59 @@ def check_element(g: ProductElement, first: Alphabet, second: Alphabet) -> None:
         raise ValueError("element does not belong to this endomorphism's group")
 
 
-def _first_clash(rows: Sequence[Word], columns: Sequence[Word]) -> tuple[int, int] | None:
-    """The first (i, j), 1-based and rows first, with rows[i] and columns[j] not commuting.
+Family = tuple[Word, tuple[int, ...], tuple[int, ...]]  # base, weights, weights
 
-    Centralizers in free groups are cyclic, so nontrivial words commute iff
-    they are powers of one primitive root. Only the first nontrivial
-    column is rooted; every other image is held against that root by
-    ``exponent_of_power``, one tuple comparison each.
+
+def _coordinate_family(
+    rows: Sequence[Word], columns: Sequence[Word], component: str
+) -> Family | None:
+    """Check that one coordinate's blocks commute, and read its power family.
+
+    rows and columns are the coordinate's images of a1, a2, ... and of b1,
+    b2, .... Centralizers in free groups are cyclic, so nontrivial words
+    commute iff they are powers of one primitive root. Only the first
+    nontrivial column is rooted; every image is held against that root,
+    sign-normalized, by ``exponent_of_power``, one tuple comparison each.
+
+    Raises CommutationViolation at the first (i, j), 1-based and rows
+    first, with rows[i] and columns[j] not commuting. Otherwise returns the
+    root and the exponents of rows and of columns over it (0 for a trivial
+    image), or None when no column is nontrivial, or no row is and the
+    columns share no root.
     """
-    nontrivial = [(j, v) for j, v in enumerate(columns, start=1) if v.letters]
-    if not nontrivial:
+    head = next((j for j, v in enumerate(columns, start=1) if v.letters), None)
+    if head is None:
         return None
-    first, base = nontrivial[0][0], root(nontrivial[0][1]).base
-    other = next((j for j, v in nontrivial if exponent_of_power(v, base) is None), None)
+    rho = sign_normalized(root(columns[head - 1]).base)
+    column_exps = tuple(exponent_of_power(v, rho) for v in columns)
+    other = next((j for j, k in enumerate(column_exps, start=1) if k is None), None)
+    row_exps = []
     for i, u in enumerate(rows, start=1):
-        if not u.letters:
-            continue
-        if exponent_of_power(u, base) is None:
-            return i, first
-        if other is not None:
-            return i, other
-    return None
+        k = exponent_of_power(u, rho)  # 0 for a trivial row, which commutes with all
+        if k is None or (u.letters and other is not None):
+            raise CommutationViolation(i, head if k is None else other, component)
+        row_exps.append(k)
+    return None if other is not None else (rho, tuple(row_exps), column_exps)
 
 
 class ProductEndo(FrozenValue):
     """Endomorphism of F_n x F_m in block form; validated on construction.
 
-    Commutation is tested per coordinate by ``_first_clash``, with one
+    Commutation is tested per coordinate by ``_coordinate_family``, with one
     primitive root per coordinate and one power test per image instead of
-    n * m word products.
+    n * m word products. The power family that test reads is kept, for
+    ``classify``, in the private slots ``_first_family`` and
+    ``_second_family``; they are not fields.
     """
 
-    __slots__ = ("first_from_first", "first_from_second", "second_from_first", "second_from_second")
+    __slots__ = (
+        "first_from_first",
+        "first_from_second",
+        "second_from_first",
+        "second_from_second",
+        "_first_family",
+        "_second_family",
+    )
 
     def __init__(
         self,
@@ -140,17 +161,14 @@ class ProductEndo(FrozenValue):
         for hom, src, tgt in shapes:
             if hom.source != src or hom.target != tgt:
                 raise ValueError(f"block {hom} should map {src} to {tgt}")
-        for component, rows, columns in (
-            ("first", first_from_first.images, first_from_second.images),
-            ("second", second_from_first.images, second_from_second.images),
-        ):
-            clash = _first_clash(rows, columns)
-            if clash is not None:
-                raise CommutationViolation(*clash, component)
+        first = _coordinate_family(first_from_first.images, first_from_second.images, "first")
+        second = _coordinate_family(second_from_first.images, second_from_second.images, "second")
         set_field(self, "first_from_first", first_from_first)
         set_field(self, "first_from_second", first_from_second)
         set_field(self, "second_from_first", second_from_first)
         set_field(self, "second_from_second", second_from_second)
+        set_field(self, "_first_family", first)
+        set_field(self, "_second_family", second)
 
     @property
     def first_alphabet(self) -> Alphabet:
@@ -418,42 +436,30 @@ class TypeVII(FrozenValue):
 EndoType = Union[TypeI, TypeII, TypeIII, TypeIV, TypeV, TypeVI, TypeVII]
 
 
-Family = tuple[Word, tuple[int, ...], tuple[int, ...]]  # base, weights, weights
-
-
-def _power_family(from_first: tuple[Word, ...], from_second: tuple[Word, ...]) -> Family | None:
-    """One coordinate's blocks as powers of a common primitive root, if they are.
-
-    Returns the sign-normalized root of the first nontrivial image and each
-    block's exponents over it (0 for a trivial image), read by
-    ``exponent_of_power`` with one ``root`` for the whole coordinate; None
-    when some image is not such a power, or all are trivial.
-    """
-    images = from_first + from_second
-    head = next((w for w in images if w.letters), None)
-    if head is None:
-        return None
-    rho = sign_normalized(root(head).base)
-    exps = []
-    for w in images:
-        exponent = exponent_of_power(w, rho)
-        if exponent is None:
-            return None
-        exps.append(exponent)
-    n = len(from_first)
-    return rho, tuple(exps[:n]), tuple(exps[n:])
-
-
-def _forced_family(from_first: tuple[Word, ...], from_second: tuple[Word, ...]) -> Family:
-    """The power family that commutation forces on one coordinate's blocks.
+def _forced_family(family: Family | None) -> Family:
+    """The power family that commutation forces on a coordinate fed by both factors.
 
     A valid endomorphism always has one here; its absence is a fault in
     this library, so a plain check raises rather than an assert.
     """
-    fam = _power_family(from_first, from_second)
-    if fam is None:
+    if family is None:
         raise CertificateError("commutation forces a common root here, but the blocks have none")
-    return fam
+    return family
+
+
+def _own_family(
+    kept: Family | None, rows: Sequence[Word], columns: Sequence[Word]
+) -> Family | None:
+    """A shape I coordinate's power family: the kept one, else its rows'.
+
+    Validation keeps none when every column is trivial. The rows are then
+    rooted here, passed as the columns of a coordinate whose rows (the
+    trivial columns) cannot clash; None means they share no root.
+    """
+    if kept is not None:
+        return kept
+    swapped = _coordinate_family(columns, rows, "")
+    return None if swapped is None else (swapped[0], swapped[2], swapped[1])
 
 
 def classify(e: ProductEndo) -> EndoType:
@@ -461,8 +467,11 @@ def classify(e: ProductEndo) -> EndoType:
 
     The zero blocks pick the shape, each tested only when a branch needs
     it. A coordinate fed by both factors is a power family, as its blocks
-    commute; ``_power_family`` reads it with one primitive root for the
-    coordinate and one power test per image.
+    commute; validation (``_coordinate_family``) has already read it, with
+    one primitive root for the coordinate and one power test per image,
+    and ``classify`` reads the kept family. Only a shape I coordinate whose
+    block from the second factor is trivial was rooted by nobody, and is
+    rooted here.
 
     Raises UnclassifiableEndo for the valid block patterns that fit none of
     them: the mirrors of shapes II, III, IV and V under the factor swap,
@@ -475,29 +484,29 @@ def classify(e: ProductEndo) -> EndoType:
     z3 = e.first_from_second.is_trivial()
     if z2 and z3:
         return TypeVI(e.first_from_first, e.second_from_second)
-    second = (e.second_from_first.images, e.second_from_second.images)
     if e.first_from_first.is_trivial():
         if e.second_from_second.is_trivial():
             return TypeVII(e.first_from_second, e.second_from_first)
         if z2:
             return TypeIV(e.first_from_second, e.second_from_second)
         if z3:
-            return TypeV(*_forced_family(*second), e.first_alphabet.rank)
-        return TypeII(e.first_from_second, *_forced_family(*second))
-    first = (e.first_from_first.images, e.first_from_second.images)
+            return TypeV(*_forced_family(e._second_family), e.first_alphabet.rank)
+        return TypeII(e.first_from_second, *_forced_family(e._second_family))
     if z2:
         if e.second_from_second.is_trivial():
             raise UnclassifiableEndo(
                 "first coordinate is a power family fed by both factors but "
                 "the second coordinate collapses; no shape covers this"
             )
-        return TypeIII(*_forced_family(*first), e.second_from_second)
-    first_fam = _power_family(*first)
+        return TypeIII(*_forced_family(e._first_family), e.second_from_second)
+    first_fam = _own_family(e._first_family, e.first_from_first.images, e.first_from_second.images)
     if first_fam is None:
         raise UnclassifiableEndo(
             "first-coordinate blocks are not powers of a common word"
         )
-    second_fam = _power_family(*second)
+    second_fam = _own_family(
+        e._second_family, e.second_from_first.images, e.second_from_second.images
+    )
     if second_fam is None:
         raise UnclassifiableEndo(
             "second-coordinate blocks are not powers of a common word"

@@ -306,6 +306,18 @@ def test_meets_that_need_no_component_subgroup_need_no_oracle(label):
         assert phi.fixes(verdict.witness) and psi.fixes(verdict.witness)
 
 
+def test_swap_meet_pins_an_exponent_the_round_trip_moves():
+    # label 2.1: psi's bases (a1 a2, b1 b2) solve v^q = to_second(u)^p, so
+    # the exponent equation alone admits (p, p); but to_first(to_second(u))
+    # = a2 a1 != u, which pins p to 0. The lattice meet of branches 2.1, 2.2
+    # and 2.6 must apply that pin, or it returns (a1 a2, b1 b2), unfixed
+    phi = TypeVII(FreeHom(B, A, (wa("a2"), wa("a1"))), RELAB_AB).as_endo()
+    psi = TypeI(wa("a1 a2"), wb("b1 b2"), (1, 2), (-2, 0), (1, 0), (2, -2)).as_endo()
+    verdict = decide(phi, psi, FixOracle())
+    assert verdict.describe() == "TRIVIAL [2.1]"
+    assert not common_fixed_points(phi, psi, BallSpec(4))
+
+
 # --- differential check against the ball oracle, all sixteen labels ---------
 
 

@@ -78,6 +78,10 @@ def test_identity_trivial_inner():
     assert identity_hom(A).as_permutation() == (1, 2)
     assert not identity_hom(A).is_trivial()
     assert trivial_hom(A, B).is_trivial()
+    # one shared value per alphabet pair: a FreeHom is immutable
+    assert trivial_hom(A, B) is trivial_hom(Alphabet(2, "a"), Alphabet(2, "b"))
+    assert trivial_hom(B, A) is not trivial_hom(A, B)
+    assert trivial_hom(A, B) == FreeHom(A, B, (Word(B), Word(B)))
     z = wa("a1 a2")
     conj = inner_hom(z)
     # convention: x -> z x z^-1

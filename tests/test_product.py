@@ -11,6 +11,7 @@ from fixfnm import (
     ParseError,
     ProductElement,
     ProductEndo,
+    Root,
     TypeI,
     TypeII,
     TypeIII,
@@ -23,6 +24,7 @@ from fixfnm import (
     classify,
     curated_cases,
     enumerate_product_ball,
+    exponent_of_power,
     identity_endo,
     identity_hom,
     inner_hom,
@@ -38,9 +40,13 @@ from fixfnm import (
 from fixfnm.words import MAX_FILE_LETTERS
 from conftest import (
     ALL_TAGS,
+    PRIMITIVES_A,
+    PRIMITIVES_B,
     RELAB_AB,
     RELAB_BA,
+    random_hom,
     random_shape_payload,
+    random_word,
     rng_for,
 )
 
@@ -335,9 +341,138 @@ def test_unclassifiable_unconstrained_first_coordinate():
 def test_missing_forced_root_is_a_certificate_error(monkeypatch, payload):
     # commutation forces a common root on these blocks; were it ever missed,
     # a plain check (not an assert, so also under python -O) must say so
-    monkeypatch.setattr(product_module, "_power_family", lambda from_first, from_second: None)
+    monkeypatch.setattr(product_module, "_coordinate_family", lambda rows, columns, component: None)
     with pytest.raises(CertificateError, match="commutation forces a common root"):
         classify(payload.as_endo())
+
+
+# --- the power family that validation keeps, against a two-pass reference ---
+
+
+def _reference_family(rows, columns):
+    """A coordinate's power family read from scratch: root the first
+    nontrivial image, rows first, and test every image against it."""
+    images = tuple(rows) + tuple(columns)
+    head = next((w for w in images if w.letters), None)
+    if head is None:
+        return None
+    rho = sign_normalized(root(head).base)
+    exps = [exponent_of_power(w, rho) for w in images]
+    if None in exps:
+        return None
+    return rho, tuple(exps[: len(rows)]), tuple(exps[len(rows) :])
+
+
+def _reference_classify(e):
+    """The shape, or the opening of the UnclassifiableEndo message, computed
+    in a second pass that shares nothing with validation."""
+    ff, fs, sf, ss = e.first_from_first, e.first_from_second, e.second_from_first, e.second_from_second
+    first = _reference_family(ff.images, fs.images)
+    second = _reference_family(sf.images, ss.images)
+    if sf.is_trivial() and fs.is_trivial():
+        return TypeVI(ff, ss)
+    if ff.is_trivial():
+        if ss.is_trivial():
+            return TypeVII(fs, sf)
+        if sf.is_trivial():
+            return TypeIV(fs, ss)
+        if fs.is_trivial():
+            return TypeV(*second, e.first_alphabet.rank)
+        return TypeII(fs, *second)
+    if sf.is_trivial():
+        if ss.is_trivial():
+            return "first coordinate is a power family fed"
+        return TypeIII(*first, ss)
+    if first is None:
+        return "first-coordinate blocks are not powers"
+    if second is None:
+        return "second-coordinate blocks are not powers"
+    return TypeI(first[0], second[0], *first[1:], *second[1:])
+
+
+def _random_block(rng, source, target, zero, base):
+    """The trivial hom, powers of base (at least one nontrivial), or any hom."""
+    if zero:
+        return trivial_hom(source, target)
+    if base is None:
+        return random_hom(rng, source, target)
+    exps = [rng.choice((-2, -1, 0, 0, 1, 3)) for _ in range(source.rank)]
+    if not any(exps):
+        exps[rng.randrange(source.rank)] = rng.choice((-1, 2))
+    return FreeHom(source, target, tuple(base**k for k in exps))
+
+
+def _random_coordinate(rng, a, b, target, rows_zero, columns_zero):
+    """Blocks (rows from a, columns from b) of one coordinate, valid together:
+    powers of one primitive base when both are nontrivial, and half of the
+    time when one of them is."""
+    base = None
+    if not (rows_zero or columns_zero) or rng.random() < 0.5:
+        primitives = PRIMITIVES_A if target.letter == "a" else PRIMITIVES_B
+        base = parse_word(rng.choice(primitives), target)
+        base = base.conjugated_by(random_word(rng, target, rng.randint(0, 2)))
+        if rng.random() < 0.5:
+            base = base.inverse()
+    return (
+        _random_block(rng, a, target, rows_zero, base),
+        _random_block(rng, b, target, columns_zero, base),
+    )
+
+
+def _endos_over_all_zero_patterns():
+    rng = rng_for("product-kept-family")
+    for pattern in range(16):
+        zff, zfs, zsf, zss = ((pattern >> bit) & 1 == 1 for bit in range(4))
+        for _ in range(25):
+            a = Alphabet(rng.randint(2, 3), "a")
+            b = Alphabet(rng.randint(2, 3), "b")
+            ff, fs = _random_coordinate(rng, a, b, a, zff, zfs)
+            sf, ss = _random_coordinate(rng, a, b, b, zsf, zss)
+            yield pattern, ProductEndo(ff, fs, sf, ss)
+    for case in curated_cases():
+        for e in (case.phi, case.psi):
+            yield None, e
+
+
+def test_kept_families_match_a_two_pass_classify(monkeypatch):
+    roots = []
+    real_root = product_module.root
+    monkeypatch.setattr(product_module, "root", lambda w: roots.append(w) or real_root(w))
+    patterns = set()
+    for pattern, e in _endos_over_all_zero_patterns():
+        patterns.add(pattern)
+        coordinates = (
+            (e._first_family, e.first_from_first, e.first_from_second),
+            (e._second_family, e.second_from_first, e.second_from_second),
+        )
+        for kept, rows, columns in coordinates:
+            if not (rows.is_trivial() or columns.is_trivial()):
+                assert kept is not None  # commutation forces a family here
+            if kept is None:
+                continue
+            rho, row_exps, column_exps = kept
+            assert sign_normalized(rho) == rho and real_root(rho) == Root(rho, 1)
+            for images, exps in ((rows.images, row_exps), (columns.images, column_exps)):
+                assert [rho**k for k in exps] == list(images)
+        expected = _reference_classify(e)
+        roots.clear()
+        if isinstance(expected, str):
+            with pytest.raises(UnclassifiableEndo, match=f"^{expected}"):
+                classify(e)
+            continue
+        assert classify(e) == expected
+        if expected.label != "I":
+            assert not roots, expected.label  # classify read the kept family
+    assert patterns == set(range(16)) | {None}
+
+
+def test_private_slots_are_not_fields():
+    e = TypeII(FreeHom(B, A, (wa("a1"), wa("a2"))), V, (0, -1), (-3, 2)).as_endo()
+    assert e._second_family == (V, (0, -1), (-3, 2))
+    assert ProductEndo._fields == (
+        "first_from_first", "first_from_second", "second_from_first", "second_from_second"
+    )
+    assert "_family" not in repr(e)
 
 
 def test_parse_render_round_trip():

@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from fixfnm._value import FrozenValue, set_field
 from fixfnm import (
     Alphabet,
     BallSpec,
@@ -114,7 +115,7 @@ CASES = [pytest.param(cls, make, id=name) for name, cls, make in CASES]
 
 
 def _fields(cls):
-    return [name for name in cls.__slots__ if name != "__dict__"]
+    return [name for name in cls.__slots__ if not name.startswith("_")]
 
 
 def test_every_record_class_is_covered():
@@ -197,3 +198,38 @@ def test_constructor_checks_still_run():
         DeclaredEndo(FreeHom(A, A, (A2, A1)), (A1,))
     with pytest.raises(ValueError):
         Presentation(A, ())
+
+
+class _Counted(FrozenValue):
+    """A record with one field and one derived, private slot."""
+
+    __slots__ = ("letters", "_count")
+
+    def __init__(self, letters):
+        set_field(self, "letters", letters)
+        set_field(self, "_count", len(letters))
+
+
+def test_private_slots_stay_out_of_value_semantics():
+    a, b = _Counted("ab"), _Counted("ab")
+    set_field(b, "_count", 99)  # derived state that differs, fields that agree
+    assert _Counted._fields == ("letters",)
+    assert a == b and hash(a) == hash(b)
+    assert repr(b) == "_Counted(letters='ab')"
+    back = pickle.loads(pickle.dumps(b))
+    assert back == b and back._count == 2  # rebuilt by the constructor
+    assert copy.copy(b)._count == 2
+    with pytest.raises(AttributeError):
+        b._count = 3
+    assert not hasattr(b, "__dict__")
+    # the library's own private slots: a kept power family, a lazily built graph
+    e = TypeI(A1, B1, (1, 0), (2, 0), (0, 1), (0, 3)).as_endo()
+    assert e._first_family == (A1, (1, 0), (2, 0))
+    assert "_family" not in repr(e) and e == TypeI(A1, B1, (1, 0), (2, 0), (0, 1), (0, 3)).as_endo()
+    assert pickle.loads(pickle.dumps(e))._second_family == e._second_family == (B1, (0, 1), (0, 3))
+    declared = DeclaredEndo(identity_hom(A), (A1, A2))
+    assert declared._graph is None
+    graph = declared.fix_graph()
+    assert declared.fix_graph() is graph
+    assert declared == DeclaredEndo(identity_hom(A), (A1, A2))
+    assert not hasattr(declared, "__dict__") and not hasattr(e, "__dict__")
