@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digests of what the decision engine prints, to show a refactor changes none of it.
 
-    python3 scripts/verdict_digest.py [--check]
+    python3 scripts/verdict_digest.py
 
 Prints one line per stream, `<stream> <count> <sha256>`, the sha256 taken
 over the stream's lines joined by newlines:
@@ -20,14 +20,14 @@ made while deciding the seed-1 instances once. Two trees that print the
 same lines give the same verdicts, witnesses and trace labels, and ask the
 oracle as often.
 
-With `--check`, the four lines are also compared with the values pinned in
-PINNED below; each line that differs is named on stderr and the exit code
-is 1. A change that moves a line on purpose re-pins it here.
+The lines are compared with the values pinned in PINNED below: each line
+that differs is named on stderr, and the exit code is 1 if any line
+differs or the script prints more or fewer lines than PINNED holds. A
+change that moves a line on purpose re-pins it here.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -95,15 +95,18 @@ def lines():
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="exit 1 unless every line is pinned")
-    args = parser.parse_args()
+    got = []
+    for line in lines():
+        print(line)
+        got.append(line)
     differ = 0
-    for got, pinned in zip(lines(), PINNED):
-        print(got)
-        if args.check and got != pinned:
-            print(f"differs from the pinned line: {pinned}", file=sys.stderr)
+    for i, (line, pinned) in enumerate(zip(got, PINNED), 1):
+        if line != pinned:
+            print(f"line {i} differs from the pinned line: {pinned}", file=sys.stderr)
             differ += 1
+    if len(got) != len(PINNED):
+        print(f"printed {len(got)} lines, {len(PINNED)} are pinned", file=sys.stderr)
+        differ += 1
     return 1 if differ else 0
 
 

@@ -466,15 +466,6 @@ def test_kept_families_match_a_two_pass_classify(monkeypatch):
     assert patterns == set(range(16)) | {None}
 
 
-def test_private_slots_are_not_fields():
-    e = TypeII(FreeHom(B, A, (wa("a1"), wa("a2"))), V, (0, -1), (-3, 2)).as_endo()
-    assert e._second_family == (V, (0, -1), (-3, 2))
-    assert ProductEndo._fields == (
-        "first_from_first", "first_from_second", "second_from_first", "second_from_second"
-    )
-    assert "_family" not in repr(e)
-
-
 def test_parse_render_round_trip():
     e = TypeVII(RELAB_BA, RELAB_AB).as_endo()
     assert parse_endo_text(render_endo_text(e)) == e

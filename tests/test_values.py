@@ -225,6 +225,9 @@ def test_private_slots_stay_out_of_value_semantics():
     # the library's own private slots: a kept power family, a lazily built graph
     e = TypeI(A1, B1, (1, 0), (2, 0), (0, 1), (0, 3)).as_endo()
     assert e._first_family == (A1, (1, 0), (2, 0))
+    assert ProductEndo._fields == (
+        "first_from_first", "first_from_second", "second_from_first", "second_from_second"
+    )
     assert "_family" not in repr(e) and e == TypeI(A1, B1, (1, 0), (2, 0), (0, 1), (0, 3)).as_endo()
     assert pickle.loads(pickle.dumps(e))._second_family == e._second_family == (B1, (0, 1), (0, 3))
     declared = DeclaredEndo(identity_hom(A), (A1, A2))
