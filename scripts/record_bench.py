@@ -2,7 +2,7 @@
 """Record benchmark rows for a parent revision and for this checkout.
 
     python3 scripts/record_bench.py --parent REV --out BENCH_<n>.json \
-        [--seed 1] [--seconds 30]
+        [--seed 1] [--seconds SECONDS]
 
 The parent revision is exported with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
@@ -11,11 +11,12 @@ tree, and the side that runs first alternates from pair to pair, so drift
 of the host hits both trees alike. Pair k uses seed `--seed` + k on both
 sides.
 
-  - End to end: for each of `decide-mix`, `subgroup-fold` and
-    `cli-intersect`, PAIRS pairs of `bench/run.py --trace 0` runs.
-    Every run is kept; each side gets the median and quartiles of each
-    metric, and a comparison block counts the pairs the change wins
-    (ties count for neither) next to the parent's interquartile range.
+  - End to end: for each workload that `BENCHMARK.json` names, PAIRS
+    pairs of `bench/run.py --trace 0` runs, each `--seconds` long
+    (`BENCHMARK.json`'s `run_seconds` unless given). Every run is kept;
+    each side gets the median and quartiles of each metric, and a
+    comparison block counts the pairs the change wins (ties count for
+    neither) next to the parent's interquartile range.
   - Per label: PAIRS pairs of `bench/run.py --workload decide-mix
     --trace 1` runs (fixed rounds; `--seconds` does not apply), keeping
     the 16 `decision.label.*.p50_us` rows of each, with medians and
@@ -30,28 +31,28 @@ sides.
     edges) and its ball table (`common_fixed_points` on the curated
     nontrivial 1.8 pair, best of 3 at radius 4, 5 and 6), and the median
     per size.
-  - Large fold: PAIRS pairs of one process per tree, with that tree's
-    `src/` on the path, timing `from_generators` on (a1 a2)^2500,
-    (a1 a2)^2501 (10,002 wedge edges, past the end of the
-    `bench/reference.py` curve) as the best of 3, and the median.
-  - Small graphs: PAIRS pairs of one process per tree, with that tree's
-    `src/` on the path, printing the best of 5 rounds, in µs per call, of
+  - Timed blocks (large fold, small graphs, classify curve, lattice
+    calls): PAIRS pairs of one process per tree and block, with that
+    tree's `src/` on the path, each printing the best of its rounds, per
+    call, of each of its rows, and the median per row.
+  - Large fold: `from_generators` on (a1 a2)^2500, (a1 a2)^2501 (row
+    10002, the wedge edges, past the end of the `bench/reference.py`
+    curve) as the best of 3, in ms.
+  - Small graphs: the best of 5 rounds of 1,000 calls, in µs per call, of
     `from_generators([a1 a2])`, of `intersect` of <a1 a2, a2 a1> (3
     vertices) and <a1^2, a2> (2 vertices) with `basis` of the result, and
-    of `FixOracle().fix(inner_hom(a2 a1))`, and the median per row.
-  - Classify curve: PAIRS pairs of one process per tree, with that
-    tree's `src/` on the path, timing `ProductEndo` construction from the
-    four blocks and `classify` of the result together, on the shape I map
-    with bases a1 a2 and b1 b2^-1 b1 whose eight block images are rho^k
-    for their coordinate's base rho, at k = 1,260, 2,520, 5,040 and
-    10,080, as the best of 5 rounds of 10 calls, and the median per k.
+    of `FixOracle().fix(inner_hom(a2 a1))`.
+  - Classify curve: `ProductEndo` construction from the four blocks and
+    `classify` of the result together, on the shape I map with bases
+    a1 a2 and b1 b2^-1 b1 whose eight block images are rho^k for their
+    coordinate's base rho, at k = 1,260, 2,520, 5,040 and 10,080 (one
+    row per k), as the best of 5 rounds of 10 calls, in ms.
     Construction validates the blocks with the power test that `classify`
     reads, so the pair is timed as one.
-  - Lattice calls: PAIRS pairs of one process per tree, with that tree's
-    `src/` on the path, printing the best of 5 rounds, in µs per call, of
+  - Lattice calls: the best of 5 rounds of 1,000 calls, in µs per call, of
     `TypeI.fixed_exponents` on a shape I map whose exponent matrix is
     singular, and of `IntLattice2.intersect` of <(2, 1), (0, 6)> and
-    <(3, 2), (0, 4)>, and the median per row.
+    <(3, 2), (0, 4)>.
   - Drag curve: PAIRS pairs of one process per tree per point, with that
     tree's `src/` on the path, running `fixfnm intersect` of the identity
     diagonal with the shape III drag file `a1 -> (a1^N, 1)`,
@@ -75,6 +76,7 @@ root, with the host it was measured on.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -88,7 +90,6 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("decide-mix", "subgroup-fold", "cli-intersect")
 IMPORT_RUNS = 7
 FOLD_LAYERS = tuple(
     f"stallings.{layer}.self_ms" for layer in ("from_generators", "intersect", "basis", "express")
@@ -98,75 +99,53 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")  # ROADMAP's t
 INTERSECT = (
     "-m", "fixfnm", "intersect", "scripts/data/diag.endo", "scripts/data/swap.endo", "--json"
 )
-LARGE_FOLD = (
-    "-c",
-    "import time, fixfnm as F\n"
-    "a1, a2 = F.Alphabet(2, 'a').generators()\n"
-    "gens = [(a1 * a2) ** 2500, (a1 * a2) ** 2501]\n"
-    "best = float('inf')\n"
-    "for _ in range(3):\n"
-    "    started = time.perf_counter()\n"
-    "    F.from_generators(gens)\n"
-    "    best = min(best, time.perf_counter() - started)\n"
-    "print(best * 1e3)\n",
-)
-SMALL_GRAPH = (
-    "-c",
-    "import json, time, fixfnm as F\n"
-    "a1, a2 = F.Alphabet(2, 'a').generators()\n"
-    "h, k = F.from_generators([a1 * a2, a2 * a1]), F.from_generators([a1 * a1, a2])\n"
-    "inner = F.inner_hom(a2 * a1)\n"
-    "rows = {'from_generators': lambda: F.from_generators([a1 * a2]),\n"
-    "        'intersect_basis': lambda: h.intersect(k).basis(),\n"
-    "        'fix_inner': lambda: F.FixOracle().fix(inner)}\n"
-    "best = {}\n"
-    "for name, call in rows.items():\n"
-    "    best[name] = float('inf')\n"
-    "    for _ in range(5):\n"
-    "        started = time.perf_counter()\n"
-    "        for _ in range(1000):\n"
-    "            call()\n"
-    "        best[name] = min(best[name], (time.perf_counter() - started) * 1e3)\n"
-    "print(json.dumps(best))\n",
-)
-CLASSIFY_POWERS = (1260, 2520, 5040, 10080)
-CLASSIFY_CURVE = (
-    "-c",
-    "import json, time, fixfnm as F\n"
-    "a, b = F.Alphabet(2, 'a'), F.Alphabet(2, 'b')\n"
-    "u, v = F.parse_word('a1 a2', a), F.parse_word('b1 b2^-1 b1', b)\n"
-    "best = {}\n"
-    f"for k in {CLASSIFY_POWERS}:\n"
-    "    e = F.TypeI(u, v, (k, k), (k, k), (k, k), (k, k)).as_endo()\n"
-    "    blocks = (e.first_from_first, e.first_from_second, e.second_from_first,\n"
-    "              e.second_from_second)\n"
-    "    best[k] = float('inf')\n"
-    "    for _ in range(5):\n"
-    "        started = time.perf_counter()\n"
-    "        for _ in range(10):\n"
-    "            F.classify(F.ProductEndo(*blocks))\n"
-    "        best[k] = min(best[k], (time.perf_counter() - started) * 1e2)\n"
-    "print(json.dumps(best))\n",
-)
-LATTICE_CALLS = (
-    "-c",
-    "import json, time, fixfnm as F\n"
-    "a, b = F.Alphabet(2, 'a'), F.Alphabet(2, 'b')\n"
-    "shape = F.TypeI(F.parse_word('a1', a), F.parse_word('b1', b), (2, 0), (1, 0), (1, 0), (2, 0))\n"
-    "first = F.IntLattice2.from_rows([(2, 1), (0, 6)])\n"
-    "second = F.IntLattice2.from_rows([(3, 2), (0, 4)])\n"
-    "rows = {'fixed_exponents': shape.fixed_exponents,\n"
-    "        'intersect': lambda: first.intersect(second)}\n"
-    "best = {}\n"
-    "for name, call in rows.items():\n"
-    "    best[name] = float('inf')\n"
-    "    for _ in range(5):\n"
-    "        started = time.perf_counter()\n"
-    "        for _ in range(1000):\n"
-    "            call()\n"
-    "        best[name] = min(best[name], (time.perf_counter() - started) * 1e3)\n"
-    "print(json.dumps(best))\n",
-)
+# block name -> the setup that defines `rows` (row name -> call), the rounds, the calls per
+# round and the unit of the per-call times that TIMING prints
+TIMED = {
+    "large_fold": dict(rounds=3, calls=1, unit="ms", setup=(
+        "a1, a2 = F.Alphabet(2, 'a').generators()\n"
+        "gens = [(a1 * a2) ** 2500, (a1 * a2) ** 2501]\n"
+        "rows = {'10002': lambda: F.from_generators(gens)}\n"
+    )),
+    "small_graph": dict(rounds=5, calls=1000, unit="us", setup=(
+        "a1, a2 = F.Alphabet(2, 'a').generators()\n"
+        "h, k = F.from_generators([a1 * a2, a2 * a1]), F.from_generators([a1 * a1, a2])\n"
+        "inner = F.inner_hom(a2 * a1)\n"
+        "rows = {'from_generators': lambda: F.from_generators([a1 * a2]),\n"
+        "        'intersect_basis': lambda: h.intersect(k).basis(),\n"
+        "        'fix_inner': lambda: F.FixOracle().fix(inner)}\n"
+    )),
+    "classify_curve": dict(rounds=5, calls=10, unit="ms", setup=(
+        "a, b = F.Alphabet(2, 'a'), F.Alphabet(2, 'b')\n"
+        "u, v = F.parse_word('a1 a2', a), F.parse_word('b1 b2^-1 b1', b)\n"
+        "def row(k):\n"
+        "    e = F.TypeI(u, v, (k, k), (k, k), (k, k), (k, k)).as_endo()\n"
+        "    blocks = (e.first_from_first, e.first_from_second, e.second_from_first,\n"
+        "              e.second_from_second)\n"
+        "    return lambda: F.classify(F.ProductEndo(*blocks))\n"
+        "rows = {str(k): row(k) for k in (1260, 2520, 5040, 10080)}\n"
+    )),
+    "lattice_calls": dict(rounds=5, calls=1000, unit="us", setup=(
+        "a, b = F.Alphabet(2, 'a'), F.Alphabet(2, 'b')\n"
+        "shape = F.TypeI(F.parse_word('a1', a), F.parse_word('b1', b), (2, 0), (1, 0), (1, 0), (2, 0))\n"
+        "first = F.IntLattice2.from_rows([(2, 1), (0, 6)])\n"
+        "second = F.IntLattice2.from_rows([(3, 2), (0, 4)])\n"
+        "rows = {'fixed_exponents': shape.fixed_exponents,\n"
+        "        'intersect': lambda: first.intersect(second)}\n"
+    )),
+}
+TIMING = """import json, time, fixfnm as F
+{setup}best = {{}}
+for name, call in rows.items():
+    best[name] = float('inf')
+    for _ in range({rounds}):
+        started = time.perf_counter()
+        for _ in range({calls}):
+            call()
+        best[name] = min(best[name], time.perf_counter() - started)
+scale = {{'ms': 1e3, 'us': 1e6}}['{unit}'] / {calls}
+print(json.dumps({{name: t * scale for name, t in best.items()}}))
+"""
 DRAG_SIZES = (1250, 2500, 5000, 10000)
 IDENTITY_ENDO = "endo 2 2\na1 -> ( a1 , 1 )\na2 -> ( a2 , 1 )\nb1 -> ( 1 , b1 )\nb2 -> ( 1 , b2 )\n"
 DRAG_ENDO = "endo 2 2\na1 -> ( a1^{n} , 1 )\na2 -> ( 1 , 1 )\nb1 -> ( a1 , b1 )\nb2 -> ( 1 , b2 )\n"
@@ -192,11 +171,28 @@ def export(rev: str, into: Path) -> None:
     archive.unlink()
 
 
+def src_env(tree: Path) -> dict[str, str]:
+    """The environment of a process that imports ``tree``'s fixfnm."""
+    return dict(os.environ, PYTHONPATH=str(tree / "src"))
+
+
+def run(tree: Path, *args: str, exits: tuple[int, ...] = (0,),
+        src: bool = True) -> subprocess.CompletedProcess:
+    """One Python process in ``tree``, with its `src/` on the path unless ``src`` is false (the
+    `bench/` scripts put it there and pass PYTHONPATH on to their children as they find it).
+    An exit code outside ``exits`` raises with the tail of the child's stderr."""
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=src_env(tree) if src else None,
+                          capture_output=True, text=True)
+    if proc.returncode not in exits:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise RuntimeError(f"{' '.join(args)[:120]} in {tree} exited {proc.returncode}:\n{tail}")
+    return proc
+
+
 def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The last line of one `bench/run.py` run, parsed."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    proc = run(tree, "bench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", str(trace), src=False)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -206,9 +202,10 @@ def traced_rows(tree: Path, workload: str, seed: int, keep) -> dict[str, float]:
     return {name: row["value"] for name, row in metrics.items() if keep(name)}
 
 
-def label_rows(tree: Path, seed: int) -> dict[str, float]:
-    """The `decision.label.*` rows of one traced `decide-mix` run."""
-    return traced_rows(tree, "decide-mix", seed, lambda name: name.startswith("decision.label."))
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of the runs of one side."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def compare(ours: list[float], theirs: list[float], direction: str) -> dict:
@@ -225,14 +222,35 @@ def compare(ours: list[float], theirs: list[float], direction: str) -> dict:
     }
 
 
+def spread_and_compare(rows: dict[str, list[dict[str, float]]], better: dict[str, str]):
+    """Each side's spread of each column of its ``rows`` (one per pair), and for each column
+    that ``better`` gives a direction, the comparison of the change with the parent."""
+    values = {side: {c: [row[c] for row in runs] for c in runs[0]} for side, runs in rows.items()}
+    spreads = {side: {c: spread(v) for c, v in columns.items()} for side, columns in values.items()}
+    return spreads, {c: compare(values["change"][c], values["parent"][c], direction)
+                     for c, direction in better.items()}
+
+
+def medians(rows: list[dict[str, float]]) -> dict[str, float]:
+    """The median of each column of ``rows``, which share their columns."""
+    return {column: statistics.median(row[column] for row in rows) for column in rows[0]}
+
+
+def median_per_size(tables: list[list[dict]], size: str) -> list[dict]:
+    """Per value of the ``size`` column, ascending, the medians of the rows that have it."""
+    by_size: dict[int, list[dict]] = defaultdict(list)
+    for table in tables:
+        for row in table:
+            by_size[row[size]].append(row)
+    return [{**medians(rows), size: n} for n, rows in sorted(by_size.items())]
+
+
 REFERENCE_TABLES = {"fold": "edges  fold_ms  express_ms", "ball": "radius  elements  hits  ms"}
 
 
 def reference_tables(tree: Path) -> dict[str, list[dict]]:
     """The fold and ball tables of one `bench/reference.py` run, by their REFERENCE_TABLES key."""
-    proc = subprocess.run([sys.executable, "bench/reference.py"], cwd=tree,
-                          capture_output=True, text=True, check=True)
-    lines = proc.stdout.splitlines()
+    lines = run(tree, "bench/reference.py", src=False).stdout.splitlines()
     tables = {}
     for name, header in REFERENCE_TABLES.items():
         columns, rows = header.split(), []
@@ -244,28 +262,12 @@ def reference_tables(tree: Path) -> dict[str, list[dict]]:
     return tables
 
 
-def snippet(tree: Path, code: tuple[str, ...]):
-    """The JSON that one of the timing snippets above prints, run with ``tree``'s `src/`."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, *code], cwd=tree, env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def write_drag_files(into: Path) -> None:
-    """The identity diagonal and one drag file per DRAG_SIZES entry, under ``into``."""
-    (into / "identity.endo").write_text(IDENTITY_ENDO)
-    for n in DRAG_SIZES:
-        (into / f"drag{n}.endo").write_text(DRAG_ENDO.format(n=n))
-
-
 def drag_point(tree: Path, files: Path, n: int) -> dict[str, float]:
     """Wall time and maximum RSS of one `fixfnm intersect` process on the drag file at N = n."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "fixfnm", "intersect",
            str(files / "identity.endo"), str(files / f"drag{n}.endo")]
     started = time.perf_counter()
-    proc = subprocess.Popen(cmd, cwd=tree, env=env,
+    proc = subprocess.Popen(cmd, cwd=tree, env=src_env(tree),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
     wall = time.perf_counter() - started
@@ -277,17 +279,10 @@ def drag_point(tree: Path, files: Path, n: int) -> dict[str, float]:
 
 def tier1(tree: Path) -> dict:
     """Wall time and summary line of one run of the tier-1 suite."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     started = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    proc = run(tree, *TIER1, exits=(0, 1, 2, 3, 4, 5))  # pytest's exit codes, kept
     wall = time.perf_counter() - started
     return {"wall_s": wall, "exit": proc.returncode, "summary": proc.stdout.strip().splitlines()[-1]}
-
-
-def spread(values: list[float]) -> dict:
-    """Median and quartiles (inclusive method) of the runs of one side."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def fixfnm_importtime(stderr: str) -> dict[str, float]:
@@ -309,57 +304,60 @@ def in_turn(trees: dict[str, Path], k: int) -> list[tuple[str, Path]]:
     return order if k % 2 == 0 else order[::-1]
 
 
+def pairs(trees: dict[str, Path], what: str, measure, first_seed: int, rounds: int = PAIRS):
+    """Per tree, the rows ``measure(tree, seed)`` of ``rounds`` rounds that alternate between
+    the trees (see in_turn), with round k at seed ``first_seed`` + k on both sides."""
+    runs: dict[str, list] = {side: [] for side in trees}
+    for k in range(rounds):
+        for place, (side, tree) in enumerate(in_turn(trees, k)):
+            print(f"round {k + 1}/{rounds} {side}: {what}", file=sys.stderr)
+            row = measure(tree, first_seed + k)
+            runs[side].append(dict(row, seed=first_seed + k, first=place == 0))
+    return runs
+
+
 def import_block(trees: dict[str, Path]) -> dict[str, dict]:
     """Per tree: process wall times and fixfnm's `-X importtime` rows, medians of
     IMPORT_RUNS rounds that alternate between the trees, and the fixfnm modules
     that each IMPORT_COMMANDS row loads."""
 
-    def run(tree: Path, *args: str) -> subprocess.CompletedProcess:
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-        proc = subprocess.run(
-            [sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True
-        )
-        if proc.returncode not in (0, 1):  # intersect exits 1 on a nontrivial verdict
-            raise RuntimeError(f"{args} exited {proc.returncode}: {proc.stderr}")
-        return proc
+    def importtime(tree: Path, args: tuple[str, ...]) -> dict[str, float]:
+        return fixfnm_importtime(run(tree, "-X", "importtime", *args, exits=(0, 1)).stderr)
 
-    wall = {side: defaultdict(list) for side in trees}
-    cumulative = {side: defaultdict(list) for side in trees}
-    for k in range(IMPORT_RUNS):
-        for side, tree in in_turn(trees, k):
-            print(f"round {k + 1}/{IMPORT_RUNS} {side}: import block", file=sys.stderr)
-            for name, args in IMPORT_COMMANDS.items():  # interleaved, so drift hits every row
-                started = time.perf_counter()
-                run(tree, *args)
-                wall[side][name].append(time.perf_counter() - started)
-            importtime = fixfnm_importtime(run(tree, "-X", "importtime", *INTERSECT).stderr)
-            for module, total in importtime.items():
-                cumulative[side][module].append(total)
+    def measure(tree: Path, seed: int) -> dict[str, dict[str, float]]:
+        wall_ms = {}
+        for name, args in IMPORT_COMMANDS.items():  # interleaved, so drift hits every row
+            started = time.perf_counter()
+            run(tree, *args, exits=(0, 1))  # intersect exits 1 on a nontrivial verdict
+            wall_ms[name] = (time.perf_counter() - started) * 1e3
+        return {"wall_ms": wall_ms, "cumulative_ms": importtime(tree, INTERSECT)}
+
+    runs = pairs(trees, "import block", measure, 0, IMPORT_RUNS)
     return {
         side: {
             "runs": IMPORT_RUNS,
-            "wall_ms": {name: statistics.median(ts) * 1e3 for name, ts in wall[side].items()},
-            "loaded": {name: sorted(fixfnm_importtime(run(tree, "-X", "importtime", *args).stderr))
-                       for name, args in IMPORT_COMMANDS.items()},
-            "importtime_cumulative_ms": {
-                module: statistics.median(ts) for module, ts in sorted(cumulative[side].items())
-            },
+            "wall_ms": medians([r["wall_ms"] for r in runs[side]]),
+            "loaded": {name: sorted(importtime(tree, args)) for name, args in IMPORT_COMMANDS.items()},
+            "importtime_cumulative_ms": dict(
+                sorted(medians([r["cumulative_ms"] for r in runs[side]]).items())),
         }
         for side, tree in trees.items()
     }
 
 
 def main() -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=30.0, help="length of each end-to-end run")
+    parser.add_argument("--seconds", type=float, default=float(benchmark["run_seconds"]),
+                        help="length of each end-to-end run")
     parser.add_argument("--out", required=True, help="output file, relative to the repository root")
     args = parser.parse_args()
 
     parent_sha = git("rev-parse", args.parent).strip()
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {metric["name"]: metric["better"] for metric in declared}
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     report = {
         "host": {
             "machine": platform.machine(),
@@ -371,7 +369,7 @@ def main() -> int:
             "recorded": time.strftime("%Y-%m-%d %H:%M UTC", time.gmtime()),
         },
         "settings": {"pairs": PAIRS, "first_seed": args.seed, "seconds": args.seconds,
-                     "workloads": list(WORKLOADS)},
+                     "workloads": workloads},
         "parent": {"rev": parent_sha},
         "change": {
             "rev": git("rev-parse", "HEAD").strip(),
@@ -382,112 +380,54 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         export(parent_sha, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        paired = functools.partial(pairs, trees, first_seed=args.seed)
 
-        def pairs(what: str, measure) -> dict[str, list]:
-            runs: dict[str, list] = {"parent": [], "change": []}
-            for k in range(PAIRS):
-                for place, (side, tree) in enumerate(in_turn(trees, k)):
-                    print(f"pair {k + 1}/{PAIRS} {side}: {what}", file=sys.stderr)
-                    row = measure(tree, args.seed + k)
-                    runs[side].append(dict(row, seed=args.seed + k, first=place == 0))
-            return runs
-
-        for workload in WORKLOADS:
-            runs = pairs(workload, lambda tree, seed: bench_run(tree, workload, seed, args.seconds, 0))
-            values = {side: {name: [r["metrics"][name]["value"] for r in runs[side]] for name in better}
-                      for side in trees}
+        for workload in workloads:
+            runs = paired(workload, lambda tree, seed: bench_run(tree, workload, seed, args.seconds, 0))
+            spreads, report["comparison"][workload] = spread_and_compare(
+                {side: [{name: r["metrics"][name]["value"] for name in better} for r in runs[side]]
+                 for side in trees}, better)
             for side in trees:
                 report[side].setdefault("end_to_end", {})[workload] = {
-                    "runs": runs[side],
-                    "metrics": {name: spread(v) for name, v in values[side].items()},
-                }
-            report["comparison"][workload] = {
-                name: compare(values["change"][name], values["parent"][name], direction)
-                for name, direction in better.items()
-            }
+                    "runs": runs[side], "metrics": spreads[side]}
 
-        runs = pairs("decide-mix per label", lambda tree, seed: {"p50_us": label_rows(tree, seed)})
+        runs = paired("decide-mix per label", lambda tree, seed: {"p50_us": traced_rows(
+            tree, "decide-mix", seed, lambda name: name.startswith("decision.label."))})
+        spreads, _ = spread_and_compare({side: [r["p50_us"] for r in runs[side]] for side in trees}, {})
         for side in trees:
-            labels = runs[side][0]["p50_us"]
-            report[side]["decide_per_label"] = {
-                "runs": runs[side],
-                "p50_us": {name: spread([r["p50_us"][name] for r in runs[side]]) for name in labels},
-            }
+            report[side]["decide_per_label"] = {"runs": runs[side], "p50_us": spreads[side]}
 
-        runs = pairs("subgroup-fold per layer", lambda tree, seed: {
+        runs = paired("subgroup-fold per layer", lambda tree, seed: {
             "self_ms": traced_rows(tree, "subgroup-fold", seed, FOLD_LAYERS.__contains__)})
-        values = {side: {name: [r["self_ms"][name] for r in runs[side]] for name in FOLD_LAYERS}
-                  for side in trees}
+        spreads, report["comparison"]["subgroup-fold per layer"] = spread_and_compare(
+            {side: [r["self_ms"] for r in runs[side]] for side in trees},
+            dict.fromkeys(FOLD_LAYERS, "lower"))
         for side in trees:
-            report[side]["fold_layers"] = {
-                "runs": runs[side],
-                "self_ms": {name: spread(v) for name, v in values[side].items()},
-            }
-        report["comparison"]["subgroup-fold per layer"] = {
-            name: compare(values["change"][name], values["parent"][name], "lower")
-            for name in FOLD_LAYERS
-        }
+            report[side]["fold_layers"] = {"runs": runs[side], "self_ms": spreads[side]}
 
-        runs = pairs("bench/reference.py", lambda tree, seed: reference_tables(tree))
-        curves = (("fold_curve", "fold", "edges", ("fold_ms", "express_ms")),
-                  ("ball_curve", "ball", "radius", ("elements", "hits", "ms")))
+        runs = paired("bench/reference.py", lambda tree, seed: reference_tables(tree))
         for side in trees:
-            for block, table, size, columns in curves:
-                by_size: dict[int, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
-                for run in runs[side]:
-                    for row in run[table]:
-                        for column in columns:
-                            by_size[row[size]][column].append(row[column])
-                report[side][block] = {
-                    "runs": [run[table] for run in runs[side]],
-                    "median": [{size: n, **{k: statistics.median(v) for k, v in cols.items()}}
-                               for n, cols in sorted(by_size.items())],
-                }
+            for block, table, size in (("fold_curve", "fold", "edges"), ("ball_curve", "ball", "radius")):
+                tables = [r[table] for r in runs[side]]
+                report[side][block] = {"runs": tables, "median": median_per_size(tables, size)}
 
-        runs = pairs("10,002-edge fold", lambda tree, seed: {"fold_ms": snippet(tree, LARGE_FOLD)})
-        for side in trees:
-            report[side]["large_fold"] = {
-                "edges": 10002,
-                "runs": runs[side],
-                "median_fold_ms": statistics.median(r["fold_ms"] for r in runs[side]),
-            }
-
-        runs = pairs("small graphs", lambda tree, seed: {"us": snippet(tree, SMALL_GRAPH)})
-        for side in trees:
-            report[side]["small_graph"] = {
-                "runs": runs[side],
-                "median_us": {name: statistics.median(r["us"][name] for r in runs[side])
-                              for name in runs[side][0]["us"]},
-            }
-
-        runs = pairs("classify curve", lambda tree, seed: {"ms": snippet(tree, CLASSIFY_CURVE)})
-        for side in trees:
-            report[side]["classify_curve"] = {
-                "runs": runs[side],
-                "median_ms": [{"k": k, "ms": statistics.median(r["ms"][str(k)] for r in runs[side])}
-                              for k in CLASSIFY_POWERS],
-            }
-
-        runs = pairs("lattice calls", lambda tree, seed: {"us": snippet(tree, LATTICE_CALLS)})
-        for side in trees:
-            report[side]["lattice_calls"] = {
-                "runs": runs[side],
-                "median_us": {name: statistics.median(r["us"][name] for r in runs[side])
-                              for name in runs[side][0]["us"]},
-            }
+        for block, timed in TIMED.items():
+            program, unit = TIMING.format(**timed), timed["unit"]
+            runs = paired(block, lambda tree, seed: {unit: json.loads(run(tree, "-c", program).stdout)})
+            for side in trees:
+                report[side][block] = {"runs": runs[side],
+                                       "median": medians([r[unit] for r in runs[side]])}
 
         files = Path(tmp) / "drag"
         files.mkdir()
-        write_drag_files(files)
-        runs = pairs("drag curve", lambda tree, seed: {
+        (files / "identity.endo").write_text(IDENTITY_ENDO)
+        for n in DRAG_SIZES:
+            (files / f"drag{n}.endo").write_text(DRAG_ENDO.format(n=n))
+        runs = paired("drag curve", lambda tree, seed: {
             "points": {n: drag_point(tree, files, n) for n in DRAG_SIZES}})
         for side in trees:
-            median = {n: {key: statistics.median(r["points"][n][key] for r in runs[side])
-                          for key in ("wall_s", "maxrss_mb")} for n in DRAG_SIZES}
-            report[side]["drag_curve"] = {
-                "runs": runs[side],
-                "median": [{"N": n, **median[n]} for n in DRAG_SIZES],
-            }
+            points = [[{"N": n, **point} for n, point in r["points"].items()] for r in runs[side]]
+            report[side]["drag_curve"] = {"runs": runs[side], "median": median_per_size(points, "N")}
 
         for side, tree in in_turn(trees, 0):
             print(f"{side}: tier-1", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""Shared randomized-instance builders.
+"""Shared alphabets, word parsers and randomized-instance builders.
 
-Everything takes an explicit random.Random so each test controls its seed;
+Every random builder takes an explicit random.Random so each test controls its seed;
 a failing case can then be replayed by seed alone.
 """
 
@@ -11,6 +11,7 @@ import random
 from fixfnm import (
     Alphabet,
     FreeHom,
+    ProductElement,
     ProductEndo,
     TypeI,
     TypeII,
@@ -20,19 +21,32 @@ from fixfnm import (
     TypeVI,
     TypeVII,
     Word,
-    generator,
     identity_hom,
     inner_hom,
+    parse_word,
     permutation_hom,
     weighted_sum,
     word,
 )
 
-A2 = Alphabet(2, "a")
-B2 = Alphabet(2, "b")
+A = Alphabet(2, "a")
+B = Alphabet(2, "b")
 
-RELAB_AB = FreeHom(A2, B2, B2.generators())
-RELAB_BA = FreeHom(B2, A2, A2.generators())
+
+def wa(text: str) -> Word:
+    return parse_word(text, A)
+
+
+def wb(text: str) -> Word:
+    return parse_word(text, B)
+
+
+def pe(first: str, second: str) -> ProductElement:
+    return ProductElement(wa(first), wb(second))
+
+
+RELAB_AB = FreeHom(A, B, B.generators())
+RELAB_BA = FreeHom(B, A, A.generators())
 
 # sign-normalized primitive words; classification canonicalizes power bases
 # to exactly these forms, which keeps round-trip comparisons literal
@@ -86,12 +100,6 @@ def supported_component(rng: random.Random, alphabet: Alphabet) -> FreeHom:
     return permutation_hom(alphabet, tuple(indices))
 
 
-def _parse_primitive(text: str, alphabet: Alphabet) -> Word:
-    from fixfnm import parse_word
-
-    return parse_word(text, alphabet)
-
-
 def _nonzero_weights(rng: random.Random, size: int) -> tuple[int, ...]:
     while True:
         w = tuple(rng.randint(-2, 2) for _ in range(size))
@@ -115,8 +123,8 @@ def random_shape_payload(rng: random.Random, tag: str):
     payload verbatim. Free components come from the recognized family, so
     fix_product and decide work with a bare FixOracle().
     """
-    u = _parse_primitive(rng.choice(PRIMITIVES_A), A2)
-    v = _parse_primitive(rng.choice(PRIMITIVES_B), B2)
+    u = wa(rng.choice(PRIMITIVES_A))
+    v = wb(rng.choice(PRIMITIVES_B))
     if tag == "I":
         return TypeI(
             u,
@@ -127,24 +135,24 @@ def random_shape_payload(rng: random.Random, tag: str):
             _nonzero_weights(rng, 2),
         )
     if tag == "II":
-        theta = random_hom(rng, B2, A2, allow_trivial_images=False)
+        theta = random_hom(rng, B, A, allow_trivial_images=False)
         return TypeII(theta, v, _nonzero_weights(rng, 2), _nonzero_weights(rng, 2))
     if tag == "III.1":
         while True:
             p = _nonzero_weights(rng, 2)
             if weighted_sum(u, p) != 1:
                 break
-        return TypeIII(u, p, _nonzero_weights(rng, 2), supported_component(rng, B2))
+        return TypeIII(u, p, _nonzero_weights(rng, 2), supported_component(rng, B))
     if tag == "III.2":
         p = _weights_with_sum(rng, u, 1)
-        return TypeIII(u, p, _nonzero_weights(rng, 2), supported_component(rng, B2))
+        return TypeIII(u, p, _nonzero_weights(rng, 2), supported_component(rng, B))
     if tag == "IV":
-        theta = random_hom(rng, B2, A2, allow_trivial_images=False)
-        return TypeIV(theta, supported_component(rng, B2))
+        theta = random_hom(rng, B, A, allow_trivial_images=False)
+        return TypeIV(theta, supported_component(rng, B))
     if tag == "V":
         return TypeV(v, _nonzero_weights(rng, 2), _nonzero_weights(rng, 2), 2)
     if tag == "VI":
-        return TypeVI(supported_component(rng, A2), supported_component(rng, B2))
+        return TypeVI(supported_component(rng, A), supported_component(rng, B))
     if tag == "VII":
         return TypeVII(*swap_blocks(rng, "inner" if rng.random() < 0.5 else "permutation"))
     raise ValueError(f"unknown tag {tag!r}")
@@ -159,15 +167,15 @@ def swap_blocks(rng: random.Random, flavour: str) -> tuple[FreeHom, FreeHom]:
     for two swaps or a swap and a shape IV map, recognizable.
     """
     if flavour == "inner":
-        za = random_word(rng, A2, rng.randint(0, 2))
-        zb = random_word(rng, B2, rng.randint(0, 2))
+        za = random_word(rng, A, rng.randint(0, 2))
+        zb = random_word(rng, B, rng.randint(0, 2))
         return RELAB_BA.then(inner_hom(za)), RELAB_AB.then(inner_hom(zb))
     pa = list(range(1, 3))
     pb = list(range(1, 3))
     rng.shuffle(pa)
     rng.shuffle(pb)
-    to_first = RELAB_BA.then(permutation_hom(A2, tuple(pa)))
-    return to_first, RELAB_AB.then(permutation_hom(B2, tuple(pb)))
+    to_first = RELAB_BA.then(permutation_hom(A, tuple(pa)))
+    return to_first, RELAB_AB.then(permutation_hom(B, tuple(pb)))
 
 
 def random_shape_endo(rng: random.Random, tag: str) -> ProductEndo:

@@ -40,7 +40,9 @@ from fixfnm import (
     whole_group,
 )
 from conftest import (
+    A,
     ALL_TAGS,
+    B,
     RELAB_BA,
     random_hom,
     random_shape_endo,
@@ -49,9 +51,6 @@ from conftest import (
     rng_for,
     supported_component,
 )
-
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
 
 ALL_LABELS = {f"{family}.{branch}" for family in (1, 2) for branch in range(1, 9)}
 

@@ -17,26 +17,15 @@ from fixfnm import (
     Word,
     identity_hom,
     inner_hom,
-    parse_word,
     permutation_hom,
     render_endo_text,
     render_hom_text,
 )
 from fixfnm.words import MAX_FILE_LETTERS
 from fixfnm.cli import main
-from conftest import RELAB_AB, RELAB_BA
+from conftest import A, B, RELAB_AB, RELAB_BA, wa, wb
 
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
 DATA = Path(__file__).resolve().parent.parent / "scripts" / "data"
-
-
-def wa(text):
-    return parse_word(text, A)
-
-
-def wb(text):
-    return parse_word(text, B)
 
 
 def _write(tmp_path, name, text):

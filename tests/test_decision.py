@@ -34,34 +34,26 @@ from fixfnm import (
     identity_endo,
     identity_hom,
     inner_hom,
-    parse_word,
     permutation_hom,
     render_endo_text,
 )
 from conftest import (
+    A,
     ALL_TAGS,
+    B,
     RELAB_AB,
     RELAB_BA,
     random_shape_payload,
     rng_for,
     supported_component,
     swap_blocks,
+    wa,
+    wb,
 )
-
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
 
 ALL_LABELS = tuple(
     f"{family}.{branch}" for family in (1, 2) for branch in range(1, 9)
 )
-
-
-def wa(text):
-    return parse_word(text, A)
-
-
-def wb(text):
-    return parse_word(text, B)
 
 
 def plain_diag():

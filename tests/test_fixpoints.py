@@ -41,23 +41,21 @@ from fixfnm import (
     whole_group,
 )
 from fixfnm import fixpoints
-from conftest import ALL_TAGS, RELAB_AB, RELAB_BA, random_shape_endo, random_word, rng_for
+from conftest import (
+    A,
+    ALL_TAGS,
+    B,
+    RELAB_AB,
+    RELAB_BA,
+    pe,
+    random_shape_endo,
+    random_word,
+    rng_for,
+    wa,
+    wb,
+)
 
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
 A3 = Alphabet(3, "a")
-
-
-def wa(text):
-    return parse_word(text, A)
-
-
-def wb(text):
-    return parse_word(text, B)
-
-
-def pe(first, second):
-    return ProductElement(wa(first), wb(second))
 
 
 # --- recognized and declared free-group endomorphisms ------------------------

@@ -12,25 +12,15 @@ from fixfnm import (
     identity_hom,
     inner_hom,
     parse_hom_text,
-    parse_word,
     permutation_hom,
     render_hom_text,
     trivial_hom,
     word,
 )
 from fixfnm.words import MAX_FILE_LETTERS
+from conftest import A, B, wa, wb
 
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
 A3 = Alphabet(3, "a")
-
-
-def wa(text):
-    return parse_word(text, A)
-
-
-def wb(text):
-    return parse_word(text, B)
 
 
 def test_constructor_validation():

@@ -4,9 +4,7 @@ import pytest
 
 import fixfnm.oracle as oracle_module
 from fixfnm import (
-    Alphabet,
     BallSpec,
-    ProductElement,
     TypeVI,
     TypeVII,
     ball_size,
@@ -18,22 +16,10 @@ from fixfnm import (
     identity_endo,
     identity_hom,
     inner_hom,
-    parse_word,
     permutation_hom,
 )
 from fixfnm.oracle import MAX_RADIUS
-from conftest import RELAB_AB, RELAB_BA
-
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
-
-
-def wa(text):
-    return parse_word(text, A)
-
-
-def pe(first, second):
-    return ProductElement(wa(first), parse_word(second, B))
+from conftest import A, B, RELAB_AB, RELAB_BA, pe, wa
 
 
 def test_ball_spec_bounds():

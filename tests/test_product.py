@@ -39,31 +39,21 @@ from fixfnm import (
 )
 from fixfnm.words import MAX_FILE_LETTERS
 from conftest import (
+    A,
     ALL_TAGS,
+    B,
     PRIMITIVES_A,
     PRIMITIVES_B,
     RELAB_AB,
     RELAB_BA,
+    pe,
     random_hom,
     random_shape_payload,
     random_word,
     rng_for,
+    wa,
+    wb,
 )
-
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
-
-
-def wa(text):
-    return parse_word(text, A)
-
-
-def wb(text):
-    return parse_word(text, B)
-
-
-def pe(first, second):
-    return ProductElement(wa(first), wb(second))
 
 
 def test_product_element_basics():

@@ -22,14 +22,7 @@ from fixfnm import (
     word,
 )
 from fixfnm.stallings import Preimage, _Builder
-from conftest import random_word, rng_for
-
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
-
-
-def wa(text):
-    return parse_word(text, A)
+from conftest import A, B, random_word, rng_for, wa
 
 
 def _out_halves(graph):

@@ -19,7 +19,6 @@ from fixfnm import (
     common_fixed_points,
     embed_equalizer,
     enumerate_ball,
-    fixed_points,
     mihailova_generators,
     mihailova_instance,
     parse_presentation_text,
@@ -27,22 +26,13 @@ from fixfnm import (
     reduce_pair_to_equalizer,
 )
 from fixfnm.suite import ball_products
+from conftest import A, B, wa, wb
 
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
 X = Alphabet(2, "x")
 
 
 def wx(text):
     return parse_word(text, X)
-
-
-def wa(text):
-    return parse_word(text, A)
-
-
-def wb(text):
-    return parse_word(text, B)
 
 
 def test_presentation_parsing():

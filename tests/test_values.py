@@ -48,14 +48,11 @@ from fixfnm import (
     parse_word,
     reduce_pair_to_equalizer,
 )
+from conftest import A, B, RELAB_AB, RELAB_BA
 
-A = Alphabet(2, "a")
-B = Alphabet(2, "b")
 X = Alphabet(2, "x")
 A1, A2 = Word(A, (1,)), Word(A, (2,))
 B1 = Word(B, (1,))
-RELAB_BA = FreeHom(B, A, (A1, A2))
-RELAB_AB = FreeHom(A, B, (B1, Word(B, (2,))))
 
 
 def _graph_a():

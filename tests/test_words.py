@@ -23,13 +23,9 @@ from fixfnm import (
     word,
 )
 from fixfnm.words import MAX_WORD_LETTERS, ball_products
+from conftest import A, wa
 
-A = Alphabet(2, "a")
 a1, a2 = generator(A, 1), generator(A, 2)
-
-
-def wparse(text):
-    return parse_word(text, A)
 
 
 letters = st.lists(
@@ -41,7 +37,7 @@ def test_reduction_and_identity():
     assert word(A, [1, -1]).is_identity()
     assert word(A, [1, 2, -2, -1]).is_identity()
     assert word(A, [1, 2, -2, 1]).letters == (1, 1)
-    assert len(wparse("a1 a1 a2")) == 3
+    assert len(wa("a1 a1 a2")) == 3
 
 
 def test_invalid_letters_rejected():
@@ -72,7 +68,7 @@ def test_power_matches_repeated_product(xs, k):
 
 
 def test_cyclic_reduce():
-    w = wparse("a2 a1 a2 a2^-1")  # conjugate of a1 a2... check directly
+    w = wa("a2 a1 a2 a2^-1")  # conjugate of a1 a2... check directly
     core, conj = cyclic_reduce(w)
     assert conj * core * conj.inverse() == w
     assert core.is_identity() or core.letters[0] != -core.letters[-1]
@@ -93,7 +89,7 @@ def test_root_examples():
     assert root(a1**6) == Root(a1, 6)
     assert root(Word(A)).exponent == 0
     # conjugates: root((a1 a2 a1^-1)^3) has base a1 a2 a1^-1
-    w = wparse("a1 a2 a1^-1")
+    w = wa("a1 a2 a1^-1")
     r = root(w**3)
     assert r.base == w and r.exponent == 3
     # inverse powers keep a positive exponent with an inverted base
@@ -146,7 +142,7 @@ def test_root_matches_the_divisor_by_divisor_reference(cs, us, k, invert):
 
 
 def test_exponent_of_power():
-    u = wparse("a1 a2")
+    u = wa("a1 a2")
     assert exponent_of_power(u**5, u) == 5
     assert exponent_of_power(u**-3, u) == -3
     assert exponent_of_power(Word(A), u) == 0
@@ -191,7 +187,7 @@ def _near_misses(rng, target):
 
 
 def test_power_test_matches_root_based_powers():
-    u = wparse("a2 a1 a2^-1")  # primitive
+    u = wa("a2 a1 a2^-1")  # primitive
     assert exponent_of_power(u**4, u) == 4
     assert exponent_of_power(u**-2, u) == -2
     assert exponent_of_power(u**3, u.inverse()) == -3
@@ -243,7 +239,7 @@ def test_sign_normalized_is_the_shortlex_smaller():
 
 
 def test_solve_power_equation_cases():
-    u = wparse("a1 a2")
+    u = wa("a1 a2")
     # v = u, w = u^2: v^m = w^k iff m = 2k
     lat = solve_power_equation(u, u**2)
     assert lat.basis == ((2, 1),)
@@ -272,8 +268,8 @@ def test_solve_power_equation_is_zero_iff_nontrivial_words_do_not_commute(xs, ys
 
 def test_weighted_sum():
     # signed letter count against the weight vector: 2 + 2 - 1
-    assert weighted_sum(wparse("a1 a1 a2"), (2, -1)) == 3
-    assert weighted_sum(wparse("a1 a1^-1"), (5, 7)) == 0
+    assert weighted_sum(wa("a1 a1 a2"), (2, -1)) == 3
+    assert weighted_sum(wa("a1 a1^-1"), (5, 7)) == 0
     assert weighted_sum(Word(A), (1, 1)) == 0
 
 
@@ -341,7 +337,7 @@ def test_parse_render_round_trip():
         w = parse_word(text, A)
         assert parse_word(render_word(w), A) == w
     assert parse_word("a1 a1 a1", A) == parse_word("a1^3", A)
-    assert render_word(wparse("a1 a1 a1 a2^-1")) == "a1^3 a2^-1"
+    assert render_word(wa("a1 a1 a1 a2^-1")) == "a1^3 a2^-1"
 
 
 def test_parse_errors():
