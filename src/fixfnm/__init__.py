@@ -44,7 +44,6 @@ _EXPORTS = {
         "bounded_equalizer",
         "common_fixed_points",
         "enumerate_product_ball",
-        "fixed_points",
         "fixed_words",
     ),
     "product": (
@@ -63,7 +62,6 @@ _EXPORTS = {
         "classify",
         "identity_endo",
         "parse_endo_text",
-        "product_identity",
         "render_endo_text",
     ),
     "stallings": (
@@ -98,7 +96,6 @@ _EXPORTS = {
         "enumerate_ball",
         "exponent_of_power",
         "generator",
-        "identity",
         "parse_word",
         "render_word",
         "root",

@@ -184,7 +184,7 @@ def _cmd_mihailova(args: argparse.Namespace) -> int:
         f"query: {render_word(query)} = core^{instance.power} with core "
         f"{render_word(instance.core)}"
     )
-    print(f"fixed subgroup: {instance.fix.describe(FixOracle())}")
+    print(f"fixed subgroup: {fix_product(instance.endo).describe(FixOracle())}")
     print("subgroup generators:")
     for g in instance.subgroup_generators:
         print(f"  {g}")

@@ -37,22 +37,21 @@ class UnsupportedShape(ValueError):
 
 
 class Verdict(FrozenValue):
-    """Outcome of a decision run.
+    """Outcome of a decision run; trivial exactly when ``witness`` is None.
 
-    ``witness`` is None for trivial verdicts; a nontrivial verdict always
-    carries a common fixed point, built only through ``with_witness``.
+    ``decide`` builds a nontrivial verdict only through ``with_witness``,
+    which checks the witness.
     """
 
-    __slots__ = ("trivial", "witness", "trace")
+    __slots__ = ("witness", "trace")
 
-    def __init__(self, trivial: bool, witness: Optional[ProductElement], trace: tuple[str, ...]):
-        set_field(self, "trivial", trivial)
+    def __init__(self, witness: Optional[ProductElement], trace: tuple[str, ...]):
         set_field(self, "witness", witness)
         set_field(self, "trace", trace)
 
-    @classmethod
-    def intersection_trivial(cls, trace: tuple[str, ...]) -> "Verdict":
-        return cls(True, None, tuple(trace))
+    @property
+    def trivial(self) -> bool:
+        return self.witness is None
 
     @classmethod
     def with_witness(
@@ -68,7 +67,7 @@ class Verdict(FrozenValue):
             raise CertificateError(f"witness {witness} is not fixed by the first endomorphism")
         if not psi.fixes(witness):
             raise CertificateError(f"witness {witness} is not fixed by the second endomorphism")
-        return cls(False, witness, tuple(trace))
+        return cls(witness, tuple(trace))
 
     def describe(self) -> str:
         tag = "/".join(self.trace)
@@ -112,5 +111,5 @@ def decide(
         found = fix.meet_swap(first_shape, oracle)
     trace = ("2.7", "1.8") if label == "2.7" else (label,)
     if found is None:
-        return Verdict.intersection_trivial(trace)
+        return Verdict(None, trace)
     return Verdict.with_witness(phi, psi, found, trace)

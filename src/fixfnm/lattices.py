@@ -121,10 +121,6 @@ class IntLattice2(FrozenValue):
     def line(cls, vector: Sequence[int]) -> "IntLattice2":
         return cls.from_rows([vector])
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
     def is_trivial(self) -> bool:
         return not self.basis
 

@@ -63,11 +63,6 @@ def common_fixed_points(phi: ProductEndo, psi: ProductEndo, spec: BallSpec) -> l
     return [g for g in ball if phi.fixes(g) and psi.fixes(g)]
 
 
-def fixed_points(phi: ProductEndo, spec: BallSpec) -> list[ProductElement]:
-    """Nontrivial ball elements fixed by one product endomorphism."""
-    return common_fixed_points(phi, phi, spec)
-
-
 def bounded_equalizer(f: FreeHom, g: FreeHom, spec: BallSpec) -> list[Word]:
     """Nontrivial ball words on which two homomorphisms agree."""
     if f.source != g.source or f.target != g.target:

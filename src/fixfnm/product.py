@@ -203,10 +203,6 @@ def identity_endo(n: int, m: int) -> ProductEndo:
     )
 
 
-def product_identity(n: int, m: int) -> ProductElement:
-    return ProductElement(Word(Alphabet(n, "a")), Word(Alphabet(m, "b")))
-
-
 # --- the seven shapes ------------------------------------------------------
 #
 # Payloads follow the block structure. Power blocks are stored as a base

@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Optional
 
 from ._value import FrozenValue, set_field
-from .fixpoints import AUDIT_RADIUS, DeclaredEndo, FixDescriptor, FixOracle, fix_product
+from .fixpoints import AUDIT_RADIUS, DeclaredEndo, FixOracle
 from .homs import FreeHom, identity_hom, inner_hom, permutation_hom
 from .product import (
     ProductElement,
@@ -129,7 +129,7 @@ class MihailovaInstance(FrozenValue):
     is why the decision engine handles fixed subgroups on both sides only.
     """
 
-    __slots__ = ("endo", "subgroup_generators", "core", "power", "fix")
+    __slots__ = ("endo", "subgroup_generators", "core", "power")
 
     def __init__(
         self,
@@ -137,13 +137,11 @@ class MihailovaInstance(FrozenValue):
         subgroup_generators: tuple[ProductElement, ...],
         core: Word,
         power: int,
-        fix: FixDescriptor,
     ):
         set_field(self, "endo", endo)
         set_field(self, "subgroup_generators", subgroup_generators)
         set_field(self, "core", core)
         set_field(self, "power", power)
-        set_field(self, "fix", fix)
 
     def search_witness(self, budget: int) -> Optional[ProductElement]:
         """Bounded hunt for a nontrivial common element.
@@ -156,7 +154,7 @@ class MihailovaInstance(FrozenValue):
         for candidate in islice(ball_products(self.subgroup_generators, budget), SEARCH_CAP):
             if candidate.is_identity():
                 continue
-            if self.fix.contains(candidate):
+            if self.endo.fixes(candidate):
                 return candidate
         return None
 
@@ -204,7 +202,6 @@ def mihailova_instance(pres: Presentation, query: Word) -> MihailovaInstance:
         subgroup_generators=mihailova_generators(pres),
         core=rt.base,
         power=rt.exponent,
-        fix=fix_product(endo),
     )
 
 

@@ -163,10 +163,6 @@ def word(alphabet: Alphabet, letters: Iterable[int]) -> Word:
     return Word(alphabet, free_reduce(letters))
 
 
-def identity(alphabet: Alphabet) -> Word:
-    return Word(alphabet)
-
-
 def generator(alphabet: Alphabet, i: int) -> Word:
     """The i-th basis element (1-based); negative i gives the inverse."""
     if i == 0 or abs(i) > alphabet.rank:

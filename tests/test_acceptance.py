@@ -181,11 +181,12 @@ def test_criterion_4_embedded_fixed_subgroup_is_a_power_line(capsys):
     for pres_text, query_text in instances:
         pres = parse_presentation_text(pres_text)
         inst = mihailova_instance(pres, parse_word(query_text, pres.alphabet))
+        fix = fix_product(inst.endo)
         for g in ball:
             expected = g.first.is_identity() and (
                 exponent_of_power(g.second, inst.core) is not None
             )
-            if inst.fix.contains(g) != expected:
+            if fix.contains(g) != expected:
                 problems.append(f"{pres_text} / {query_text}: descriptor wrong at {g}")
                 break
             if inst.endo.fixes(g) != expected:

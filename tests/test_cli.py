@@ -10,10 +10,9 @@ from fixfnm import (
     Alphabet,
     CertificateError,
     FreeHom,
-    TypeI,
+    TypeII,
     TypeIV,
     TypeVI,
-    TypeVII,
     Word,
     identity_hom,
     inner_hom,
@@ -23,9 +22,11 @@ from fixfnm import (
 )
 from fixfnm.words import MAX_FILE_LETTERS
 from fixfnm.cli import main
-from conftest import A, B, RELAB_AB, RELAB_BA, wa, wb
+from conftest import A, B, RELAB_BA, wa, wb
 
 DATA = Path(__file__).resolve().parent.parent / "scripts" / "data"
+# the example files that the README and the benchmark use
+DIAG, SWAP, POWERPAIR = (str(DATA / name) for name in ("diag.endo", "swap.endo", "powerpair.endo"))
 
 
 def _write(tmp_path, name, text):
@@ -34,26 +35,8 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-@pytest.fixture
-def diag(tmp_path):
-    e = TypeVI(inner_hom(wa("a1")), inner_hom(wb("b1"))).as_endo()
-    return _write(tmp_path, "diag.endo", render_endo_text(e))
-
-
-@pytest.fixture
-def swap(tmp_path):
-    e = TypeVII(RELAB_BA, RELAB_AB).as_endo()
-    return _write(tmp_path, "swap.endo", render_endo_text(e))
-
-
-@pytest.fixture
-def powerpair(tmp_path):
-    e = TypeI(wa("a2"), wb("b1"), (2, 0), (-1, 0), (1, 0), (0, 0)).as_endo()
-    return _write(tmp_path, "powerpair.endo", render_endo_text(e))
-
-
-def test_classify(diag, capsys):
-    assert main(["classify", diag]) == 0
+def test_classify(capsys):
+    assert main(["classify", DIAG]) == 0
     assert capsys.readouterr().out.strip() == "VI"
 
 
@@ -68,14 +51,22 @@ def test_classify_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_fix_output(diag, capsys):
-    assert main(["fix", diag]) == 0
+def test_fix_output(tmp_path, capsys):
+    assert main(["fix", DIAG]) == 0
     out = capsys.readouterr().out
     assert "shape: VI" in out
     assert "trivial: no" in out
     # shape I with a zero exponent lattice: the identity alone is fixed
-    assert main(["fix", str(DATA / "powerpair.endo")]) == 0
+    assert main(["fix", POWERPAIR]) == 0
     assert capsys.readouterr().out.splitlines() == ["shape: I", "trivial", "trivial: yes"]
+    # shape II: (a1^p, b1^q) goes to (a1^q, b1^p), so it is fixed iff p = q
+    e = TypeII(RELAB_BA, wb("b1"), (1, 0), (0, 1)).as_endo()
+    assert main(["fix", _write(tmp_path, "shape2.endo", render_endo_text(e))]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "shape: II",
+        "powers ((a1)^p, (b1)^q) with (p, q) in <(1, 1)>",
+        "trivial: no",
+    ]
 
 
 def test_fix_needs_oracle_for_unknown_components(tmp_path, capsys):
@@ -102,7 +93,7 @@ def test_declarations_are_audited(tmp_path, capsys):
 
 def test_declaration_errors_name_line_and_column(tmp_path, capsys):
     # columns count from the start of the raw line, in both declaration files
-    endo = str(DATA / "diag.endo")
+    endo = DIAG
     big = _write(tmp_path, "big.hom", "hom 2 2 a a\na1 -> a2 a1^999999\na2 -> a2\n")
     basis = _write(tmp_path, "a1.basis", "a1\n")
     assert main(["fix", endo, "--declare", big, basis]) == 2
@@ -114,7 +105,7 @@ def test_declaration_errors_name_line_and_column(tmp_path, capsys):
 
 
 def test_declared_basis_files_are_capped_in_total_letters(tmp_path, capsys):
-    endo = str(DATA / "diag.endo")
+    endo = DIAG
     hom = str(DATA / "retract.hom")
     half = MAX_FILE_LETTERS // 2
     basis = _write(tmp_path, "long.basis", f"a1^{half}\n\na1^{half}\na1\n")
@@ -133,7 +124,7 @@ def test_presentation_files_are_capped_in_total_letters(tmp_path, capsys):
     )
 
 
-def test_brute_force_balls_are_capped_in_size(tmp_path, diag, swap, capsys):
+def test_brute_force_balls_are_capped_in_size(tmp_path, capsys):
     # the --declare audit of an identity of rank 20 would walk 2.4M words
     rank = 20
     gens = [f"a{i}" for i in range(1, rank + 1)]
@@ -141,7 +132,7 @@ def test_brute_force_balls_are_capped_in_size(tmp_path, diag, swap, capsys):
     hom = _write(tmp_path, "id20.hom", "\n".join(lines) + "\n")
     basis = _write(tmp_path, "id20.basis", "\n".join(gens) + "\n")
     started = time.perf_counter()
-    assert main(["fix", str(DATA / "diag.endo"), "--declare", hom, basis]) == 2
+    assert main(["fix", DIAG, "--declare", hom, basis]) == 2
     assert time.perf_counter() - started < 1.0
     assert "ball of radius 4 holds 2435201 elements, more than 1000000" in capsys.readouterr().err
     # rank 3 at radius 8: 5,917,969 pairs; rank 2 at radius 8 (139,969 pairs) still runs
@@ -149,7 +140,7 @@ def test_brute_force_balls_are_capped_in_size(tmp_path, diag, swap, capsys):
     rank3 = _write(tmp_path, "id3.endo", render_endo_text(e3))
     assert main(["oracle", "--radius", "8", rank3, rank3]) == 2
     assert "product ball of radius 8" in capsys.readouterr().err
-    assert main(["oracle", "--radius", "8", diag, swap]) == 1
+    assert main(["oracle", "--radius", "8", DIAG, SWAP]) == 1
     assert "common fixed points with |x| + |y| <= 8" in capsys.readouterr().out
 
 
@@ -239,22 +230,22 @@ def test_shape_iii_drag_file_takes_bounded_work(tmp_path, capsys):
     assert f"with {1 - n} | w(y)" in capsys.readouterr().out
 
 
-def test_intersect_nontrivial(diag, swap, capsys):
-    assert main(["intersect", diag, swap]) == 1
+def test_intersect_nontrivial(capsys):
+    assert main(["intersect", DIAG, SWAP]) == 1
     out = capsys.readouterr().out
     assert out.startswith("NONTRIVIAL (")
     assert "trace: 1.8" in out
 
 
-def test_intersect_trivial(diag, powerpair, capsys):
-    assert main(["intersect", diag, powerpair]) == 0
+def test_intersect_trivial(capsys):
+    assert main(["intersect", DIAG, POWERPAIR]) == 0
     out = capsys.readouterr().out
     assert out.startswith("TRIVIAL")
     assert "trace: 1.1" in out
 
 
-def test_intersect_json(diag, swap, capsys):
-    assert main(["intersect", "--json", diag, swap]) == 1
+def test_intersect_json(capsys):
+    assert main(["intersect", "--json", DIAG, SWAP]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "nontrivial"
     assert set(payload) == {"verdict", "witness", "trace", "timings"}
@@ -276,35 +267,35 @@ def test_intersect_rank_drop_json(tmp_path, capsys):
     assert payload["trace"] == ["1.5"]
 
 
-def test_intersect_internal_fault_exits_4(diag, swap, capsys, monkeypatch):
+def test_intersect_internal_fault_exits_4(capsys, monkeypatch):
     def failing_decide(*args):
         raise CertificateError("witness (a1^-1, b1) is not fixed by the second endomorphism")
 
     monkeypatch.setattr("fixfnm.cli.decide", failing_decide)
-    assert main(["intersect", diag, swap]) == 4
+    assert main(["intersect", DIAG, SWAP]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: witness (a1^-1, b1)")
     assert "Traceback" not in captured.err
 
 
-def test_intersect_unsupported_first_shape(powerpair, diag, capsys):
-    assert main(["intersect", powerpair, diag]) == 3
+def test_intersect_unsupported_first_shape(capsys):
+    assert main(["intersect", POWERPAIR, DIAG]) == 3
     assert "error:" in capsys.readouterr().err
 
 
-def test_oracle(diag, swap, capsys):
-    assert main(["oracle", "--radius", "2", diag, swap]) == 1
+def test_oracle(capsys):
+    assert main(["oracle", "--radius", "2", DIAG, SWAP]) == 1
     out = capsys.readouterr().out
     assert "(a1, b1)" in out
     assert out.strip().endswith("common fixed points with |x| + |y| <= 2")
 
-    assert main(["oracle", "--radius", "0", diag, swap]) == 0
+    assert main(["oracle", "--radius", "0", DIAG, SWAP]) == 0
     assert "0 common fixed points" in capsys.readouterr().out
 
 
-def test_oracle_radius_cap(diag, swap, capsys):
-    assert main(["oracle", "--radius", "9", diag, swap]) == 2
+def test_oracle_radius_cap(capsys):
+    assert main(["oracle", "--radius", "9", DIAG, SWAP]) == 2
     assert "radius" in capsys.readouterr().err
 
 

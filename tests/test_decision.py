@@ -207,6 +207,11 @@ def test_witness_constructor_rejects_bad_witnesses():
     with pytest.raises(CertificateError):
         # (a2, 1) is moved by conjugation with a1
         Verdict.with_witness(phi, phi, ProductElement(wa("a2"), Word(B)), ("1.7",))
+    with pytest.raises(CertificateError, match="not fixed by the second endomorphism"):
+        # (a2, 1) is fixed by the identity but not by phi
+        Verdict.with_witness(
+            identity_endo(2, 2), phi, ProductElement(wa("a2"), Word(B)), ("1.7",)
+        )
 
 
 def test_witness_check_survives_optimized_mode():
@@ -254,7 +259,10 @@ sys.exit(1)
 
 
 def test_verdict_describe():
-    assert Verdict.intersection_trivial(("1.1",)).describe() == "TRIVIAL [1.1]"
+    trivial = Verdict(None, ("1.1",))
+    assert trivial.trivial
+    assert trivial.describe() == "TRIVIAL [1.1]"
+    assert not Verdict(ProductElement(Word(A), wb("b2")), ("1.5",)).trivial
     rank_drop = TypeIV(FreeHom(B, A, (wa("a1"), Word(A))), identity_hom(B)).as_endo()
     swap_diag = TypeVI(permutation_hom(A, (2, 1)), identity_hom(B)).as_endo()
     assert decide(swap_diag, rank_drop).describe() == "NONTRIVIAL (1, b2) [1.5]"

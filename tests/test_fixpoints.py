@@ -222,6 +222,11 @@ def test_oracle_misses_and_declarations():
     with pytest.raises(ValueError):
         FixOracle().fix(RELAB_AB)  # not an endomorphism
 
+    # on rank 1 no map is inner but the identity, so the inversion is a miss
+    rank1 = Alphabet(1, "a")
+    with pytest.raises(MissingOracle):
+        FixOracle().fix(FreeHom(rank1, rank1, (parse_word("a1^-1", rank1),)))
+
     # a declared conjugation, which is recognized too, is answered with the
     # declared graph itself, on every query
     conj = inner_hom(wa("a1 a2"))

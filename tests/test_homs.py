@@ -95,6 +95,8 @@ def test_permutation_hom_and_detection():
     assert identity_hom(A3).as_permutation() == (1, 2, 3)
     with pytest.raises(ValueError):
         permutation_hom(A, (1, 1))
+    # a repeated positive letter is not a permutation either
+    assert FreeHom(A, A, (wa("a1"), wa("a1"))).as_permutation() is None
 
     # conjugation and basis inversions are not basis permutations
     assert inner_hom(wa("a1")).as_permutation() is None

@@ -11,7 +11,6 @@ from fixfnm import (
     bounded_equalizer,
     common_fixed_points,
     enumerate_product_ball,
-    fixed_points,
     fixed_words,
     identity_endo,
     identity_hom,
@@ -68,7 +67,7 @@ def test_bounded_equalizer_examples():
 
 def test_fixed_points_of_swap_endo():
     e = TypeVII(RELAB_BA, RELAB_AB).as_endo()
-    hits = fixed_points(e, BallSpec(2))
+    hits = common_fixed_points(e, e, BallSpec(2))
     # (x, relabeled x) needs |x| on both sides, so only length-1 cores fit
     assert set(map(str, hits)) == {
         "(a1, b1)",
@@ -91,14 +90,15 @@ def test_common_fixed_points():
     assert pe("a2", "1") not in hits
     assert all(not g.is_identity() for g in hits)
     # identity endo fixes everything, so this is just Fix(psi) on the ball
-    assert hits == fixed_points(psi, BallSpec(2))
+    assert hits == common_fixed_points(psi, psi, BallSpec(2))
 
     with pytest.raises(ValueError):
         common_fixed_points(identity_endo(2, 2), identity_endo(2, 3), BallSpec(1))
 
 
 def test_radius_zero_is_empty():
-    assert fixed_points(identity_endo(2, 2), BallSpec(0)) == []
+    e = identity_endo(2, 2)
+    assert common_fixed_points(e, e, BallSpec(0)) == []
 
 
 @pytest.mark.parametrize("ranks, radius", [((2, 2), 3), ((2, 3), 4), ((3, 2), 2)])
@@ -110,10 +110,10 @@ def test_ball_cap_counts_the_ball_exactly(monkeypatch, ranks, radius):
     monkeypatch.setattr(oracle_module, "MAX_BALL_ELEMENTS", words)
     assert len(fixed_words(identity_hom(phi.first_alphabet), BallSpec(radius))) == words - 1
     monkeypatch.setattr(oracle_module, "MAX_BALL_ELEMENTS", pairs)
-    assert len(fixed_points(phi, BallSpec(radius))) == pairs - 1
+    assert len(common_fixed_points(phi, phi, BallSpec(radius))) == pairs - 1
     monkeypatch.setattr(oracle_module, "MAX_BALL_ELEMENTS", pairs - 1)
     with pytest.raises(ValueError, match=f"product ball of radius {radius} holds {pairs} elements"):
-        fixed_points(phi, BallSpec(radius))
+        common_fixed_points(phi, phi, BallSpec(radius))
     monkeypatch.setattr(oracle_module, "MAX_BALL_ELEMENTS", words - 1)
     with pytest.raises(ValueError, match=f"ball of radius {radius} holds {words} elements"):
         fixed_words(identity_hom(phi.first_alphabet), BallSpec(radius))

@@ -31,7 +31,6 @@ from fixfnm import (
     parse_endo_text,
     parse_word,
     permutation_hom,
-    product_identity,
     render_endo_text,
     root,
     sign_normalized,
@@ -62,7 +61,7 @@ def test_product_element_basics():
     assert g * h == pe("a2", "1")
     assert (g * g.inverse()).is_identity()
     assert str(g) == "(a1, b2^-1)"
-    assert str(product_identity(2, 2)) == "(1, 1)"
+    assert str(ProductElement(Word(A), Word(B))) == "(1, 1)"
     with pytest.raises(ValueError):
         ProductElement(wb("b1"), wb("b1"))  # first slot wants an a-word
 

@@ -18,7 +18,9 @@ DATA = ROOT / "scripts" / "data"
 # FactorSubgroup, which fix_product never returned, with PowerGraph in place
 # of the two shape III descriptors it merges, and less TrivialFix (now
 # PairedPowers with a zero lattice), commute and image (an image is
-# Preimage(...).image())
+# Preimage(...).image()), and less identity (Word(alphabet)), product_identity
+# (a ProductElement of two empty words) and fixed_points (common_fixed_points
+# with the same endomorphism twice)
 PUBLIC_NAMES = {
     "Alphabet", "BallSpec", "CertificateError", "CommutationViolation", "CuratedCase",
     "DeclaredEndo", "EndoType", "EqualizerReduction", "FactorProduct",
@@ -30,12 +32,12 @@ PUBLIC_NAMES = {
     "bounded_equalizer", "classify", "common_fixed_points",
     "congruence_subgroup", "curated_cases", "cyclic_reduce", "decide", "decision",
     "embed_equalizer", "enumerate_ball", "enumerate_product_ball", "exponent_of_power",
-    "express_in_generators", "fix_product", "fixed_points", "fixed_words", "fixpoints",
-    "from_generators", "generator", "hnf_rows", "homs", "identity", "identity_endo",
+    "express_in_generators", "fix_product", "fixed_words", "fixpoints",
+    "from_generators", "generator", "hnf_rows", "homs", "identity_endo",
     "identity_hom", "inner_hom", "kernel_basis", "lattices",
     "mihailova_generators", "mihailova_instance", "oracle", "parse_endo_text",
     "parse_hom_text", "parse_presentation_text", "parse_word", "permutation_hom",
-    "product", "product_identity", "reduce_pair_to_equalizer", "render_endo_text",
+    "product", "reduce_pair_to_equalizer", "render_endo_text",
     "render_hom_text", "render_word", "restricted_kernel_trivial", "root",
     "sign_normalized", "solve_power_equation", "stallings", "suite", "trivial_hom",
     "trivial_subgroup", "weighted_sum", "whole_group", "word", "words",

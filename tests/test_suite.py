@@ -19,6 +19,7 @@ from fixfnm import (
     common_fixed_points,
     embed_equalizer,
     enumerate_ball,
+    fix_product,
     mihailova_generators,
     mihailova_instance,
     parse_presentation_text,
@@ -108,8 +109,9 @@ def test_mihailova_instance_with_torsion():
     inst = mihailova_instance(pres, wx("x1"))
     assert inst.core == wb("b1")
     assert inst.power == 1
-    assert inst.fix.contains(ProductElement(Word(A), wb("b1^5")))
-    assert not inst.fix.contains(ProductElement(wa("a1"), Word(B)))
+    fix = fix_product(inst.endo)
+    assert fix.contains(ProductElement(Word(A), wb("b1^5")))
+    assert not fix.contains(ProductElement(wa("a1"), Word(B)))
 
     hit = inst.search_witness(budget=4)
     assert hit is not None

@@ -81,7 +81,7 @@ FACTORIES = {
     PairedPowers: lambda: PairedPowers(A1, B1, IntLattice2.full()),
     HomGraph: lambda: HomGraph(inner_hom(B1), RELAB_BA),
     PowerGraph: lambda: PowerGraph(A1, (1, 0), 2, inner_hom(B1)),
-    Verdict: lambda: Verdict(False, ProductElement(A1, B1), ("1.8",)),
+    Verdict: lambda: Verdict(ProductElement(A1, B1), ("1.8",)),
     BallSpec: lambda: BallSpec(4),
     Presentation: lambda: parse_presentation_text("x1 x2 | x1^2"),
     MihailovaInstance: lambda: mihailova_instance(
