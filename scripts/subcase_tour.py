@@ -3,8 +3,8 @@
 
 Each curated pair pins one of the sixteen decision branches (1.1 to 2.8).
 The tour decides every pair, checks the verdict against the expectation
-baked into the suite, and optionally cross-checks against the brute-force
-oracle. Exits nonzero if anything disagrees.
+the curated manifest records, and optionally cross-checks against the
+brute-force oracle. Exits nonzero if anything disagrees.
 """
 
 import argparse
@@ -29,7 +29,8 @@ def main(argv=None) -> int:
     header = f"{'label':>6}  {'case':<32} {'verdict':<10} {'trace':<12} witness"
     print(header)
     print("-" * len(header))
-    for case in curated_cases():
+    cases = curated_cases()
+    for case in cases:
         verdict = decide(case.phi, case.psi, case.oracle())
         ok = verdict.trivial == case.expected_trivial and verdict.trace[0] == case.label
         if args.crosscheck:
@@ -46,8 +47,8 @@ def main(argv=None) -> int:
         if not ok:
             failures += 1
     print("-" * len(header))
-    labels = {c.label for c in curated_cases()}
-    print(f"{len(curated_cases())} cases over {len(labels)} branch labels, {failures} failures")
+    labels = {c.label for c in cases}
+    print(f"{len(cases)} cases over {len(labels)} branch labels, {failures} failures")
     return 1 if failures else 0
 
 

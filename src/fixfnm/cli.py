@@ -17,17 +17,18 @@ from pathlib import Path
 from typing import Optional
 
 from .decision import UnsupportedShape, decide
-from .fixpoints import AUDIT_RADIUS, DeclaredEndo, FixOracle, MissingOracle, fix_product
-from .homs import _content_lines, parse_hom_text
+from .fixpoints import AUDIT_RADIUS, FixOracle, MissingOracle, fix_product, parse_declaration
+from .homs import parse_hom_text
 from .oracle import BallSpec, bounded_equalizer, common_fixed_points
 from .product import UnclassifiableEndo, classify, identity_endo, parse_endo_text
-from .words import CertificateError, LetterTally, ParseError, parse_word, render_word
+from .words import CertificateError, ParseError, parse_word, render_word
 
 
 def _add_declare(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--declare",
         nargs=2,
+        type=Path,
         action="append",
         default=[],
         metavar=("HOM_FILE", "BASIS_FILE"),
@@ -97,17 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_declarations(pairs: list[list[str]]) -> tuple[DeclaredEndo, ...]:
-    out = []
-    for hom_file, basis_file in pairs:
-        h = parse_hom_text(Path(hom_file).read_text())
-        tally = LetterTally()  # a basis file, like the others, holds at most MAX_FILE_LETTERS
-        basis = [
-            parse_word(line, h.source, line=lineno, tally=tally)
-            for lineno, line in _content_lines(Path(basis_file).read_text())
-        ]
-        out.append(DeclaredEndo(h, tuple(basis), audit_radius=AUDIT_RADIUS))
-    return tuple(out)
+def _oracle(args: argparse.Namespace) -> FixOracle:
+    return FixOracle([parse_declaration(h.read_text(), b.read_text()) for h, b in args.declare])
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -118,7 +110,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_fix(args: argparse.Namespace) -> int:
     endo = parse_endo_text(args.endo.read_text())
-    oracle = FixOracle(_load_declarations(args.declare))
+    oracle = _oracle(args)
     shape = classify(endo)
     description = fix_product(endo, shape).describe(oracle)
     print(f"shape: {shape.label}")
@@ -133,7 +125,7 @@ def _cmd_fix(args: argparse.Namespace) -> int:
 def _cmd_intersect(args: argparse.Namespace) -> int:
     phi = parse_endo_text(args.phi.read_text())
     psi = parse_endo_text(args.psi.read_text())
-    oracle = FixOracle(_load_declarations(args.declare))
+    oracle = _oracle(args)
     started = time.perf_counter()
     verdict = decide(phi, psi, oracle)
     elapsed = time.perf_counter() - started

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Union
 
 from ._value import FrozenValue, set_field
-from .homs import FreeHom
+from .homs import FreeHom, _content_lines, parse_hom_text
 from .lattices import IntLattice2, solve_power_equation
 from .oracle import BallSpec, fixed_words
 from .product import (
@@ -50,16 +50,19 @@ from .stallings import (
     SubgroupGraph,
     congruence_subgroup,
     from_generators,
+    letter_subgroup,
     restricted_kernel_trivial,
     trivial_subgroup,
 )
 from .words import (
     CertificateError,
+    LetterTally,
     Word,
     _conjugator_length,
     _inverse,
     exponent_of_power,
     free_reduce,
+    parse_word,
     render_word,
     root,
     weighted_sum,
@@ -114,6 +117,18 @@ class DeclaredEndo(FrozenValue):
         if self._graph is None:
             set_field(self, "_graph", from_generators(self.fix_basis, self.endo.source))
         return self._graph
+
+
+def parse_declaration(hom_text: str, basis_text: str) -> DeclaredEndo:
+    """The declaration read from the texts of a hom file and of a basis file
+    (one word a line, MAX_FILE_LETTERS letters at most), audited at AUDIT_RADIUS."""
+    h = parse_hom_text(hom_text)
+    tally = LetterTally()
+    basis = tuple(
+        parse_word(line, h.source, line=lineno, tally=tally)
+        for lineno, line in _content_lines(basis_text)
+    )
+    return DeclaredEndo(h, basis, audit_radius=AUDIT_RADIUS)
 
 
 class MissingOracle(LookupError):
@@ -187,9 +202,7 @@ class FixOracle:
             return trivial_subgroup(h.source)
         perm = h.as_permutation()
         if perm is not None:
-            # one vertex, with a loop at each fixed generator: its out-half and in-half
-            loops = tuple(0 if p == i else -1 for i, p in enumerate(perm, start=1))
-            return SubgroupGraph(h.source, (loops + loops,))
+            return letter_subgroup(h.source, {i for i, p in enumerate(perm, start=1) if p == i})
         z = _detect_inner(h)  # never 1 here: the identity is a permutation
         return None if z is None else from_generators([root(z).base])
 

@@ -43,7 +43,7 @@ rows directly and skip the builder.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from ._value import FrozenValue, set_field
 from .homs import FreeHom
@@ -322,8 +322,8 @@ class SubgroupGraph(FrozenValue):
     ``rows[v]`` holds 2·r entries, r the rank: ``rows[v][l-1]`` is the end
     of the l-edge leaving v and ``rows[v][r+l-1]`` the start of the l-edge
     entering v, or -1. The table comes from ``_trim_and_number``, so the
-    vertices are numbered breadth first; a one-vertex graph may be written
-    directly, its in-half equal to its out-half.
+    vertices are numbered breadth first; ``letter_subgroup`` writes its
+    one-vertex graph directly, the in-half equal to the out-half.
     """
 
     __slots__ = ("alphabet", "rows")
@@ -464,12 +464,18 @@ def from_generators(gens: Sequence[Word], alphabet: Alphabet | None = None) -> S
     return b.canonical()
 
 
+def letter_subgroup(alphabet: Alphabet, letters: Container[int]) -> SubgroupGraph:
+    """<x_i : i in letters>, folded already: one vertex with a loop per letter."""
+    loops = tuple(0 if i in letters else -1 for i in range(1, alphabet.rank + 1))
+    return SubgroupGraph(alphabet, (loops + loops,))
+
+
 def trivial_subgroup(alphabet: Alphabet) -> SubgroupGraph:
-    return SubgroupGraph(alphabet, ((-1,) * (2 * alphabet.rank),))
+    return letter_subgroup(alphabet, ())
 
 
 def whole_group(alphabet: Alphabet) -> SubgroupGraph:
-    return SubgroupGraph(alphabet, ((0,) * (2 * alphabet.rank),))
+    return letter_subgroup(alphabet, range(1, alphabet.rank + 1))
 
 
 class Preimage:

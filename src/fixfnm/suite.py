@@ -10,32 +10,23 @@ Two constructions connect the decision problem to classical territory:
   directions.  They are why shape IV in *first* position stays out of
   scope: deciding it would decide equalizer triviality.
 
-curated_cases() returns hand-built instances hitting every branch label
-1.1..2.8 at least once, with known verdicts.
+curated_cases() reads a case or more per branch label 1.1..2.8, with known
+verdicts, from the files in ``curated/``; importing this module reads none.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from functools import cache
 from itertools import islice
-from typing import Optional
+from pathlib import Path
+from typing import Iterator, Optional
 
 from ._value import FrozenValue, set_field
-from .fixpoints import AUDIT_RADIUS, DeclaredEndo, FixOracle
-from .homs import FreeHom, identity_hom, inner_hom, permutation_hom
-from .product import (
-    ProductElement,
-    ProductEndo,
-    TypeI,
-    TypeII,
-    TypeIII,
-    TypeIV,
-    TypeV,
-    TypeVI,
-    TypeVII,
-    classify,
-)
+from .fixpoints import DeclaredEndo, FixOracle, parse_declaration
+from .homs import FreeHom, _content_lines, identity_hom, inner_hom, permutation_hom
+from .product import ProductElement, ProductEndo, TypeIV, TypeVI, classify, parse_endo_text
 from .stallings import SubgroupGraph
 from .words import (
     Alphabet,
@@ -307,279 +298,26 @@ class CuratedCase(FrozenValue):
         return FixOracle(self.declarations)
 
 
+CURATED = Path(__file__).with_name("curated")  # the manifest `cases` and the files it names
+
+
+def curated_manifest() -> Iterator[tuple[str, bool, Path, Path, list[tuple[Path, Path]], str]]:
+    """Per manifest line: label, expected_trivial, phi, psi, (hom, basis) file pairs, name."""
+    for lineno, line in _content_lines((CURATED / "cases").read_text()):
+        head, _, name = line.partition("|")
+        fields = head.split()
+        if len(fields) < 4 or len(fields) % 2 or fields[1] not in ("trivial", "nontrivial"):
+            raise ParseError(f"bad curated case {line.strip()!r}", lineno)
+        phi, psi, *declared = [CURATED / file for file in fields[2:]]
+        pairs = list(zip(declared[::2], declared[1::2]))
+        yield fields[0], fields[1] == "trivial", phi, psi, pairs, name.strip()
+
+
 def curated_cases() -> tuple[CuratedCase, ...]:
-    a, b = Alphabet(2, "a"), Alphabet(2, "b")
-    a1, a2 = generator(a, 1), generator(a, 2)
-    b1, b2 = generator(b, 1), generator(b, 2)
-    id_b = identity_hom(b)
-    swap_a = permutation_hom(a, (2, 1))
-    swap_b = permutation_hom(b, (2, 1))
-    inner_a1 = inner_hom(a1)
-    inner_b1 = inner_hom(b1)
-    relab_ab = FreeHom(a, b, (b1, b2))
-    relab_ba = FreeHom(b, a, (a1, a2))
-    tweak_ab = FreeHom(a, b, (b1.inverse(), b2))
-    tweak_ba = FreeHom(b, a, (a1.inverse(), a2))
-    cross_ba = FreeHom(b, a, (a2, a1))
-    retract_a = FreeHom(a, a, (a1, Word(a)))
-
-    plain_diag = TypeVI(inner_a1, inner_b1).as_endo()
-    plain_swap = TypeVII(relab_ba, relab_ab).as_endo()
-    tweak_swap = TypeVII(tweak_ba, tweak_ab).as_endo()
-
-    cases = [
-        CuratedCase(
-            "1.1",
-            "paired powers, both bases fixed, singular matrix",
-            plain_diag,
-            TypeI(a1, b1, (2, 0), (-1, 0), (1, 0), (0, 0)).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.1",
-            "paired powers, first base unfixed",
-            plain_diag,
-            TypeI(a2, b1, (2, 0), (-1, 0), (1, 0), (0, 0)).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "1.2",
-            "transferred power fixed on both sides",
-            plain_diag,
-            TypeII(relab_ba, b1, (1, 0), (0, 1)).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.2",
-            "base misses the second fixed subgroup",
-            plain_diag,
-            TypeII(relab_ba, b2, (1, 0), (0, 1)).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "1.3",
-            "fixed base, exponent read off the window",
-            plain_diag,
-            TypeIII(a1, (2, 0), (1, 0), inner_b1).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.3",
-            "unfixed base rescued by a zero-weight direction",
-            plain_diag,
-            TypeIII(a2, (2, 0), (0, 1), inner_b1).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.3",
-            "unfixed base, weights never vanish",
-            plain_diag,
-            TypeIII(a2, (2, 0), (1, 0), inner_b1).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "1.4",
-            "drifting power with fixed base",
-            plain_diag,
-            TypeIII(a1, (1, 0), (0, 1), inner_b1).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.4",
-            "drifting power, base unfixed and weights nonzero",
-            plain_diag,
-            TypeIII(a2, (0, 1), (1, 0), inner_b1).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "1.5",
-            "graph meets diagonal, preimage witness",
-            plain_diag,
-            TypeIV(relab_ba, inner_b1).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.5",
-            "injective restriction, image misses the fixed subgroup",
-            TypeVI(swap_a, inner_b1).as_endo(),
-            TypeIV(relab_ba, inner_b1).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "1.5",
-            "rank drop, exact kernel element",
-            TypeVI(swap_a, id_b).as_endo(),
-            TypeIV(FreeHom(b, a, (a1, Word(a))), id_b).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.6",
-            "second-factor power line, base fixed",
-            plain_diag,
-            TypeV(b1, (1, 0), (1, 0), 2).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.6",
-            "second-factor power line, weight off by one",
-            plain_diag,
-            TypeV(b2, (1, 0), (1, 0), 2).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "1.7",
-            "two diagonals sharing a first-factor axis",
-            TypeVI(inner_a1, swap_b).as_endo(),
-            plain_diag,
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.7",
-            "two diagonals sharing only a second-factor axis",
-            TypeVI(swap_a, inner_b1).as_endo(),
-            plain_diag,
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.7",
-            "two diagonals with nothing in common",
-            TypeVI(swap_a, swap_b).as_endo(),
-            plain_diag,
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "1.7",
-            "declared fixed subgroup for a retraction",
-            TypeVI(retract_a, id_b).as_endo(),
-            plain_diag,
-            expected_trivial=False,
-            declarations=(DeclaredEndo(retract_a, (a1,), audit_radius=AUDIT_RADIUS),),
-        ),
-        CuratedCase(
-            "1.8",
-            "diagonal meets swap along both axes",
-            plain_diag,
-            plain_swap,
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "1.8",
-            "diagonal with trivial fixed subgroup meets swap",
-            TypeVI(swap_a, swap_b).as_endo(),
-            plain_swap,
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.1",
-            "sign-tweaked swap matches an inverse power pair",
-            tweak_swap,
-            TypeI(a1, b1, (2, 0), (1, 0), (2, 0), (3, 0)).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "2.1",
-            "plain swap disagrees with the inverse pair",
-            plain_swap,
-            TypeI(a1, b1, (2, 0), (1, 0), (2, 0), (3, 0)).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.2",
-            "swap agrees with the transfer block",
-            plain_swap,
-            TypeII(relab_ba, b1, (1, 0), (0, 1)).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "2.2",
-            "sign tweak breaks the agreement",
-            tweak_swap,
-            TypeII(relab_ba, b1, (1, 0), (0, 1)).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.3",
-            "exponent equation solved on the nose",
-            plain_swap,
-            TypeIII(a1, (3, 0), (-2, 0), inner_b1).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "2.3",
-            "exponent equation off by three",
-            plain_swap,
-            TypeIII(a1, (3, 0), (1, 0), inner_b1).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.4",
-            "drifting exponent, swapped image weightless",
-            plain_swap,
-            TypeIII(a1, (1, 0), (0, 5), inner_b1).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "2.4",
-            "drifting exponent with weight left over",
-            plain_swap,
-            TypeIII(a1, (1, 0), (1, 0), inner_b1).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.5",
-            "swap meets a graph shape through the round trip",
-            plain_swap,
-            TypeIV(relab_ba, inner_b1).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "2.5",
-            "graph constraint subgroup dies",
-            plain_swap,
-            TypeIV(relab_ba, swap_b).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.6",
-            "power line cannot survive a swap",
-            plain_swap,
-            TypeV(b1, (1, 0), (1, 0), 2).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.6",
-            "power line with trivial fixed subgroup",
-            plain_swap,
-            TypeV(b1, (1, 0), (0, 1), 2).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.7",
-            "swap meets diagonal along the relabelled axis",
-            plain_swap,
-            plain_diag,
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "2.7",
-            "swap meets a fixed-point-free diagonal",
-            plain_swap,
-            TypeVI(swap_a, swap_b).as_endo(),
-            expected_trivial=True,
-        ),
-        CuratedCase(
-            "2.8",
-            "two swaps differing by an inner twist",
-            plain_swap,
-            TypeVII(relab_ba.then(inner_a1), relab_ab).as_endo(),
-            expected_trivial=False,
-        ),
-        CuratedCase(
-            "2.8",
-            "two swaps differing by a cross permutation",
-            plain_swap,
-            TypeVII(cross_ba, relab_ab).as_endo(),
-            expected_trivial=True,
-        ),
-    ]
+    """The cases of the manifest, in its order; each endo file is parsed once."""
+    endo = cache(lambda path: parse_endo_text(path.read_text()))
+    cases = []
+    for label, trivial, phi, psi, pairs, name in curated_manifest():
+        declared = tuple(parse_declaration(h.read_text(), b.read_text()) for h, b in pairs)
+        cases.append(CuratedCase(label, name, endo(phi), endo(psi), trivial, declared))
     return tuple(cases)

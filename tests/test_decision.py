@@ -37,6 +37,8 @@ from fixfnm import (
     permutation_hom,
     render_endo_text,
 )
+from fixfnm.cli import main
+from fixfnm.suite import curated_manifest
 from conftest import (
     A,
     ALL_TAGS,
@@ -127,6 +129,25 @@ CURATED_LINES = [
 def test_curated_verdict_lines_are_pinned():
     cases = curated_cases()
     assert [decide(c.phi, c.psi, c.oracle()).describe() for c in cases] == CURATED_LINES
+
+
+@pytest.mark.parametrize(
+    "row, pinned",
+    [
+        pytest.param(row, pinned, id=f"{row[0]} {row[5]}")
+        for row, pinned in zip(curated_manifest(), CURATED_LINES, strict=True)
+    ],
+)
+def test_curated_case_through_the_cli(row, pinned, capsys):
+    _, trivial, phi, psi, pairs, _ = row
+    argv = ["intersect", str(phi), str(psi)]
+    for hom, basis in pairs:
+        argv += ["--declare", str(hom), str(basis)]
+    code = main(argv)
+    verdict, trace = capsys.readouterr().out.splitlines()
+    assert trace.startswith("trace: ")
+    assert f"{verdict} [{trace[len('trace: '):].replace(' -> ', '/')}]" == pinned
+    assert code == (0 if trivial else 1)
 
 
 def test_delegated_trace_for_swap_meets_diagonal():

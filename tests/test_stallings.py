@@ -12,6 +12,7 @@ from fixfnm import (
     enumerate_ball,
     express_in_generators,
     from_generators,
+    generator,
     inner_hom,
     parse_word,
     permutation_hom,
@@ -21,7 +22,7 @@ from fixfnm import (
     whole_group,
     word,
 )
-from fixfnm.stallings import Preimage, _Builder
+from fixfnm.stallings import Preimage, _Builder, letter_subgroup
 from conftest import A, B, random_word, rng_for, wa
 
 
@@ -58,6 +59,8 @@ def test_one_vertex_graphs_match_folding(rank):
     alph = Alphabet(rank, "a")
     assert whole_group(alph) == from_generators(alph.generators())
     assert trivial_subgroup(alph) == from_generators((), alph)
+    odd = range(1, rank + 1, 2)
+    assert letter_subgroup(alph, odd) == from_generators([generator(alph, i) for i in odd])
 
 
 def test_generators_that_cancel_into_nothing():

@@ -1,7 +1,8 @@
-"""Presentations, the Mihailova embedding, and the equalizer reductions."""
+"""Presentations, the Mihailova embedding, the equalizer reductions, and the
+curated case files."""
 
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from operator import mul
 
 import pytest
@@ -17,16 +18,22 @@ from fixfnm import (
     ball_size,
     bounded_equalizer,
     common_fixed_points,
+    curated_cases,
     embed_equalizer,
     enumerate_ball,
     fix_product,
     mihailova_generators,
     mihailova_instance,
+    parse_endo_text,
+    parse_hom_text,
     parse_presentation_text,
     parse_word,
     reduce_pair_to_equalizer,
+    render_endo_text,
+    render_hom_text,
+    suite,
 )
-from fixfnm.suite import ball_products
+from fixfnm.suite import CURATED, ball_products, curated_manifest
 from conftest import A, B, wa, wb
 
 X = Alphabet(2, "x")
@@ -208,3 +215,28 @@ def test_reduce_pair_to_equalizer():
 
     with pytest.raises(ValueError):
         reduce_pair_to_equalizer(identity_endo(2, 2), psi)
+
+
+def test_curated_files_are_named_and_canonical():
+    named = set()
+    for _, _, phi, psi, pairs, _ in curated_manifest():
+        named.update((phi, psi, *chain(*pairs)))
+    # every name in the manifest resolves, and every file is named
+    assert named == set(CURATED.iterdir()) - {CURATED / "cases"}
+    formats = {
+        ".endo": (parse_endo_text, render_endo_text),
+        ".hom": (parse_hom_text, render_hom_text),
+    }
+    for path in CURATED.iterdir():
+        if path.suffix in formats:
+            parse, render = formats[path.suffix]
+            text = path.read_text()
+            kept = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
+            assert render(parse(text)).splitlines() == kept, path.name
+
+
+def test_bad_manifest_line_names_its_line(tmp_path, monkeypatch):
+    (tmp_path / "cases").write_text("# a comment\n1.1 maybe diag.endo swap.endo | a name\n")
+    monkeypatch.setattr(suite, "CURATED", tmp_path)
+    with pytest.raises(ParseError, match=r"bad curated case .*\(line 2\)"):
+        curated_cases()
